@@ -11,7 +11,7 @@ The run commands replay an instance file K times, check every
 per-realization and in-expectation inequality, and write one CSV or JSON
 report into ``--out-dir``.  ``verify`` runs the randomized property suite
 and prints a check-by-outcome matrix.  Exit status is 0 exactly when no
-check failed.  ``ROBUSTPD_THREADS`` caps parallel replications.
+check failed.
 """
 
 from __future__ import annotations

@@ -19,8 +19,6 @@ to 1 for homogeneous costs.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,21 +66,6 @@ __all__ = [
 ]
 
 SLACK_TOL = 1e-8
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("ROBUSTPD_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_replications(fn, count):
-    workers = _threads()
-    if workers == 1:
-        return [fn(k) for k in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 @dataclass
@@ -183,7 +166,7 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
             )
         return row, f.eval(trace.load / 8.0), stoch_fake
 
-    results = _map_replications(one, replications)
+    results = [one(rep) for rep in range(replications)]
     rows = [r[0] for r in results]
     scaled_costs = [r[1] for r in results]
     stoch_fakes = [r[2] for r in results]
@@ -265,7 +248,7 @@ def evaluate_welfare_instance(inst, replications, label="welfare") -> InstanceRe
             row.failed.append(chain.name)
         return row
 
-    rows = _map_replications(one, replications)
+    rows = [one(rep) for rep in range(replications)]
     mean_profit, se_profit = _mean_se([r.profit for r in rows])
     opt_stoch = stoch_report.value if stoch_report else 0.0
     rhs = -PLAY_SCALE * f.cost_at_p_ones() - 3.0 * se_profit
@@ -313,11 +296,10 @@ def evaluate_loadbalance_instance(inst, replications, label="loadbalance") -> In
 
     def one(rep):
         real = sample_realization(inst, rep)
-        trace, norm_req, norm_eff = run_loadbalance(real.points, p_req, m, labels)
-        return RepRow(replication=rep, cost=trace.cost, norm=norm_eff), norm_req
+        trace, _, norm_eff = run_loadbalance(real.points, p_req, m, labels)
+        return RepRow(replication=rep, cost=trace.cost, norm=norm_eff)
 
-    results = _map_replications(one, replications)
-    rows = [r[0] for r in results]
+    rows = [one(rep) for rep in range(replications)]
     mean_norm, se_norm = _mean_se([r.norm for r in rows])
 
     def norm_of(load):

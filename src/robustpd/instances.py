@@ -13,6 +13,7 @@ for the field-by-field description and the golden files under ``tests/``.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +88,10 @@ class MixedInstance:
                 raise SchemaError(
                     "distribution.probs", "needs one probability per support element"
                 )
-            if np.any(p < 0):
-                raise SchemaError("distribution.probs", "probabilities must be >= 0")
+            if not np.all(np.isfinite(p)) or np.any(p < 0):
+                raise SchemaError(
+                    "distribution.probs", "probabilities must be finite and >= 0"
+                )
             if abs(p.sum() - 1.0) > 1e-12:
                 raise SchemaError(
                     "distribution.probs", f"probabilities sum to {p.sum()!r}, not 1"
@@ -239,6 +242,9 @@ def instance_from_dict(obj) -> MixedInstance:
         cost_from_config(obj["cost"])
     except (ValueError, TypeError) as exc:
         raise SchemaError("cost", str(exc)) from exc
+    seed = obj["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise SchemaError("seed", f"expected an integer, got {seed!r}")
     return MixedInstance(
         problem=problem,
         n=int(n),
@@ -247,7 +253,7 @@ def instance_from_dict(obj) -> MixedInstance:
         timeline=timeline,
         support=support,
         probs=probs,
-        seed=int(obj["seed"]),
+        seed=int(seed),
     )
 
 

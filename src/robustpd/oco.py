@@ -13,11 +13,14 @@ origin so consecutive gradients stay within a factor 2 of each other.
 In closed form::
 
     y_t   = grad( (4p*ones + v_{1:t-1}) / (4*(1 + gamma_{1:t-1} + gamma_bar)) )
-    y~_t  = grad( (4p*ones + v_{1:t-1}) / (4*(1 + gamma_{1:t-1})) )   # leader
 
-The second, unregularized iterate is the follow-the-leader companion used
-by the gain-accounting checks.  Everything a post-run check needs is kept
-in the state's history and a running :class:`RegretLedger`.
+Each observed step appends ``(y_t, v_t, gamma_t, conj(y_t))`` to the
+state's run record, :meth:`OcoState.record`, and advances the running sums
+that the next iterate needs.  The engines' traces and every post-run check
+read that record: the checks rebuild prefix sums from it, and from those
+the unregularized leader iterates
+``grad( (4p*ones + v_{1:t}) / (4*(1 + gamma_{1:t})) )`` that the
+gain-accounting checks compare against.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "OcoState",
-    "RegretLedger",
-    "StepRecord",
     "CheckReport",
     "check_be_the_leader",
     "check_stability",
@@ -51,48 +52,6 @@ def normalized_slack(lhs, rhs):
     Negative values are violations; checks pass at ``>= -1e-8``.
     """
     return (lhs - rhs) / max(1.0, abs(rhs))
-
-
-@dataclass
-class RegretLedger:
-    """Running aggregates that the inequality checks consume.
-
-    ``fake_half_sum`` accumulates ``L_gamma(y_t, v_t/2)``, ``fake_sum`` the
-    unhalved ``L_gamma(y_t, v_t)``, ``leader_gain_sum`` the scaled gains of
-    the follow-the-leader companion (including the fake time-0 gain), and
-    ``y_max`` the coordinate-wise running maximum of the iterates.
-    """
-
-    cost_at_p_ones: float
-    fake_half_sum: float = 0.0
-    fake_sum: float = 0.0
-    inner_sum: float = 0.0
-    leader_gain_sum: float = 0.0
-    conj_max: float = 0.0
-    y_max: np.ndarray = None
-
-    def snapshot(self) -> dict:
-        return {
-            "cost_at_p_ones": self.cost_at_p_ones,
-            "fake_half_sum": self.fake_half_sum,
-            "fake_sum": self.fake_sum,
-            "inner_sum": self.inner_sum,
-            "leader_gain_sum": self.leader_gain_sum,
-            "conj_max": self.conj_max,
-            "y_max": None if self.y_max is None else self.y_max.tolist(),
-        }
-
-
-@dataclass
-class StepRecord:
-    """Per-step quantities returned by :meth:`OcoState.observe`."""
-
-    y: np.ndarray
-    conj_y: float
-    fake: float  # <y, v> - gamma * conj(y)
-    fake_half: float  # <y, v/2> - gamma * conj(y)
-    inner: float  # <y, v>
-    leader_gain: float  # scaled gain of the next leader iterate on this step
 
 
 class OcoState:
@@ -124,42 +83,21 @@ class OcoState:
         self._regularizer = 0.0 if disable_regularizer else self.gamma_bar
         self.cum_v = np.zeros(f.m)
         self.cum_gamma = 0.0
-        self.t = 1
-        self.history: list[tuple[np.ndarray, np.ndarray, float]] = []
-        self.ledger = RegretLedger(cost_at_p_ones=f.cost_at_p_ones())
-        self.ledger.y_max = np.zeros(f.m)
-        # Fake time-0 gain of the first leader iterate; equals
-        # 4 * cost(p*ones) when the shift is in place.
-        y1 = self._leader(self.cum_v, self.cum_gamma)
-        self.ledger.leader_gain_sum = float(
-            np.dot(y1, self.shift) - 4.0 * f.conjugate_value(y1)
-        )
+        self._steps = ([], [], [], [])  # y, v, gamma, conj(y), one entry per step
+        self._arrays = None
         self._cached_y = None
-
-    # -- iterates -----------------------------------------------------------
-
-    def _argument(self, cum_v, cum_gamma, extra):
-        return (self.shift + cum_v) / (4.0 * (1.0 + cum_gamma + extra))
-
-    def _leader(self, cum_v, cum_gamma):
-        return self.f.grad(self._argument(cum_v, cum_gamma, 0.0))
 
     def next_iterate(self) -> np.ndarray:
         """The dual to post at the current step.  Does not mutate state."""
         if self._cached_y is None:
             self._cached_y = self.f.grad(
-                self._argument(self.cum_v, self.cum_gamma, self._regularizer)
+                (self.shift + self.cum_v)
+                / (4.0 * (1.0 + self.cum_gamma + self._regularizer))
             )
         return self._cached_y
 
-    def ftl_iterate(self) -> np.ndarray:
-        """Unregularized companion iterate at the current step."""
-        return self._leader(self.cum_v, self.cum_gamma)
-
-    # -- update ---------------------------------------------------------------
-
-    def observe(self, v, gamma) -> StepRecord:
-        """Reveal ``(v_t, gamma_t)``, bank the gains, advance to step t+1."""
+    def observe(self, v, gamma):
+        """Reveal ``(v_t, gamma_t)``, record the step, advance to step t+1."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.f.m,):
             raise ValueError(f"load has shape {v.shape}, expected ({self.f.m},)")
@@ -171,31 +109,32 @@ class OcoState:
             raise ValueError("multipliers would exceed their total budget of 1")
 
         y = self.next_iterate()
-        conj_y = self.f.conjugate_value(y)
-        inner = float(np.dot(y, v))
-        fake = inner - gamma * conj_y
-        fake_half = 0.5 * inner - gamma * conj_y
-
-        self.history.append((y, v, gamma))
+        ys, vs, gammas, conjs = self._steps
+        ys.append(y)
+        vs.append(v)
+        gammas.append(gamma)
+        conjs.append(self.f.conjugate_value(y))
         self.cum_v = self.cum_v + v
         self.cum_gamma += gamma
-        self.t += 1
         self._cached_y = None
+        self._arrays = None
 
-        y_next = self._leader(self.cum_v, self.cum_gamma)
-        leader_gain = float(np.dot(y_next, v)) - 4.0 * gamma * self.f.conjugate_value(
-            y_next
-        )
+    def record(self):
+        """The run so far as arrays ``(y, v, gamma, conj_y)``, one row per step.
 
-        led = self.ledger
-        led.fake_half_sum += fake_half
-        led.fake_sum += fake
-        led.inner_sum += inner
-        led.leader_gain_sum += leader_gain
-        if conj_y > led.conj_max:
-            led.conj_max = conj_y
-        np.maximum(led.y_max, y, out=led.y_max)
-        return StepRecord(y, conj_y, fake, fake_half, inner, leader_gain)
+        ``y`` and ``v`` have shape ``(n, m)``; ``gamma`` and ``conj_y`` have
+        shape ``(n,)``.  The arrays are shared between callers: read only.
+        """
+        if self._arrays is None:
+            ys, vs, gammas, conjs = self._steps
+            m = self.f.m
+            self._arrays = (
+                np.array(ys, dtype=np.float64).reshape(-1, m),
+                np.array(vs, dtype=np.float64).reshape(-1, m),
+                np.array(gammas, dtype=np.float64),
+                np.array(conjs, dtype=np.float64),
+            )
+        return self._arrays
 
     @property
     def complete(self) -> bool:
@@ -217,15 +156,13 @@ class CheckReport:
         return self.worst_slack >= -tol
 
 
-def _replay(state):
-    """Prefix sums reconstructed from history: yields per-step context."""
-    cum_v = np.zeros(state.f.m)
-    cum_gamma = 0.0
-    for t, (y, v, gamma) in enumerate(state.history, start=1):
-        prev_v, prev_gamma = cum_v, cum_gamma
-        cum_v = cum_v + v
-        cum_gamma += gamma
-        yield t, y, v, gamma, prev_v, prev_gamma, cum_v, cum_gamma
+def _prefix_sums(a):
+    """Row t holds the sum of the first t rows of ``a``, for t = 0..n.
+
+    Added in step order, so each row equals the running sum the state
+    kept while observing.
+    """
+    return np.cumsum(np.concatenate([np.zeros((1,) + a.shape[1:]), a]), axis=0)
 
 
 def check_be_the_leader(state) -> CheckReport:
@@ -238,24 +175,26 @@ def check_be_the_leader(state) -> CheckReport:
     runs too (it is a property of leader optimality, not of the shift).
     """
     f = state.f
-    y1 = state.f.grad(state.shift / 4.0)
+    _, v, gamma, _ = state.record()
+    cum_v = _prefix_sums(v)
+    cum_gamma = _prefix_sums(gamma).tolist()
+    y1 = f.grad(state.shift / 4.0)
     lhs = float(np.dot(y1, state.shift) - 4.0 * f.conjugate_value(y1))
     worst = math.inf
     detail = {}
     if np.array_equal(state.shift, np.full(f.m, 4.0 * f.p)):
         # With the shift in place the fake time-0 gain is exactly
         # 4 * cost(p * ones).
-        scale = max(1.0, 4.0 * state.ledger.cost_at_p_ones)
-        time0_ok = abs(lhs - 4.0 * state.ledger.cost_at_p_ones) <= 1e-9 * scale
+        base = 4.0 * f.cost_at_p_ones()
+        time0_ok = abs(lhs - base) <= 1e-9 * max(1.0, base)
         detail["time0_gain_matches"] = time0_ok
         if not time0_ok:
             worst = -1.0
-    for t, y, v, gamma, _, _, cum_v, cum_gamma in _replay(state):
-        y_next = f.grad((state.shift + cum_v) / (4.0 * (1.0 + cum_gamma)))
-        lhs += float(np.dot(y_next, v)) - 4.0 * gamma * f.conjugate_value(y_next)
-        rhs = 4.0 * (1.0 + cum_gamma) * f.eval(
-            (state.shift + cum_v) / (4.0 * (1.0 + cum_gamma))
-        )
+    for t, g in enumerate(gamma.tolist(), start=1):
+        w = (state.shift + cum_v[t]) / (4.0 * (1.0 + cum_gamma[t]))
+        y_next = f.grad(w)
+        lhs += float(np.dot(y_next, v[t - 1])) - 4.0 * g * f.conjugate_value(y_next)
+        rhs = 4.0 * (1.0 + cum_gamma[t]) * f.eval(w)
         worst = min(worst, normalized_slack(lhs, rhs))
     return CheckReport("be_the_leader", worst, detail)
 
@@ -268,13 +207,18 @@ def check_stability(state) -> CheckReport:
     in ``[1, 2**(1/p)]``.
     """
     f = state.f
+    y, v, gamma, _ = state.record()
+    cum_v = _prefix_sums(v)
+    cum_gamma = _prefix_sums(gamma).tolist()
     worst = math.inf
     arg_lo, arg_hi = math.inf, -math.inf
-    for t, y, v, gamma, prev_v, prev_gamma, cum_v, cum_gamma in _replay(state):
-        w_bar = (state.shift + prev_v) / (4.0 * (1.0 + prev_gamma + state._regularizer))
-        w_tilde = (state.shift + cum_v) / (4.0 * (1.0 + cum_gamma))
+    for t in range(1, len(gamma) + 1):
+        w_bar = (state.shift + cum_v[t - 1]) / (
+            4.0 * (1.0 + cum_gamma[t - 1] + state._regularizer)
+        )
+        w_tilde = (state.shift + cum_v[t]) / (4.0 * (1.0 + cum_gamma[t]))
         y_next = f.grad(w_tilde)
-        for lhs, rhs in ((y_next, y), (2.0 * y, y_next)):
+        for lhs, rhs in ((y_next, y[t - 1]), (2.0 * y[t - 1], y_next)):
             diff = lhs - rhs
             i = int(np.argmin(diff / np.maximum(1.0, np.abs(rhs))))
             worst = min(worst, normalized_slack(lhs[i], rhs[i]))
@@ -308,29 +252,29 @@ def check_oco_guarantees(state) -> CheckReport:
     f = state.f
     if not state.complete:
         raise ValueError("guarantee check requires multipliers summing to 1")
+    y, v, gamma, conj_y = state.record()
+    cum_v = _prefix_sums(v)
+    cum_gamma = _prefix_sums(gamma).tolist()
     base = f.cost_at_p_ones()
     nominal_shift = 4.0 * f.p
     worst = math.inf
     fake_half = 0.0
     inner_sum = 0.0
-    conj_max = 0.0
-    y_max = np.zeros(f.m)
     detail = {}
-    for t, y, v, gamma, _, _, cum_v, cum_gamma in _replay(state):
-        conj_y = f.conjugate_value(y)
-        fake_half += 0.5 * float(np.dot(y, v)) - gamma * conj_y
-        inner_sum += float(np.dot(y, v))
-        conj_max = max(conj_max, conj_y)
-        np.maximum(y_max, y, out=y_max)
-        prefix_rhs = f.eval((nominal_shift + cum_v) / (4.0 * (1.0 + cum_gamma))) - base
+    for t, (g, c) in enumerate(zip(gamma.tolist(), conj_y.tolist()), start=1):
+        inner = float(np.dot(y[t - 1], v[t - 1]))
+        fake_half += 0.5 * inner - g * c
+        inner_sum += inner
+        prefix_rhs = f.eval((nominal_shift + cum_v[t]) / (4.0 * (1.0 + cum_gamma[t]))) - base
         worst = min(worst, normalized_slack(fake_half, prefix_rhs))
     detail["regret_prefix"] = worst
     s1 = normalized_slack(fake_half, f.eval(state.cum_v / 8.0) - base)
     detail["regret_final"] = s1
-    s2 = normalized_slack(inner_sum + base, conj_max / f.p)
+    s2 = normalized_slack(inner_sum + base, float(conj_y.max(initial=0.0)) / f.p)
     detail["size_control"] = s2
     worst = min(worst, s1, s2)
     if f.separable:
+        y_max = y.max(axis=0, initial=0.0)
         s3 = normalized_slack(inner_sum + base, f.conjugate_value(y_max) / f.p)
         detail["size_control_separable"] = s3
         worst = min(worst, s3)
@@ -354,17 +298,15 @@ def dominating_set(state):
     f = state.f
     if not state.complete:
         raise ValueError("dominating set requires a complete run")
-    n = len(state.history)
+    y, _, gamma, _ = state.record()
+    n = len(gamma)
+    cum_gamma = _prefix_sums(gamma).tolist()
     k = max(1, math.ceil(f.p))
-    cum = 0.0
     thresholds = [2.0 ** (i / f.p) - 1.0 for i in range(1, k)]
     indices = []
     ti = 0
-    cum_gammas = []
-    for t, (_, _, gamma) in enumerate(state.history, start=1):
-        cum += gamma
-        cum_gammas.append(cum)
-        while ti < len(thresholds) and cum >= thresholds[ti] - 1e-12:
+    for t in range(1, n + 1):
+        while ti < len(thresholds) and cum_gamma[t] >= thresholds[ti] - 1e-12:
             indices.append(t)
             ti += 1
     if ti < len(thresholds):
@@ -372,7 +314,7 @@ def dominating_set(state):
     indices.append(n)
     for i, t in zip(range(1, k + 1), indices):
         lo = 2.0 ** (i / f.p) - 1.0
-        if i < k and not (lo - 1e-12 <= cum_gammas[t - 1] <= lo + state.gamma_bar + 1e-12):
+        if i < k and not (lo - 1e-12 <= cum_gamma[t] <= lo + state.gamma_bar + 1e-12):
             raise AssertionError("chosen index fell outside its interval")
     indices = sorted(set(indices))
     witness = np.empty(n, dtype=np.int64)
@@ -383,10 +325,9 @@ def dominating_set(state):
         witness[t - 1] = indices[j]
     worst = math.inf
     e = math.e
-    for t, (y, _, _) in enumerate(state.history, start=1):
-        yw = state.history[witness[t - 1] - 1][0]
-        diff = e * yw - y
-        i = int(np.argmin(diff / np.maximum(1.0, np.abs(e * yw))))
-        worst = min(worst, normalized_slack(e * yw[i], y[i]))
+    for t in range(n):
+        yw = e * y[witness[t] - 1]
+        i = int(np.argmin((yw - y[t]) / np.maximum(1.0, np.abs(yw))))
+        worst = min(worst, normalized_slack(yw[i], y[t][i]))
     report = CheckReport("dominating_set", worst, {"indices": indices})
     return indices, witness, report

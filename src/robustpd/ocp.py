@@ -63,6 +63,13 @@ class FeasibleSet:
         return f"FeasibleSet({len(self)} options, m={self.m})"
 
 
+def _menu(feasible):
+    """The ``(k, m)`` option rows of a :class:`FeasibleSet` or a raw menu."""
+    if isinstance(feasible, FeasibleSet):
+        return feasible.options
+    return np.asarray(feasible, dtype=np.float64)
+
+
 def _minimize_over(feasible, y):
     # Any object with a minimize(y) hook works (e.g. an exact polytope
     # oracle); raw (k, m) arrays are treated as menus.
@@ -71,7 +78,7 @@ def _minimize_over(feasible, y):
         if isinstance(result, tuple):
             return result
         return -1, np.asarray(result, dtype=np.float64)
-    options = np.asarray(feasible, dtype=np.float64)
+    options = _menu(feasible)
     scores = options @ y
     idx = int(np.argmin(scores))
     return idx, options[idx]
@@ -94,13 +101,14 @@ def best_response(y, feasible, gamma, f):
 
 @dataclass
 class OcpRunTrace:
-    """Everything a post-run inequality check needs, per step and in total."""
+    """Everything a post-run inequality check needs, per step and in total.
 
-    y: np.ndarray  # (n, m) duals
-    v: np.ndarray  # (n, m) chosen options
+    The duals ``y``, chosen options ``v`` and conjugate values ``conj_y``
+    are the dual state's run record.
+    """
+
     choice: np.ndarray  # (n,) option indices
     fake: np.ndarray  # (n,) fake costs <y,v> - gamma*conj(y)
-    conj_y: np.ndarray  # (n,) conjugate values at the duals
     load: np.ndarray  # final cumulative load
     cost: float  # cost(load)
     gamma: float  # the per-step multiplier, 1/n
@@ -108,8 +116,20 @@ class OcpRunTrace:
     state: OcoState
 
     @property
+    def y(self):
+        return self.state.record()[0]
+
+    @property
+    def v(self):
+        return self.state.record()[1]
+
+    @property
+    def conj_y(self):
+        return self.state.record()[3]
+
+    @property
     def n(self):
-        return self.y.shape[0]
+        return self.choice.shape[0]
 
     def recompute_fake(self, t):
         y = self.y[t]
@@ -136,7 +156,6 @@ class OcpRunTrace:
             ],
             "load": self.load.tolist(),
             "cost": self.cost,
-            "ledger": self.state.ledger.snapshot(),
         }
 
 
@@ -153,31 +172,20 @@ def run_ocp(sets, f, labels=None, *, disable_shift=False, disable_regularizer=Fa
     state = OcoState(
         f, gamma, disable_shift=disable_shift, disable_regularizer=disable_regularizer
     )
-    y_hist = np.empty((n, f.m))
-    v_hist = np.empty((n, f.m))
     choice = np.empty(n, dtype=np.int64)
-    fake = np.empty(n)
-    conj_y = np.empty(n)
     for t, V in enumerate(sets):
-        y = state.next_iterate()
-        idx, v = _minimize_over(V, y)
-        rec = state.observe(v, gamma)
-        y_hist[t] = y
-        v_hist[t] = v
-        choice[t] = idx
-        conj_y[t] = rec.conj_y
-        fake[t] = rec.inner - gamma * rec.conj_y
+        choice[t], v = _minimize_over(V, state.next_iterate())
+        state.observe(v, gamma)
+    y, v, _, conj_y = state.record()
+    fake = np.array([np.dot(y_t, v_t) for y_t, v_t in zip(y, v)]) - gamma * conj_y
     load = state.cum_v
     if labels is not None:
         labels = np.asarray(labels, dtype=bool)
         if labels.shape != (n,):
             raise ValueError("labels must mark each of the n steps")
     return OcpRunTrace(
-        y=y_hist,
-        v=v_hist,
         choice=choice,
         fake=fake,
-        conj_y=conj_y,
         load=load,
         cost=f.eval(load),
         gamma=gamma,
@@ -194,15 +202,15 @@ def check_cost_bound(trace) -> CheckReport:
     coordinate-wise max dual.
     """
     f = trace.state.f
-    led = trace.state.ledger
     lhs = f.eval(trace.load / 8.0)
     fake_total = float(trace.fake.sum())
-    base = 1.5 * led.cost_at_p_ones
-    rhs = fake_total - led.conj_max / (2.0 * f.p) + base
+    base = 1.5 * f.cost_at_p_ones()
+    rhs = fake_total - float(trace.conj_y.max(initial=0.0)) / (2.0 * f.p) + base
     worst = normalized_slack(rhs, lhs)
     detail = {"nonseparable": worst}
     if f.separable:
-        rhs_sep = fake_total - f.conjugate_value(led.y_max) / (2.0 * f.p) + base
+        y_max = trace.y.max(axis=0, initial=0.0)
+        rhs_sep = fake_total - f.conjugate_value(y_max) / (2.0 * f.p) + base
         sep = normalized_slack(rhs_sep, lhs)
         detail["separable"] = sep
         worst = min(worst, sep)
@@ -234,12 +242,13 @@ def check_adversarial_charging(trace, alpha, opt_choices) -> CheckReport:
     lhs = float(np.einsum("tm,tm->", y_adv, opt_choices)) - trace.gamma * float(
         trace.conj_y[adv].sum()
     )
-    led = trace.state.ledger
-    rhs1 = math.e * f.eval(alpha * v_opt) + (math.e * f.p / alpha) * led.conj_max
+    conj_max = float(trace.conj_y.max(initial=0.0))
+    rhs1 = math.e * f.eval(alpha * v_opt) + (math.e * f.p / alpha) * conj_max
     worst = normalized_slack(rhs1, lhs)
     detail = {"max_form": worst}
     if f.separable:
-        rhs2 = f.eval(alpha * v_opt) + f.conjugate_value(led.y_max) / alpha
+        y_max = trace.y.max(axis=0, initial=0.0)
+        rhs2 = f.eval(alpha * v_opt) + f.conjugate_value(y_max) / alpha
         sep = normalized_slack(rhs2, lhs)
         detail["pointwise_max_form"] = sep
         worst = min(worst, sep)

@@ -21,6 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from robustpd.ocp import _menu
+from robustpd.welfare import _split_requests
+
 __all__ = [
     "GuardError",
     "OptReport",
@@ -61,12 +64,7 @@ class OptReport:
 
 def opt_adv_ocp(adv_sets, f) -> OptReport:
     """Minimum of ``cost(sum_t v_t)`` over all menu combinations."""
-    from robustpd.ocp import FeasibleSet
-
-    menus = [
-        s.options if isinstance(s, FeasibleSet) else np.asarray(s, dtype=np.float64)
-        for s in adv_sets
-    ]
+    menus = [_menu(s) for s in adv_sets]
     if not menus:
         return OptReport(value=0.0, choices=[], load=np.zeros(f.m))
     combos = math.prod(len(o) for o in menus)
@@ -149,14 +147,9 @@ def opt_stoch_ocp(support, probs, n_stoch, f, *, mc_samples=10**5, seed=0) -> Op
     or the multiset table blows past the guards, falls back to a flagged
     Monte-Carlo estimate over random draws.
     """
-    from robustpd.ocp import FeasibleSet
-
     if n_stoch == 0:
         return OptReport(value=0.0, selector=[], load=np.zeros(f.m))
-    menus = [
-        s.options if isinstance(s, FeasibleSet) else np.asarray(s, dtype=np.float64)
-        for s in support
-    ]
+    menus = [_menu(s) for s in support]
     probs = np.asarray(probs, dtype=np.float64)
     s = len(menus)
     selector_count = math.prod(len(o) for o in menus)
@@ -213,14 +206,6 @@ def _opt_stoch_ocp_mc(menus, probs, n_stoch, f, mc_samples, seed):
 
 
 # -- welfare, deterministic ----------------------------------------------------
-
-
-def _split_requests(requests):
-    # Accepts (c, a) pairs or any objects with .c / .a attributes.
-    pairs = [(r.c, r.a) if hasattr(r, "c") else r for r in requests]
-    c = np.array([p[0] for p in pairs], dtype=np.float64)
-    A = np.stack([np.asarray(p[1], dtype=np.float64) for p in pairs])
-    return c, A
 
 
 def _welfare_value(x, c, A, f):

@@ -53,23 +53,36 @@ class Request:
             raise ValueError("consumption coordinates must lie in [0, 1]")
 
 
+def _split_requests(requests):
+    """Float64 rewards ``c`` (n,) and consumptions ``A`` (n, m).
+
+    Accepts :class:`Request` objects and ``(c, a)`` pairs.
+    """
+    pairs = [(r.c, r.a) if isinstance(r, Request) else r for r in requests]
+    c = np.array([pair[0] for pair in pairs], dtype=np.float64)
+    A = np.array([np.asarray(pair[1], dtype=np.float64) for pair in pairs])
+    return c, A
+
+
 def virtual_best_response(y, req, gamma, f):
     """Maximizer of ``c*x - L(y, a*x)`` over ``x in [0,1]``: 0 or 1.
 
     The objective is ``(c - <y,a>)*x + gamma*conj(y)``; accept iff the
     linear coefficient is strictly positive.
     """
-    c, a = (req.c, req.a) if isinstance(req, Request) else req
+    (c,), (a,) = _split_requests([req])
     return 1.0 if c - float(np.dot(np.asarray(y), a)) > 0.0 else 0.0
 
 
 @dataclass
 class WelfareTrace:
-    """Per-step log of a welfare run, in the reduced (pure-power) view."""
+    """Per-step log of a welfare run, in the reduced (pure-power) view.
 
-    y: np.ndarray  # (n, m) duals
+    The duals ``y``, virtual loads ``a_t*x_t`` and conjugate values
+    ``conj_y`` are the dual state's run record.
+    """
+
     x_virtual: np.ndarray  # (n,) virtual plays, each 0 or 1
-    conj_y: np.ndarray  # (n,) conjugate values at the duals
     c_reduced: np.ndarray  # (n,) rewards after the linear-part reduction
     a: np.ndarray  # (n, m) consumption vectors
     gamma: float  # 1/n
@@ -80,16 +93,24 @@ class WelfareTrace:
     cost_total: float  # cost(sum a_t * x~_t) (original cost)
 
     @property
+    def y(self):
+        return self.state.record()[0]
+
+    @property
+    def virtual_loads(self):
+        return self.state.record()[1]
+
+    @property
+    def conj_y(self):
+        return self.state.record()[3]
+
+    @property
     def n(self):
-        return self.y.shape[0]
+        return self.x_virtual.shape[0]
 
     @property
     def x_played(self):
         return PLAY_SCALE * self.x_virtual
-
-    @property
-    def virtual_loads(self):
-        return self.a * self.x_virtual[:, None]
 
     def fake_costs(self):
         """Per-step ``L(y_t, v_t)`` on the virtual loads."""
@@ -119,25 +140,18 @@ class WelfareTrace:
             "profit": self.profit,
             "reward_total": self.reward_total,
             "cost_total": self.cost_total,
-            "ledger": self.state.ledger.snapshot(),
         }
 
 
-def _reduce(requests, f):
+def _reduce(c, a, f):
     """Split off the linear part; returns (reduced rewards, run cost)."""
-    c = np.array([r.c if isinstance(r, Request) else r[0] for r in requests])
-    a = np.stack(
-        [np.asarray(r.a if isinstance(r, Request) else r[1], dtype=np.float64) for r in requests]
-    )
+    high = f.power_part()
     slopes = f.linear_slopes
     if slopes is None or not np.any(slopes > 0):
-        high = f.power_part()
-        run_f = high if high is not None else f
-        return c, a, run_f
-    high = f.power_part()
+        return c, high if high is not None else f
     if high is None:
         raise ConfigError("cost has a linear part but no power remainder to run on")
-    return c - a @ slopes, a, high
+    return c - a @ slopes, high
 
 
 def run_welfare(requests, f, labels=None, *, disable_shift=False, disable_regularizer=False):
@@ -149,7 +163,8 @@ def run_welfare(requests, f, labels=None, *, disable_shift=False, disable_regula
     n = len(requests)
     if n < 4.0 * f.p:
         raise ConfigError(f"need n >= 4p, got n={n} with p={f.p}")
-    c_red, a, run_f = _reduce(requests, f)
+    c, a = _split_requests(requests)
+    c_red, run_f = _reduce(c, a, f)
     certain = run_f.family == "sum_of_powers" and run_f.p >= 2.0
     if not certain and not run_f.grows_at_least_quadratically():
         raise ConfigError("cost must grow at least quadratically after reduction")
@@ -157,28 +172,21 @@ def run_welfare(requests, f, labels=None, *, disable_shift=False, disable_regula
     state = OcoState(
         run_f, gamma, disable_shift=disable_shift, disable_regularizer=disable_regularizer
     )
-    y_hist = np.empty((n, run_f.m))
     x_virtual = np.empty(n)
-    conj_y = np.empty(n)
     for t in range(n):
         y = state.next_iterate()
         x = 1.0 if c_red[t] - float(np.dot(y, a[t])) > 0.0 else 0.0
-        rec = state.observe(a[t] * x, gamma)
-        y_hist[t] = y
+        state.observe(a[t] * x, gamma)
         x_virtual[t] = x
-        conj_y[t] = rec.conj_y
     x_played = PLAY_SCALE * x_virtual
-    c_orig = np.array([r.c if isinstance(r, Request) else r[0] for r in requests])
-    reward_total = float(np.dot(c_orig, x_played))
+    reward_total = float(np.dot(c, x_played))
     cost_total = f.eval(a.T @ x_played)
     if labels is not None:
         labels = np.asarray(labels, dtype=bool)
         if labels.shape != (n,):
             raise ValueError("labels must mark each of the n steps")
     return WelfareTrace(
-        y=y_hist,
         x_virtual=x_virtual,
-        conj_y=conj_y,
         c_reduced=c_red,
         a=a,
         gamma=gamma,
@@ -228,7 +236,7 @@ def check_profit_chain_step(trace, beta=None, opt_selector=None, drawn=None) -> 
         s_w2 = normalized_slack(virtual_profit, float(cand_gain[stoch].sum()))
         detail["virtual_vs_scaled_offline"] = s_w2
         worst = min(worst, s_w2)
-    rhs_scaled = PLAY_SCALE * (virtual_profit - trace.state.ledger.cost_at_p_ones)
+    rhs_scaled = PLAY_SCALE * (virtual_profit - trace.state.f.cost_at_p_ones())
     s_scale = normalized_slack(trace.profit, rhs_scaled)
     detail["scaled_profit"] = s_scale
     worst = min(worst, s_scale)
@@ -240,13 +248,11 @@ def greedy_marginal_profit(requests, f):
     reward beats the marginal cost ``<grad(load + a), a>`` at the current
     load.  Returns the play vector in ``{0,1}^n``.
     """
-    n = len(requests)
+    c, A = _split_requests(requests)
     load = np.zeros(f.m)
-    x = np.zeros(n)
-    for t, r in enumerate(requests):
-        c, a = (r.c, r.a) if isinstance(r, Request) else r
-        a = np.asarray(a, dtype=np.float64)
-        if c > float(np.dot(f.grad(load + a), a)):
+    x = np.zeros(len(c))
+    for t, a in enumerate(A):
+        if c[t] > float(np.dot(f.grad(load + a), a)):
             x[t] = 1.0
             load += a
     return x
@@ -279,7 +285,6 @@ def mixture_wrapper(requests, f, adversarial_strategy=None, coin_seed=0, force_a
         trace = run_welfare(requests, f)
         return MixtureOutcome(arm, trace.profit, trace.x_played, trace)
     x = np.clip(np.asarray(strategy(requests, f), dtype=np.float64), 0.0, 1.0)
-    c = np.array([r.c if isinstance(r, Request) else r[0] for r in requests])
-    A = np.stack([np.asarray(r.a if isinstance(r, Request) else r[1]) for r in requests])
+    c, A = _split_requests(requests)
     profit = float(np.dot(c, x)) - f.eval(A.T @ x)
     return MixtureOutcome(arm, profit, x, None)

@@ -107,20 +107,6 @@ class TestVerifyCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
-class TestThreadCap:
-    def test_threaded_replications_match_sequential(self, monkeypatch):
-        inst = load_instance(OCP_INSTANCE)
-        seq = evaluate_ocp_instance(inst, 8)
-        monkeypatch.setenv("ROBUSTPD_THREADS", "4")
-        par = evaluate_ocp_instance(inst, 8)
-        assert report_to_csv(seq) == report_to_csv(par)
-
-    def test_bad_value_falls_back(self, monkeypatch):
-        monkeypatch.setenv("ROBUSTPD_THREADS", "banana")
-        inst = load_instance(WELFARE_INSTANCE)
-        assert evaluate_welfare_instance(inst, 2).replications == 2
-
-
 class TestReportShapes:
     def test_csv_roundtrip_columns(self):
         inst = load_instance(OCP_INSTANCE)

@@ -179,6 +179,24 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="cost"):
             instance_from_dict(obj)
 
+    def golden(self):
+        with open("tests/data/ocp_small.json") as fh:
+            return json.load(fh)
+
+    def test_nan_probs(self):
+        obj = self.golden()
+        obj["distribution"]["probs"] = [float("nan")] * len(obj["distribution"]["probs"])
+        with pytest.raises(SchemaError) as err:
+            instance_from_dict(obj)
+        assert err.value.path == "distribution.probs"
+
+    def test_fractional_seed(self):
+        obj = self.golden()
+        obj["seed"] = 1.7
+        with pytest.raises(SchemaError) as err:
+            instance_from_dict(obj)
+        assert err.value.path == "seed"
+
     def test_welfare_consumption_out_of_range(self):
         inst = generate(GeneratorParams(problem="welfare", n=8, n_adv=2), 6)
         obj = instance_to_dict(inst)

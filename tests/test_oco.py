@@ -9,6 +9,7 @@ from robustpd.costs import SumOfPowers
 from robustpd.oco import (
     ConfigError,
     OcoState,
+    _prefix_sums,
     check_be_the_leader,
     check_oco_guarantees,
     check_stability,
@@ -41,9 +42,13 @@ class TestIterates:
 
     def test_leader_iterates(self):
         st = square_state()
-        assert st.ftl_iterate() == pytest.approx([4.0])
+
+        def leader():
+            return st.f.grad((st.shift + st.cum_v) / (4 * (1 + st.cum_gamma)))
+
+        assert leader() == pytest.approx([4.0])
         st.observe(np.array([1.0]), 1 / 8)
-        y2_leader = st.ftl_iterate()
+        y2_leader = leader()
         assert y2_leader == pytest.approx([4.0])
         # sandwich: y_1 <= leader_2 <= 2*y_1
         assert 32.0 / 9.0 <= y2_leader[0] <= 64.0 / 9.0
@@ -65,23 +70,36 @@ class TestIterates:
 class TestObserve:
     def test_zero_step_leaves_sums_alone(self):
         st = square_state()
-        before = st.ledger.leader_gain_sum
-        rec = st.observe(np.array([0.0]), 0.0)
-        led = st.ledger
-        assert rec.fake == rec.fake_half == rec.inner == 0.0
-        assert led.fake_half_sum == led.fake_sum == led.inner_sum == 0.0
-        assert led.conj_max > 0.0  # the running conjugate max still updates
-        assert led.leader_gain_sum == before  # zero load, zero multiplier
+        st.observe(np.array([0.0]), 0.0)
+        y, v, gamma, conj_y = st.record()
+        assert np.dot(y[0], v[0]) == gamma[0] == 0.0  # zero gain
+        assert conj_y[0] > 0.0  # the conjugate is still recorded
+        assert st.cum_v.tolist() == [0.0] and st.cum_gamma == 0.0
 
     def test_ledger_delta_worked_value(self):
         st = square_state()
-        rec = st.observe(np.array([1.0]), 1 / 8)
+        st.observe(np.array([1.0]), 1 / 8)
+        y, v, gamma, conj_y = st.record()
         # (1/2)*(32/9) - (1/8) * (32/9)^2 / 4 = 112/81
-        assert rec.fake_half == pytest.approx(112.0 / 81.0)
-        assert st.ledger.fake_half_sum == pytest.approx(112.0 / 81.0)
+        fake_half = 0.5 * np.dot(y[0], v[0]) - gamma[0] * conj_y[0]
+        assert fake_half == pytest.approx(112.0 / 81.0)
 
-    def test_time0_gain(self):
-        assert square_state().ledger.leader_gain_sum == pytest.approx(16.0)
+    def test_record_prefix_sums_match_running_sums(self):
+        # The post-run checks rebuild prefix sums from the record; they must
+        # equal the running sums the state kept while observing, bit for bit.
+        rng = np.random.default_rng(17)
+        st = OcoState(SumOfPowers([1.0, 2.0], 2), 1 / 8)
+        y, v, gamma, conj_y = st.record()
+        assert y.shape == v.shape == (0, 2) and gamma.shape == conj_y.shape == (0,)
+        cum_v, cum_gamma = [], []
+        for g in [1 / 8, 0.0] * 8:
+            st.observe(rng.uniform(0, 1, 2), g)
+            cum_v.append(st.cum_v)
+            cum_gamma.append(st.cum_gamma)
+        y, v, gamma, conj_y = st.record()
+        assert y.shape == v.shape == (16, 2) and gamma.shape == conj_y.shape == (16,)
+        assert np.array_equal(_prefix_sums(v)[1:], cum_v)
+        assert _prefix_sums(gamma)[1:].tolist() == cum_gamma
 
     def test_observes_add_like_batch(self):
         st = square_state()

@@ -104,6 +104,20 @@ class TestRunOcp:
         for t in range(trace.n):
             assert trace.fake[t] == pytest.approx(trace.recompute_fake(t), abs=1e-10)
 
+    def test_one_grad_and_one_conjugate_per_step(self):
+        f = square2()
+        calls = {"grad": 0, "conjugate_value": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _method=getattr(f, name)):
+                calls[_name] += 1
+                return _method(*args)
+
+            setattr(f, name, counted)
+        n = 12
+        run_ocp([FeasibleSet(np.eye(2))] * n, f)
+        assert calls == {"grad": n, "conjugate_value": n}
+
     def test_best_response_dominance(self):
         # Every menu option must have done at least as badly at every step.
         rng = np.random.default_rng(24)
