@@ -74,10 +74,6 @@ class CheckOutcome:
     passed: bool
     slack: float
 
-    @classmethod
-    def from_report(cls, report, tol=SLACK_TOL):
-        return cls(report.name, report.passed(tol), float(report.worst_slack))
-
 
 @dataclass
 class RepRow:
@@ -124,90 +120,34 @@ def _mean_se(values):
     return mean, se
 
 
-def _end_to_end_constants(f):
-    if f.separable:
-        c_adv = (2.0 * f.p) ** f.p
-    else:
-        c_adv = math.e * (2.0 * math.e * f.p**2) ** f.p
-    return c_adv
+def _at_most(name, value, rhs):
+    """Outcome of the claim ``value <= rhs``, slack normalized by ``max(1, |rhs|)``."""
+    slack = (rhs - value) / max(1.0, abs(rhs))
+    return CheckOutcome(name, slack >= -SLACK_TOL, slack)
 
 
-def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
-    """Replicated run of one mixed instance with the full check battery."""
-    f = inst.cost_function()
-    labels = inst.stoch_mask
-    adv_sets = [e.data for e in inst.timeline if e.kind == "adv"]
-    n_stoch = inst.n_stoch
-    adv_report = opt_adv_ocp(adv_sets, f)
-    stoch_report = None
-    if n_stoch:
-        stoch_report = opt_stoch_ocp(inst.support, inst.probs, n_stoch, f)
-    alphas = (2.0 * f.p, 2.0 * math.e * f.p**2)
+# The field of RepRow whose mean and standard error each problem reports.
+_REPORTED = {"ocp": "cost", "welfare": "profit", "loadbalance": "norm"}
 
-    def one(rep):
-        real = sample_realization(inst, rep)
-        trace = run_ocp(real.points, f, labels)
-        row = RepRow(replication=rep, cost=trace.cost)
-        rep_checks = [check_cost_bound(trace)]
-        rep_checks += [
-            check_adversarial_charging(trace, alpha, adv_report.choices)
-            for alpha in alphas
-        ]
-        row.failed = [c.name for c in rep_checks if not c.passed(SLACK_TOL)]
-        stoch_fake = 0.0
-        if stoch_report is not None:
-            sel = stoch_report.selector
-            v_star = np.stack(
-                [sel[j] if j >= 0 else np.zeros(f.m) for j in real.drawn]
-            )
-            stoch_fake = float(
-                np.einsum("tm,tm->", trace.y[labels], v_star[labels])
-                - trace.gamma * trace.conj_y[labels].sum()
-            )
-        return row, f.eval(trace.load / 8.0), stoch_fake
 
-    results = [one(rep) for rep in range(replications)]
-    rows = [r[0] for r in results]
-    scaled_costs = [r[1] for r in results]
-    stoch_fakes = [r[2] for r in results]
-    mean_cost, se_cost = _mean_se([r.cost for r in rows])
-    mean_scaled, se_scaled = _mean_se(scaled_costs)
+def _evaluate(inst, replications, label, problem, f, adv_report, stoch_report, replicate, bound):
+    """Replicate one instance against its oracle answers and check its bound.
 
-    checks = []
-    base = 1.5 * f.cost_at_p_ones()
-    beta = inst.n / n_stoch if n_stoch else None
-    # The mean-form bounds anchor to the *optimal* selector; when the
-    # oracle fell back to Monte Carlo they are not certified, so skip.
-    stoch_exact = stoch_report.exact if stoch_report is not None else True
-    if n_stoch and stoch_exact:
-        mean_fake, se_fake = _mean_se(stoch_fakes)
-        rhs = f.eval(beta * stoch_report.load) / beta + 3.0 * se_fake
-        slack = (rhs - mean_fake) / max(1.0, abs(rhs))
-        checks.append(CheckOutcome("stoch_mean", slack >= -SLACK_TOL, slack))
-    if stoch_exact:
-        c_adv = _end_to_end_constants(f)
-        c_stoch = 1.0 if f.homogeneous else (beta**f.p if n_stoch else 0.0)
-        rhs = base + 3.0 * se_scaled
-        if adv_sets:
-            rhs += c_adv * f.eval(adv_report.load)
-        if n_stoch:
-            rhs += c_stoch * f.eval(stoch_report.load)
-        slack = (rhs - mean_scaled) / max(1.0, abs(rhs))
-        checks.append(CheckOutcome("end_to_end", slack >= -SLACK_TOL, slack))
-    else:
-        rhs = None
-
-    # Both stochastic-optimum forms: the selector value E cost(sum v*) and
-    # the cost of the mean offline load, which is what the bound charges.
-    details = {"mean_scaled_cost": mean_scaled}
-    if n_stoch:
-        details["opt_stoch_selector_value"] = stoch_report.value
-        details["cost_of_mean_stoch_load"] = f.eval(stoch_report.load)
-        details["beta"] = beta
-        details["stoch_oracle_method"] = stoch_report.method
+    ``replicate(rep, realization)`` returns the replication's row and the
+    extra values the bound needs; ``bound(mean, se, extras)`` gets the
+    reported value's mean and standard error and the list of those extras,
+    and returns ``(bound_rhs, checks, details)``.
+    """
+    rows, extras = [], []
+    for rep in range(replications):
+        row, extra = replicate(rep, sample_realization(inst, rep))
+        rows.append(row)
+        extras.append(extra)
+    mean, se = _mean_se([getattr(r, _REPORTED[problem]) for r in rows])
+    rhs, checks, details = bound(mean, se, extras)
     return InstanceReport(
         instance=label,
-        problem="ocp",
+        problem=problem,
         seed=inst.seed,
         n=inst.n,
         m=inst.m,
@@ -215,13 +155,84 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
         family=f.family,
         replications=replications,
         rows=rows,
-        opt_adv=adv_report.value,
+        opt_adv=adv_report.value if adv_report else None,
         opt_stoch=stoch_report.value if stoch_report else None,
-        mean=mean_cost,
-        stderr=se_cost,
+        mean=mean,
+        stderr=se,
         bound_rhs=rhs,
         checks=checks,
         details=details,
+    )
+
+
+def _ocp_oracles(inst, f):
+    """The adversarial sets and the adversarial and stochastic offline optima."""
+    adv_sets = [e.data for e in inst.timeline if e.kind == "adv"]
+    adv_report = opt_adv_ocp(adv_sets, f)
+    n_stoch = inst.n_stoch
+    stoch_report = opt_stoch_ocp(inst.support, inst.probs, n_stoch, f) if n_stoch else None
+    return adv_sets, adv_report, stoch_report
+
+
+def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
+    """Replicated run of one mixed instance with the full check battery."""
+    f = inst.cost_function()
+    labels = inst.stoch_mask
+    n_stoch = inst.n_stoch
+    beta = inst.n / n_stoch if n_stoch else None
+    adv_sets, adv_report, stoch_report = _ocp_oracles(inst, f)
+    alphas = (2.0 * f.p, 2.0 * math.e * f.p**2)
+
+    def replicate(rep, real):
+        trace = run_ocp(real.points, f, labels)
+        rep_checks = [check_cost_bound(trace)] + [
+            check_adversarial_charging(trace, alpha, adv_report.choices) for alpha in alphas
+        ]
+        failed = [c.name for c in rep_checks if not c.passed(SLACK_TOL)]
+        stoch_fake = 0.0
+        if stoch_report is not None:
+            v_star = np.stack([stoch_report.selector[j] for j in real.drawn[labels]])
+            stoch_fake = float(
+                np.einsum("tm,tm->", trace.y[labels], v_star)
+                - trace.gamma * trace.conj_y[labels].sum()
+            )
+        row = RepRow(replication=rep, cost=trace.cost, failed=failed)
+        return row, (f.eval(trace.load / 8.0), stoch_fake)
+
+    def bound(mean, se, extras):
+        mean_scaled, se_scaled = _mean_se([e[0] for e in extras])
+        checks, rhs = [], None
+        # The mean-form bounds anchor to the *optimal* selector; when the
+        # oracle fell back to Monte Carlo they are not certified, so skip.
+        stoch_exact = stoch_report.exact if stoch_report is not None else True
+        if n_stoch and stoch_exact:
+            mean_fake, se_fake = _mean_se([e[1] for e in extras])
+            rhs = f.eval(beta * stoch_report.load) / beta + 3.0 * se_fake
+            checks.append(_at_most("stoch_mean", mean_fake, rhs))
+        if stoch_exact:
+            if f.separable:
+                c_adv = (2.0 * f.p) ** f.p
+            else:
+                c_adv = math.e * (2.0 * math.e * f.p**2) ** f.p
+            c_stoch = 1.0 if f.homogeneous else (beta**f.p if n_stoch else 0.0)
+            rhs = 1.5 * f.cost_at_p_ones() + 3.0 * se_scaled
+            if adv_sets:
+                rhs += c_adv * f.eval(adv_report.load)
+            if n_stoch:
+                rhs += c_stoch * f.eval(stoch_report.load)
+            checks.append(_at_most("end_to_end", mean_scaled, rhs))
+        # Both stochastic-optimum forms: the selector value E cost(sum v*) and
+        # the cost of the mean offline load, which is what the bound charges.
+        details = {"mean_scaled_cost": mean_scaled}
+        if n_stoch:
+            details["opt_stoch_selector_value"] = stoch_report.value
+            details["cost_of_mean_stoch_load"] = f.eval(stoch_report.load)
+            details["beta"] = beta
+            details["stoch_oracle_method"] = stoch_report.method
+        return rhs, checks, details
+
+    return _evaluate(
+        inst, replications, label, "ocp", f, adv_report, stoch_report, replicate, bound
     )
 
 
@@ -230,48 +241,28 @@ def evaluate_welfare_instance(inst, replications, label="welfare") -> InstanceRe
     labels = inst.stoch_mask
     n_stoch = inst.n_stoch
     beta = inst.n / n_stoch if n_stoch else None
-    stoch_report = None
-    if n_stoch:
-        stoch_report = opt_stoch_welfare(inst.support, inst.probs, n_stoch, f)
+    stoch_report = opt_stoch_welfare(inst.support, inst.probs, n_stoch, f) if n_stoch else None
 
-    def one(rep):
-        real = sample_realization(inst, rep)
+    def replicate(rep, real):
         trace = run_welfare(real.points, f, labels)
-        row = RepRow(replication=rep, profit=trace.profit)
         chain = check_profit_chain_step(
             trace,
             beta=beta,
             opt_selector=stoch_report.selector if stoch_report else None,
             drawn=real.drawn,
         )
-        if not chain.passed(SLACK_TOL):
-            row.failed.append(chain.name)
-        return row
+        failed = [] if chain.passed(SLACK_TOL) else [chain.name]
+        return RepRow(replication=rep, profit=trace.profit, failed=failed), None
 
-    rows = [one(rep) for rep in range(replications)]
-    mean_profit, se_profit = _mean_se([r.profit for r in rows])
-    opt_stoch = stoch_report.value if stoch_report else 0.0
-    rhs = -PLAY_SCALE * f.cost_at_p_ones() - 3.0 * se_profit
-    if n_stoch:
-        rhs += PLAY_SCALE * opt_stoch / beta
-    slack = (mean_profit - rhs) / max(1.0, abs(rhs))
-    checks = [CheckOutcome("profit_bound", slack >= -SLACK_TOL, slack)]
-    return InstanceReport(
-        instance=label,
-        problem="welfare",
-        seed=inst.seed,
-        n=inst.n,
-        m=inst.m,
-        p=f.p,
-        family=f.family,
-        replications=replications,
-        rows=rows,
-        opt_adv=None,
-        opt_stoch=opt_stoch if n_stoch else None,
-        mean=mean_profit,
-        stderr=se_profit,
-        bound_rhs=rhs,
-        checks=checks,
+    def bound(mean, se, extras):
+        rhs = -PLAY_SCALE * f.cost_at_p_ones() - 3.0 * se
+        if n_stoch:
+            rhs += PLAY_SCALE * stoch_report.value / beta
+        # The claim is a lower bound on the profit: -profit <= -rhs.
+        return rhs, [_at_most("profit_bound", -mean, -rhs)], {}
+
+    return _evaluate(
+        inst, replications, label, "welfare", f, None, stoch_report, replicate, bound
     )
 
 
@@ -289,46 +280,27 @@ def evaluate_loadbalance_instance(inst, replications, label="loadbalance") -> In
     p_eff = effective_norm_power(p_req, m)
     f = SumOfPowers(np.ones(m), p_eff)
     labels = inst.stoch_mask
-    adv_sets = [e.data for e in inst.timeline if e.kind == "adv"]
-    n_stoch = inst.n_stoch
-    adv_report = opt_adv_ocp(adv_sets, f)
-    stoch_report = opt_stoch_ocp(inst.support, inst.probs, n_stoch, f) if n_stoch else None
+    adv_sets, adv_report, stoch_report = _ocp_oracles(inst, f)
 
-    def one(rep):
-        real = sample_realization(inst, rep)
+    def replicate(rep, real):
         trace, _, norm_eff = run_loadbalance(real.points, p_req, m, labels)
-        return RepRow(replication=rep, cost=trace.cost, norm=norm_eff)
-
-    rows = [one(rep) for rep in range(replications)]
-    mean_norm, se_norm = _mean_se([r.norm for r in rows])
+        return RepRow(replication=rep, cost=trace.cost, norm=norm_eff), None
 
     def norm_of(load):
         return float(np.sum(np.asarray(load) ** p_eff) ** (1.0 / p_eff))
 
-    rhs = math.e * p_eff * m ** (1.0 / p_eff) + 3.0 * se_norm
-    if adv_sets:
-        rhs += math.e * (2.0 * math.e * p_eff**2) * norm_of(adv_report.load)
-    if n_stoch:
-        beta = inst.n / n_stoch
-        rhs += math.e * beta * norm_of(stoch_report.load)
-    slack = (rhs - mean_norm) / max(1.0, abs(rhs))
-    checks = [CheckOutcome("norm_bound", slack >= -SLACK_TOL, slack)]
-    return InstanceReport(
-        instance=label,
-        problem="loadbalance",
-        seed=inst.seed,
-        n=inst.n,
-        m=m,
-        p=p_eff,
-        family=f.family,
-        replications=replications,
-        rows=rows,
-        opt_adv=adv_report.value,
-        opt_stoch=stoch_report.value if stoch_report else None,
-        mean=mean_norm,
-        stderr=se_norm,
-        bound_rhs=rhs,
-        checks=checks,
+    def bound(mean, se, extras):
+        rhs = math.e * p_eff * m ** (1.0 / p_eff) + 3.0 * se
+        if adv_sets:
+            rhs += math.e * (2.0 * math.e * p_eff**2) * norm_of(adv_report.load)
+        if stoch_report is not None:
+            beta = inst.n / inst.n_stoch
+            rhs += math.e * beta * norm_of(stoch_report.load)
+        return rhs, [_at_most("norm_bound", mean, rhs)], {}
+
+    return _evaluate(
+        inst, replications, label, "loadbalance", f, adv_report, stoch_report,
+        replicate, bound,
     )
 
 
@@ -491,6 +463,11 @@ def run_core_suite(samples=1000, seed=42):
     return results
 
 
+def _instance_result(check, report):
+    slack = min((c.slack for c in report.checks), default=0.0)
+    return SuiteResult(check, f"{report.instance},seed={report.seed}", report.all_pass, slack)
+
+
 def run_engine_suite(count=10, seed=42, replications=20, mutation=None, problems=("ocp", "welfare")):
     """Small randomized end-to-end instances through the engines."""
     rng = np.random.default_rng(seed)
@@ -504,23 +481,12 @@ def run_engine_suite(count=10, seed=42, replications=20, mutation=None, problems
         placement = str(rng.choice(["prefix", "suffix", "random", "interleaved"]))
         seed_ocp = int(rng.integers(10**6))
         seed_wel = int(rng.integers(10**6))
+        shape = dict(n=n, m=m, p=p, family=fam, n_adv=n_adv)
         if "ocp" in problems:
-            params = GeneratorParams(
-                problem="ocp",
-                n=n,
-                m=m,
-                p=p,
-                family=fam,
-                n_adv=n_adv,
-                adv_placement=placement,
-            )
+            params = GeneratorParams(problem="ocp", adv_placement=placement, **shape)
             inst = generate(params, seed_ocp)
             report = evaluate_ocp_instance(inst, replications, label=f"ocp-{i}")
-            results.append(
-                SuiteResult("ocp_instance", report.instance + f",seed={inst.seed}",
-                            report.all_pass,
-                            min((c.slack for c in report.checks), default=0.0))
-            )
+            results.append(_instance_result("ocp_instance", report))
             if fam == "sum_of_powers" and n - n_adv >= 4 * p:
                 real = sample_realization(inst, 0)
                 f = inst.cost_function()
@@ -533,22 +499,10 @@ def run_engine_suite(count=10, seed=42, replications=20, mutation=None, problems
                                 rep.passed(SLACK_TOL), rep.worst_slack)
                 )
         if "welfare" in problems:
-            wparams = GeneratorParams(
-                problem="welfare",
-                n=n,
-                m=m,
-                p=p,
-                family=fam,
-                n_adv=n_adv,
-                adv_placement="random",
-            )
+            wparams = GeneratorParams(problem="welfare", adv_placement="random", **shape)
             winst = generate(wparams, seed_wel)
             wreport = evaluate_welfare_instance(winst, replications, label=f"welfare-{i}")
-            results.append(
-                SuiteResult("welfare_instance", wreport.instance + f",seed={winst.seed}",
-                            wreport.all_pass,
-                            min((c.slack for c in wreport.checks), default=0.0))
-            )
+            results.append(_instance_result("welfare_instance", wreport))
     return results
 
 

@@ -77,8 +77,7 @@ class MixedInstance:
             raise SchemaError("problem", f"unknown problem kind {self.problem!r}")
         if len(self.timeline) != self.n:
             raise SchemaError("timeline", f"length {len(self.timeline)} != n={self.n}")
-        n_stoch = sum(1 for e in self.timeline if e.kind == "stoch")
-        if n_stoch > 0:
+        if self.n_stoch > 0:
             if not self.support:
                 raise SchemaError(
                     "distribution.support", "stochastic entries need a support"
@@ -153,25 +152,43 @@ def _point_to_json(problem, data):
     return {"c": float(c), "a": np.asarray(a, dtype=np.float64).tolist()}
 
 
+def _numbers(value, path, unit=False):
+    """``value`` as a float64 array of finite numbers, in [0, 1] if ``unit``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise SchemaError(path, f"expected finite numbers, got {value!r}")
+    if unit and (np.any(arr < 0) or np.any(arr > 1)):
+        raise SchemaError(path, "coordinates must lie in [0, 1]")
+    return arr.astype(np.float64)
+
+
+def _integer(value, path, low):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise SchemaError(path, f"expected an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _point_from_json(problem, obj, path, m):
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
+    for key in ("options",) if problem == "ocp" else ("c", "a"):
+        if key not in obj:
+            raise SchemaError(f"{path}.{key}", "missing field")
     if problem == "ocp":
-        if "options" not in obj:
-            raise SchemaError(f"{path}.options", "missing field")
-        options = np.asarray(obj["options"], dtype=np.float64)
+        options = _numbers(obj["options"], f"{path}.options", unit=True)
         if options.ndim != 2 or options.shape[1] != m:
             raise SchemaError(f"{path}.options", f"expected shape (k, {m})")
         return FeasibleSet(options)
-    for key in ("c", "a"):
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}", "missing field")
-    a = np.asarray(obj["a"], dtype=np.float64)
+    a = _numbers(obj["a"], f"{path}.a", unit=True)
     if a.shape != (m,):
         raise SchemaError(f"{path}.a", f"expected length {m}")
-    if np.any(a < 0.0) or np.any(a > 1.0):
-        raise SchemaError(f"{path}.a", "consumption coordinates must lie in [0, 1]")
-    return (float(obj["c"]), a)
+    c = _numbers(obj["c"], f"{path}.c")
+    if c.ndim:
+        raise SchemaError(f"{path}.c", "expected a number")
+    return (float(c), a)
 
 
 def instance_to_dict(inst) -> dict:
@@ -210,7 +227,17 @@ def instance_from_dict(obj) -> MixedInstance:
     for key in ("problem", "n", "m", "cost", "seed", "timeline"):
         if key not in obj:
             raise SchemaError(key, "missing field")
-    problem, n, m = obj["problem"], obj["n"], obj["m"]
+    problem = obj["problem"]
+    n, m = _integer(obj["n"], "n", 1), _integer(obj["m"], "m", 1)
+    seed = _integer(obj["seed"], "seed", 0)
+    cost = obj["cost"]
+    if not isinstance(cost, dict):
+        raise SchemaError("cost", "expected an object")
+    p = _numbers(cost.get("p"), "cost.p")
+    if p.ndim or p < 2.0:
+        raise SchemaError("cost.p", f"the guarantees need one number p >= 2, got {cost['p']!r}")
+    if _numbers(cost.get("coeffs"), "cost.coeffs").shape[:1] != (m,):
+        raise SchemaError("cost.coeffs", f"expected one entry per coordinate, m={m}")
     timeline_json = obj["timeline"]
     if not isinstance(timeline_json, list):
         raise SchemaError("timeline", "expected an array")
@@ -239,21 +266,18 @@ def instance_from_dict(obj) -> MixedInstance:
         ]
         probs = dist["probs"]
     try:
-        cost_from_config(obj["cost"])
+        cost_from_config(cost)
     except (ValueError, TypeError) as exc:
         raise SchemaError("cost", str(exc)) from exc
-    seed = obj["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise SchemaError("seed", f"expected an integer, got {seed!r}")
     return MixedInstance(
         problem=problem,
-        n=int(n),
-        m=int(m),
-        cost=obj["cost"],
+        n=n,
+        m=m,
+        cost=cost,
         timeline=timeline,
         support=support,
         probs=probs,
-        seed=int(seed),
+        seed=seed,
     )
 
 

@@ -17,8 +17,9 @@ In closed form::
 Each observed step appends ``(y_t, v_t, gamma_t, conj(y_t))`` to the
 state's run record, :meth:`OcoState.record`, and advances the running sums
 that the next iterate needs.  The engines' traces and every post-run check
-read that record: the checks rebuild prefix sums from it, and from those
-the unregularized leader iterates
+read that record: the checks rebuild prefix sums from it, and
+:meth:`OcoState.leaders` derives from those, once per state, the
+unregularized leader iterates
 ``grad( (4p*ones + v_{1:t}) / (4*(1 + gamma_{1:t})) )`` that the
 gain-accounting checks compare against.
 """
@@ -85,6 +86,7 @@ class OcoState:
         self.cum_gamma = 0.0
         self._steps = ([], [], [], [])  # y, v, gamma, conj(y), one entry per step
         self._arrays = None
+        self._leader_cache = None
         self._cached_y = None
 
     def next_iterate(self) -> np.ndarray:
@@ -118,6 +120,7 @@ class OcoState:
         self.cum_gamma += gamma
         self._cached_y = None
         self._arrays = None
+        self._leader_cache = None
 
     def record(self):
         """The run so far as arrays ``(y, v, gamma, conj_y)``, one row per step.
@@ -135,6 +138,21 @@ class OcoState:
                 np.array(conjs, dtype=np.float64),
             )
         return self._arrays
+
+    def leaders(self):
+        """Leader arguments and iterates after each step, one row per step.
+
+        Row t-1 holds ``w_t = (shift + v_{1:t}) / (4*(1 + gamma_{1:t}))`` and
+        ``grad(w_t)``, the iterate of the leader that has seen step t.  Both
+        arrays have shape ``(n, m)`` and are shared between callers: read only.
+        """
+        if self._leader_cache is None:
+            _, v, gamma, _ = self.record()
+            scale = 4.0 * (1.0 + _prefix_sums(gamma)[1:, None])
+            w = (self.shift + _prefix_sums(v)[1:]) / scale
+            y = np.array([self.f.grad(row) for row in w], dtype=np.float64)
+            self._leader_cache = (w, y.reshape(w.shape))
+        return self._leader_cache
 
     @property
     def complete(self) -> bool:
@@ -176,7 +194,6 @@ def check_be_the_leader(state) -> CheckReport:
     """
     f = state.f
     _, v, gamma, _ = state.record()
-    cum_v = _prefix_sums(v)
     cum_gamma = _prefix_sums(gamma).tolist()
     y1 = f.grad(state.shift / 4.0)
     lhs = float(np.dot(y1, state.shift) - 4.0 * f.conjugate_value(y1))
@@ -190,9 +207,8 @@ def check_be_the_leader(state) -> CheckReport:
         detail["time0_gain_matches"] = time0_ok
         if not time0_ok:
             worst = -1.0
-    for t, g in enumerate(gamma.tolist(), start=1):
-        w = (state.shift + cum_v[t]) / (4.0 * (1.0 + cum_gamma[t]))
-        y_next = f.grad(w)
+    leaders = zip(gamma.tolist(), *state.leaders())
+    for t, (g, w, y_next) in enumerate(leaders, start=1):
         lhs += float(np.dot(y_next, v[t - 1])) - 4.0 * g * f.conjugate_value(y_next)
         rhs = 4.0 * (1.0 + cum_gamma[t]) * f.eval(w)
         worst = min(worst, normalized_slack(lhs, rhs))
@@ -212,12 +228,10 @@ def check_stability(state) -> CheckReport:
     cum_gamma = _prefix_sums(gamma).tolist()
     worst = math.inf
     arg_lo, arg_hi = math.inf, -math.inf
-    for t in range(1, len(gamma) + 1):
+    for t, (w_tilde, y_next) in enumerate(zip(*state.leaders()), start=1):
         w_bar = (state.shift + cum_v[t - 1]) / (
             4.0 * (1.0 + cum_gamma[t - 1] + state._regularizer)
         )
-        w_tilde = (state.shift + cum_v[t]) / (4.0 * (1.0 + cum_gamma[t]))
-        y_next = f.grad(w_tilde)
         for lhs, rhs in ((y_next, y[t - 1]), (2.0 * y[t - 1], y_next)):
             diff = lhs - rhs
             i = int(np.argmin(diff / np.maximum(1.0, np.abs(rhs))))

@@ -64,6 +64,14 @@ def _split_requests(requests):
     return c, A
 
 
+def _accept(c, y, a):
+    """The virtual play for reward ``c``, dual ``y`` and consumption ``a``.
+
+    1.0 when ``c - <y, a>`` is strictly positive, else 0.0: ties decline.
+    """
+    return 1.0 if c - float(np.dot(y, a)) > 0.0 else 0.0
+
+
 def virtual_best_response(y, req, gamma, f):
     """Maximizer of ``c*x - L(y, a*x)`` over ``x in [0,1]``: 0 or 1.
 
@@ -71,7 +79,7 @@ def virtual_best_response(y, req, gamma, f):
     linear coefficient is strictly positive.
     """
     (c,), (a,) = _split_requests([req])
-    return 1.0 if c - float(np.dot(np.asarray(y), a)) > 0.0 else 0.0
+    return _accept(c, np.asarray(y), a)
 
 
 @dataclass
@@ -174,8 +182,7 @@ def run_welfare(requests, f, labels=None, *, disable_shift=False, disable_regula
     )
     x_virtual = np.empty(n)
     for t in range(n):
-        y = state.next_iterate()
-        x = 1.0 if c_red[t] - float(np.dot(y, a[t])) > 0.0 else 0.0
+        x = _accept(c_red[t], state.next_iterate(), a[t])
         state.observe(a[t] * x, gamma)
         x_virtual[t] = x
     x_played = PLAY_SCALE * x_virtual

@@ -16,6 +16,15 @@ from robustpd.instances import load_instance
 OCP_INSTANCE = "tests/data/ocp_small.json"
 WELFARE_INSTANCE = "tests/data/welfare_small.json"
 GOLDEN_CSV = "tests/data/ocp_small_golden.csv"
+# One golden file per run command: (command, instance, format, output name, golden).
+GOLDEN_RUNS = [
+    ("run-welfare", WELFARE_INSTANCE, "csv", "welfare_small_welfare.csv",
+     "tests/data/welfare_small_golden.csv"),
+    ("run-loadbalance", OCP_INSTANCE, "csv", "ocp_small_loadbalance.csv",
+     "tests/data/ocp_small_loadbalance_golden.csv"),
+    ("run-ocp", OCP_INSTANCE, "json", "ocp_small_ocp.json",
+     "tests/data/ocp_small_golden.json"),
+]
 
 
 def run_cli(*argv):
@@ -42,6 +51,15 @@ class TestRunCommands:
         produced = (tmp_path / "ocp_small_ocp.csv").read_bytes()
         golden = open(GOLDEN_CSV, "rb").read()
         assert produced == golden
+
+    @pytest.mark.parametrize("command,instance,fmt,name,golden", GOLDEN_RUNS,
+                             ids=[g[0] + "-" + g[2] for g in GOLDEN_RUNS])
+    def test_golden_run_outputs(self, tmp_path, command, instance, fmt, name, golden):
+        run_cli(
+            command, "--instance", instance, "--replications", "3",
+            "--format", fmt, "--out-dir", str(tmp_path),
+        )
+        assert (tmp_path / name).read_bytes() == open(golden, "rb").read()
 
     def test_byte_identical_reruns(self, tmp_path):
         for sub in ("a", "b"):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -125,6 +126,28 @@ class TestRoundTrip:
         assert again.cost == inst.cost
 
 
+# (golden instance, keys to the mutated value, bad value, JSON path it must name)
+BAD_VALUES = [
+    ("ocp", ("seed",), -3, "seed"),
+    ("ocp", ("n",), "12", "n"),
+    ("ocp", ("cost", "p"), 1.5, "cost.p"),
+    ("ocp", ("cost", "p"), math.inf, "cost.p"),
+    ("ocp", ("cost", "coeffs", 0), math.nan, "cost.coeffs"),
+    ("ocp", ("cost",), {"family": "sum_of_powers", "m": 3, "p": 2.0, "coeffs": [1, 1, 1]},
+     "cost.coeffs"),
+    ("ocp", ("timeline", 2, "data", "options", 0, 1), math.nan, "timeline[2].data.options"),
+    ("ocp", ("distribution", "support", 1, "options", 0, 0), math.nan,
+     "distribution.support[1].options"),
+    ("ocp", ("timeline", 2, "data", "options", 1, 0), 1.5, "timeline[2].data.options"),
+    ("ocp", ("distribution", "support", 0, "options", 0, 1), 1.5,
+     "distribution.support[0].options"),
+    ("welfare", ("timeline", 0, "data", "c"), math.inf, "timeline[0].data.c"),
+    ("welfare", ("distribution", "support", 1, "c"), math.nan, "distribution.support[1].c"),
+    ("welfare", ("timeline", 4, "data", "a", 1), math.nan, "timeline[4].data.a"),
+    ("welfare", ("distribution", "support", 0, "a", 0), math.nan, "distribution.support[0].a"),
+]
+
+
 class TestSchemaErrors:
     def payload(self):
         inst = generate(GeneratorParams(n=8, n_adv=2), 4)
@@ -196,6 +219,20 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as err:
             instance_from_dict(obj)
         assert err.value.path == "seed"
+
+    @pytest.mark.parametrize(
+        "golden,keys,value,path", BAD_VALUES, ids=[f"{c[3]}={c[2]}" for c in BAD_VALUES]
+    )
+    def test_bad_value_names_its_path(self, golden, keys, value, path):
+        with open(f"tests/data/{golden}_small.json") as fh:
+            obj = json.load(fh)
+        target = obj
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        with pytest.raises(SchemaError) as err:
+            instance_from_dict(obj)
+        assert err.value.path == path
 
     def test_welfare_consumption_out_of_range(self):
         inst = generate(GeneratorParams(problem="welfare", n=8, n_adv=2), 6)

@@ -139,6 +139,18 @@ class TestStability:
         drive(st, np.ones((8, 2)), [1 / 8] * 8)
         assert check_stability(st).passed()
 
+    def test_leader_iterates_computed_once(self):
+        # Both checks read the state's leader cache: one grad per step plus
+        # the time-0 iterate of be-the-leader, not one per step per check.
+        f = SumOfPowers([1.0, 2.0], 2)
+        st = drive(OcoState(f, 1 / 8), np.full((8, 2), 0.5), [1 / 8] * 8)
+        grad, calls = f.grad, []
+        f.grad = lambda w: calls.append(w) or grad(w)
+        assert check_be_the_leader(st).passed() and check_stability(st).passed()
+        assert len(calls) == 8 + 1
+        st.observe(np.array([1.0, 0.0]), 0.0)
+        assert st.leaders()[1].shape == (9, 2)
+
 
 class TestBeTheLeader:
     def test_time0_closed_form(self):
