@@ -109,6 +109,25 @@ class CostFunction:
         U = np.asarray(U, dtype=np.float64)
         return np.array([self.eval(row) for row in U])
 
+    def grad_many(self, U) -> np.ndarray:
+        """Gradients of a ``(..., m)`` batch of points, one row per point.
+
+        Unlike :meth:`grad`, the rows are not validated: they must lie in
+        the nonnegative orthant already.
+        """
+        U = np.asarray(U, dtype=np.float64)
+        rows = [self.grad(u) for u in U.reshape(-1, self.m)]
+        return np.array(rows, dtype=np.float64).reshape(U.shape)
+
+    def conj_many(self, Y) -> np.ndarray:
+        """Conjugate values of a ``(..., m)`` batch of duals, shape ``(...)``.
+
+        Unlike :meth:`conjugate_value`, the rows are not validated.
+        """
+        Y = np.asarray(Y, dtype=np.float64)
+        values = [self.conjugate_value(y) for y in Y.reshape(-1, self.m)]
+        return np.array(values, dtype=np.float64).reshape(Y.shape[:-1])
+
     # -- decomposition hooks ----------------------------------------------
 
     @property
@@ -183,23 +202,28 @@ class SumOfPowers(CostFunction):
         return (U**self.p) @ self.coeffs
 
     def grad(self, u):
-        u = _as_point(u, self.m)
+        return self.grad_many(_as_point(u, self.m))
+
+    def grad_many(self, U):
         if self.p == 2.0:
-            return 2.0 * self.coeffs * u
-        return self.p * self.coeffs * u ** (self.p - 1.0)
+            return 2.0 * self.coeffs * U
+        return self.p * self.coeffs * U ** (self.p - 1.0)
 
     def conjugate_value(self, y):
-        y = _as_point(y, self.m, "y")
+        return float(self.conj_many(_as_point(y, self.m, "y")))
+
+    def conj_many(self, Y):
         if self.p == 1.0:
             # Linear function: conjugate is 0 below the slope, +inf above.
-            if np.any(y > self.coeffs + 1e-12):
+            if np.any(Y > self.coeffs + 1e-12):
                 raise ValueError("conjugate is infinite above a linear slope")
-            return 0.0
-        if np.any((self.coeffs == 0) & (y > 1e-12)):
+            return np.zeros(np.shape(Y)[:-1])
+        if np.any((self.coeffs == 0) & (Y > 1e-12)):
             raise ValueError("conjugate is infinite on a zero-weight coordinate")
+        # vecdot reduces each row with the same kernel as np.dot.
         if self.p == 2.0:
-            return float(np.dot(self._conj_scale, y * y))
-        return float(np.dot(self._conj_scale, y**self._q))
+            return np.vecdot(self._conj_scale, Y * Y)
+        return np.vecdot(self._conj_scale, Y**self._q)
 
     def conjugate(self, y):
         value = self.conjugate_value(y)
@@ -271,15 +295,19 @@ class LinearPlusPower(CostFunction):
         return (U**self.p) @ self._weights + U @ self.slopes
 
     def grad(self, u):
-        u = _as_point(u, self.m)
-        return self.p * self._weights * u ** (self.p - 1.0) + self.slopes
+        return self.grad_many(_as_point(u, self.m))
+
+    def grad_many(self, U):
+        return self.p * self._weights * U ** (self.p - 1.0) + self.slopes
 
     def conjugate_value(self, y):
-        y = _as_point(y, self.m, "y")
-        z = np.maximum(y - self.slopes, 0.0)
-        if np.any((self._weights == 0) & (z > 1e-12)):
+        return float(self.conj_many(_as_point(y, self.m, "y")))
+
+    def conj_many(self, Y):
+        Z = np.maximum(Y - self.slopes, 0.0)
+        if np.any((self._weights == 0) & (Z > 1e-12)):
             raise ValueError("conjugate is infinite above a purely linear slope")
-        return float(np.dot(self._conj_scale, z**self._q))
+        return np.vecdot(self._conj_scale, Z**self._q)
 
     def conjugate(self, y):
         value = self.conjugate_value(y)

@@ -1,10 +1,11 @@
 """Experiment harness: replicated runs, oracle-anchored bound checks, reports.
 
-One instance is evaluated by running K seeded replications, computing the
-offline optima once, checking the per-realization inequalities on every
-replication, and finally the in-expectation bounds on the Monte-Carlo
-means (always with a 3-standard-error allowance, since the guarantees are
-statements about expectations).
+One instance is evaluated by computing the offline optima once, drawing K
+seeded realizations and running them through the engine in lockstep,
+checking the per-realization inequalities on every replication, and
+finally the in-expectation bounds on the Monte-Carlo means (always with a
+3-standard-error allowance, since the guarantees are statements about
+expectations).
 
 The end-to-end cost bound is checked with explicit constants::
 
@@ -40,6 +41,9 @@ from robustpd.oco import (
     check_stability,
     dominating_set,
 )
+# run_loadbalance and run_welfare are not called here since the replications
+# run in lockstep; they stay importable from this module, where
+# perfbench/tracer.py wraps them.
 from robustpd.ocp import (
     check_adversarial_charging,
     check_cost_bound,
@@ -47,9 +51,10 @@ from robustpd.ocp import (
     effective_norm_power,
     run_loadbalance,
     run_ocp,
+    run_ocp_many,
 )
 from robustpd.oracles import opt_adv_ocp, opt_stoch_ocp, opt_stoch_welfare
-from robustpd.welfare import PLAY_SCALE, check_profit_chain_step, run_welfare
+from robustpd.welfare import PLAY_SCALE, check_profit_chain_step, run_welfare, run_welfare_many
 
 __all__ = [
     "CheckOutcome",
@@ -130,17 +135,22 @@ def _at_most(name, value, rhs):
 _REPORTED = {"ocp": "cost", "welfare": "profit", "loadbalance": "norm"}
 
 
-def _evaluate(inst, replications, label, problem, f, adv_report, stoch_report, replicate, bound):
+def _evaluate(inst, replications, label, problem, f, adv_report, stoch_report, engine,
+              replicate, bound):
     """Replicate one instance against its oracle answers and check its bound.
 
-    ``replicate(rep, realization)`` returns the replication's row and the
-    extra values the bound needs; ``bound(mean, se, extras)`` gets the
-    reported value's mean and standard error and the list of those extras,
-    and returns ``(bound_rhs, checks, details)``.
+    ``engine(sequences, f, labels)`` plays the realized sequences of all
+    replications in lockstep and returns one trace per replication;
+    ``replicate(rep, realization, trace)`` returns the replication's row
+    and the extra values the bound needs; ``bound(mean, se, extras)`` gets
+    the reported value's mean and standard error and the list of those
+    extras, and returns ``(bound_rhs, checks, details)``.
     """
+    realizations = [sample_realization(inst, rep) for rep in range(replications)]
+    traces = engine([real.points for real in realizations], f, inst.stoch_mask)
     rows, extras = [], []
-    for rep in range(replications):
-        row, extra = replicate(rep, sample_realization(inst, rep))
+    for rep, (real, trace) in enumerate(zip(realizations, traces)):
+        row, extra = replicate(rep, real, trace)
         rows.append(row)
         extras.append(extra)
     mean, se = _mean_se([getattr(r, _REPORTED[problem]) for r in rows])
@@ -183,8 +193,7 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
     adv_sets, adv_report, stoch_report = _ocp_oracles(inst, f)
     alphas = (2.0 * f.p, 2.0 * math.e * f.p**2)
 
-    def replicate(rep, real):
-        trace = run_ocp(real.points, f, labels)
+    def replicate(rep, real, trace):
         rep_checks = [check_cost_bound(trace)] + [
             check_adversarial_charging(trace, alpha, adv_report.choices) for alpha in alphas
         ]
@@ -232,19 +241,18 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
         return rhs, checks, details
 
     return _evaluate(
-        inst, replications, label, "ocp", f, adv_report, stoch_report, replicate, bound
+        inst, replications, label, "ocp", f, adv_report, stoch_report, run_ocp_many,
+        replicate, bound,
     )
 
 
 def evaluate_welfare_instance(inst, replications, label="welfare") -> InstanceReport:
     f = inst.cost_function()
-    labels = inst.stoch_mask
     n_stoch = inst.n_stoch
     beta = inst.n / n_stoch if n_stoch else None
     stoch_report = opt_stoch_welfare(inst.support, inst.probs, n_stoch, f) if n_stoch else None
 
-    def replicate(rep, real):
-        trace = run_welfare(real.points, f, labels)
+    def replicate(rep, real, trace):
         chain = check_profit_chain_step(
             trace,
             beta=beta,
@@ -262,7 +270,8 @@ def evaluate_welfare_instance(inst, replications, label="welfare") -> InstanceRe
         return rhs, [_at_most("profit_bound", -mean, -rhs)], {}
 
     return _evaluate(
-        inst, replications, label, "welfare", f, None, stoch_report, replicate, bound
+        inst, replications, label, "welfare", f, None, stoch_report, run_welfare_many,
+        replicate, bound,
     )
 
 
@@ -279,11 +288,11 @@ def evaluate_loadbalance_instance(inst, replications, label="loadbalance") -> In
     m = inst.m
     p_eff = effective_norm_power(p_req, m)
     f = SumOfPowers(np.ones(m), p_eff)
-    labels = inst.stoch_mask
     adv_sets, adv_report, stoch_report = _ocp_oracles(inst, f)
 
-    def replicate(rep, real):
-        trace, _, norm_eff = run_loadbalance(real.points, p_req, m, labels)
+    def replicate(rep, real, trace):
+        # The effective norm as run_loadbalance reports it.
+        norm_eff = float(trace.cost ** (1.0 / p_eff))
         return RepRow(replication=rep, cost=trace.cost, norm=norm_eff), None
 
     def norm_of(load):
@@ -300,7 +309,7 @@ def evaluate_loadbalance_instance(inst, replications, label="loadbalance") -> In
 
     return _evaluate(
         inst, replications, label, "loadbalance", f, adv_report, stoch_report,
-        replicate, bound,
+        run_ocp_many, replicate, bound,
     )
 
 

@@ -73,8 +73,16 @@ class MixedInstance:
     seed: int = 0
 
     def __post_init__(self):
-        if self.problem not in ("ocp", "welfare"):
-            raise SchemaError("problem", f"unknown problem kind {self.problem!r}")
+        _check_problem(self.problem)
+        p = _numbers(self.cost.get("p"), "cost.p")
+        if p.ndim or p < 2.0:
+            raise SchemaError(
+                "cost.p", f"the guarantees need one number p >= 2, got {self.cost['p']!r}"
+            )
+        try:
+            cost_from_config(self.cost)
+        except (ValueError, TypeError) as exc:
+            raise SchemaError("cost", str(exc)) from exc
         if len(self.timeline) != self.n:
             raise SchemaError("timeline", f"length {len(self.timeline)} != n={self.n}")
         if self.n_stoch > 0:
@@ -165,6 +173,11 @@ def _numbers(value, path, unit=False):
     return arr.astype(np.float64)
 
 
+def _check_problem(problem):
+    if problem not in ("ocp", "welfare"):
+        raise SchemaError("problem", f"unknown problem kind {problem!r}")
+
+
 def _integer(value, path, low):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise SchemaError(path, f"expected an integer >= {low}, got {value!r}")
@@ -228,14 +241,12 @@ def instance_from_dict(obj) -> MixedInstance:
         if key not in obj:
             raise SchemaError(key, "missing field")
     problem = obj["problem"]
+    _check_problem(problem)
     n, m = _integer(obj["n"], "n", 1), _integer(obj["m"], "m", 1)
     seed = _integer(obj["seed"], "seed", 0)
     cost = obj["cost"]
     if not isinstance(cost, dict):
         raise SchemaError("cost", "expected an object")
-    p = _numbers(cost.get("p"), "cost.p")
-    if p.ndim or p < 2.0:
-        raise SchemaError("cost.p", f"the guarantees need one number p >= 2, got {cost['p']!r}")
     if _numbers(cost.get("coeffs"), "cost.coeffs").shape[:1] != (m,):
         raise SchemaError("cost.coeffs", f"expected one entry per coordinate, m={m}")
     timeline_json = obj["timeline"]
@@ -256,19 +267,18 @@ def instance_from_dict(obj) -> MixedInstance:
     support, probs = [], None
     dist = obj.get("distribution")
     if dist is not None:
-        if "support" not in dist:
-            raise SchemaError("distribution.support", "missing field")
-        if "probs" not in dist:
-            raise SchemaError("distribution.probs", "missing field")
+        if not isinstance(dist, dict):
+            raise SchemaError("distribution", "expected an object")
+        for key in ("support", "probs"):
+            if key not in dist:
+                raise SchemaError(f"distribution.{key}", "missing field")
+        if not isinstance(dist["support"], list):
+            raise SchemaError("distribution.support", "expected an array")
         support = [
             _point_from_json(problem, s, f"distribution.support[{j}]", m)
             for j, s in enumerate(dist["support"])
         ]
-        probs = dist["probs"]
-    try:
-        cost_from_config(cost)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError("cost", str(exc)) from exc
+        probs = _numbers(dist["probs"], "distribution.probs")
     return MixedInstance(
         problem=problem,
         n=n,

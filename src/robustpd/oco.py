@@ -22,6 +22,11 @@ read that record: the checks rebuild prefix sums from it, and
 unregularized leader iterates
 ``grad( (4p*ones + v_{1:t}) / (4*(1 + gamma_{1:t})) )`` that the
 gain-accounting checks compare against.
+
+One state can also carry K runs in lockstep that share the multipliers:
+it then observes ``(K, m)`` loads, posts ``(K, m)`` iterates (one row per
+run, from the same formula), and records one row per run.  The post-run
+checks take single-run states.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ def normalized_slack(lhs, rhs):
 
 
 class OcoState:
-    """Single-owner mutable state of one dual-learning run.
+    """Single-owner mutable state of one dual-learning run, or of K runs.
 
     Parameters
     ----------
@@ -82,6 +87,7 @@ class OcoState:
         self.gamma_bar = float(gamma_bar)
         self.shift = np.full(f.m, 0.0 if disable_shift else 4.0 * f.p)
         self._regularizer = 0.0 if disable_regularizer else self.gamma_bar
+        # Takes the shape of the observed loads at the first step.
         self.cum_v = np.zeros(f.m)
         self.cum_gamma = 0.0
         self._steps = ([], [], [], [])  # y, v, gamma, conj(y), one entry per step
@@ -90,19 +96,32 @@ class OcoState:
         self._cached_y = None
 
     def next_iterate(self) -> np.ndarray:
-        """The dual to post at the current step.  Does not mutate state."""
+        """The dual to post at the current step.  Does not mutate state.
+
+        Shape ``(m,)`` before the first step and for a single run, else
+        ``(K, m)``: one row per run.
+        """
         if self._cached_y is None:
-            self._cached_y = self.f.grad(
+            self._cached_y = self.f.grad_many(
                 (self.shift + self.cum_v)
                 / (4.0 * (1.0 + self.cum_gamma + self._regularizer))
             )
         return self._cached_y
 
     def observe(self, v, gamma):
-        """Reveal ``(v_t, gamma_t)``, record the step, advance to step t+1."""
+        """Reveal ``(v_t, gamma_t)``, record the step, advance to step t+1.
+
+        ``v`` is one load ``(m,)`` or one per run ``(K, m)``, in the same
+        shape at every step; ``gamma`` is shared by all runs.
+        """
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.f.m,):
-            raise ValueError(f"load has shape {v.shape}, expected ({self.f.m},)")
+        m = self.f.m
+        if v.ndim not in (1, 2) or v.shape[-1] != m or (
+            self._steps[2] and v.shape != self.cum_v.shape
+        ):
+            raise ValueError(
+                f"load has shape {v.shape}, expected ({m},) or (K, {m}) at every step"
+            )
         if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
             raise ValueError("load coordinates must lie in [0, 1]")
         if not (gamma == 0.0 or abs(gamma - self.gamma_bar) <= 1e-15 * self.gamma_bar):
@@ -112,10 +131,11 @@ class OcoState:
 
         y = self.next_iterate()
         ys, vs, gammas, conjs = self._steps
-        ys.append(y)
+        # Before the first step every run posts the same iterate.
+        ys.append(np.broadcast_to(y, v.shape))
         vs.append(v)
         gammas.append(gamma)
-        conjs.append(self.f.conjugate_value(y))
+        conjs.append(np.broadcast_to(self.f.conj_many(y), v.shape[:-1]))
         self.cum_v = self.cum_v + v
         self.cum_gamma += gamma
         self._cached_y = None
@@ -126,16 +146,21 @@ class OcoState:
         """The run so far as arrays ``(y, v, gamma, conj_y)``, one row per step.
 
         ``y`` and ``v`` have shape ``(n, m)``; ``gamma`` and ``conj_y`` have
-        shape ``(n,)``.  The arrays are shared between callers: read only.
+        shape ``(n,)``.  With K runs, ``y``, ``v`` and ``conj_y`` gain a
+        leading axis of length K, so that ``y[k]`` is the contiguous
+        ``(n, m)`` record of run k.  The arrays are shared between callers:
+        read only.
         """
         if self._arrays is None:
             ys, vs, gammas, conjs = self._steps
-            m = self.f.m
+            if not gammas:
+                m = self.f.m
+                return np.zeros((0, m)), np.zeros((0, m)), np.zeros(0), np.zeros(0)
             self._arrays = (
-                np.array(ys, dtype=np.float64).reshape(-1, m),
-                np.array(vs, dtype=np.float64).reshape(-1, m),
+                np.stack(ys, axis=-2),
+                np.stack(vs, axis=-2),
                 np.array(gammas, dtype=np.float64),
-                np.array(conjs, dtype=np.float64),
+                np.stack(conjs, axis=-1),
             )
         return self._arrays
 

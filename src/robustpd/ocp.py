@@ -10,6 +10,10 @@ with ties broken by lowest option index.  The real cost of a run is
 The engine never sees which steps are adversarial and which are
 stochastic; origin labels travel through the trace for the post-run
 accounting only.
+
+:func:`run_ocp_many` plays K realized sequences of one instance in
+lockstep, which is how the harness replicates an instance; :func:`run_ocp`
+is its single-sequence case.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "OcpRunTrace",
     "best_response",
     "run_ocp",
+    "run_ocp_many",
     "check_cost_bound",
     "check_adversarial_charging",
     "run_loadbalance",
@@ -55,9 +60,7 @@ class FeasibleSet:
 
     def minimize(self, y):
         """Lowest-index minimizer of ``<y, .>``; returns ``(index, option)``."""
-        scores = self.options @ y
-        idx = int(np.argmin(scores))
-        return idx, self.options[idx]
+        return _minimize_over(self, np.asarray(y, dtype=np.float64))
 
     def __repr__(self):
         return f"FeasibleSet({len(self)} options, m={self.m})"
@@ -70,18 +73,30 @@ def _menu(feasible):
     return np.asarray(feasible, dtype=np.float64)
 
 
+def _best_rows(feasible, Y):
+    """Minimizers of ``<y, .>`` for each row ``y`` of the ``(R, m)`` duals ``Y``.
+
+    Returns the indices ``(R,)`` and the points ``(R, m)``.  A menu (a
+    :class:`FeasibleSet` or a raw ``(k, m)`` array) scores all rows with one
+    stacked matmul, which reduces each row as ``options @ y`` does, and
+    breaks ties at the lowest index.  Any other object needs a
+    ``minimize(y)`` hook (e.g. an exact polytope oracle), called once per
+    row, that returns ``(index, point)`` or the point alone (index -1).
+    """
+    if isinstance(feasible, FeasibleSet) or not hasattr(feasible, "minimize"):
+        options = _menu(feasible)
+        stacked = np.broadcast_to(options, (len(Y),) + options.shape)
+        idx = np.argmin(np.matmul(stacked, Y[:, :, None])[:, :, 0], axis=1)
+        return idx, options[idx]
+    picks = [feasible.minimize(y) for y in Y]
+    picks = [p if isinstance(p, tuple) else (-1, np.asarray(p, dtype=np.float64)) for p in picks]
+    return [idx for idx, _ in picks], [v for _, v in picks]
+
+
 def _minimize_over(feasible, y):
-    # Any object with a minimize(y) hook works (e.g. an exact polytope
-    # oracle); raw (k, m) arrays are treated as menus.
-    if hasattr(feasible, "minimize"):
-        result = feasible.minimize(y)
-        if isinstance(result, tuple):
-            return result
-        return -1, np.asarray(result, dtype=np.float64)
-    options = _menu(feasible)
-    scores = options @ y
-    idx = int(np.argmin(scores))
-    return idx, options[idx]
+    """``(index, point)`` minimizing ``<y, .>``: :func:`_best_rows` for one dual."""
+    idx, v = _best_rows(feasible, y[None])
+    return int(idx[0]), v[0]
 
 
 def best_response(y, feasible, gamma, f):
@@ -104,7 +119,8 @@ class OcpRunTrace:
     """Everything a post-run inequality check needs, per step and in total.
 
     The duals ``y``, chosen options ``v`` and conjugate values ``conj_y``
-    are the dual state's run record.
+    are row ``run`` of the run record of the dual state that the run
+    shared with the other sequences played in lockstep.
     """
 
     choice: np.ndarray  # (n,) option indices
@@ -114,18 +130,19 @@ class OcpRunTrace:
     gamma: float  # the per-step multiplier, 1/n
     labels: np.ndarray | None  # True at stochastic steps (accounting only)
     state: OcoState
+    run: int = 0  # this run's row in the state's record
 
     @property
     def y(self):
-        return self.state.record()[0]
+        return self.state.record()[0][self.run]
 
     @property
     def v(self):
-        return self.state.record()[1]
+        return self.state.record()[1][self.run]
 
     @property
     def conj_y(self):
-        return self.state.record()[3]
+        return self.state.record()[3][self.run]
 
     @property
     def n(self):
@@ -165,33 +182,61 @@ def run_ocp(sets, f, labels=None, *, disable_shift=False, disable_regularizer=Fa
     Requires ``n >= 4p`` so the uniform multiplier ``1/n`` respects the
     dual learner's cap.
     """
-    n = len(sets)
+    return run_ocp_many(
+        [sets], f, labels, disable_shift=disable_shift, disable_regularizer=disable_regularizer
+    )[0]
+
+
+def run_ocp_many(sequences, f, labels=None, *, disable_shift=False, disable_regularizer=False):
+    """Run the primal-dual loop over K realized sequences in lockstep.
+
+    The sequences have one length n and share ``labels``.  Returns one
+    :class:`OcpRunTrace` per sequence, each equal bit for bit to a
+    separate run: the runs share one dual state whose iterates and record
+    carry one row per run, and at each step the rows that face the same
+    feasible-set object are answered together.
+    """
+    if not sequences:
+        return []
+    n = len(sequences[0])
+    if any(len(sets) != n for sets in sequences):
+        raise ValueError("sequences run in lockstep need the same number of steps")
     if n < 4.0 * f.p:
         raise ConfigError(f"need n >= 4p, got n={n} with p={f.p}")
-    gamma = 1.0 / n
-    state = OcoState(
-        f, gamma, disable_shift=disable_shift, disable_regularizer=disable_regularizer
-    )
-    choice = np.empty(n, dtype=np.int64)
-    for t, V in enumerate(sets):
-        choice[t], v = _minimize_over(V, state.next_iterate())
-        state.observe(v, gamma)
-    y, v, _, conj_y = state.record()
-    fake = np.array([np.dot(y_t, v_t) for y_t, v_t in zip(y, v)]) - gamma * conj_y
-    load = state.cum_v
     if labels is not None:
         labels = np.asarray(labels, dtype=bool)
         if labels.shape != (n,):
             raise ValueError("labels must mark each of the n steps")
-    return OcpRunTrace(
-        choice=choice,
-        fake=fake,
-        load=load,
-        cost=f.eval(load),
-        gamma=gamma,
-        labels=labels,
-        state=state,
+    gamma = 1.0 / n
+    state = OcoState(
+        f, gamma, disable_shift=disable_shift, disable_regularizer=disable_regularizer
     )
+    runs = len(sequences)
+    choice = np.empty((runs, n), dtype=np.int64)
+    for t, step_sets in enumerate(zip(*sequences)):
+        y = np.broadcast_to(state.next_iterate(), (runs, f.m))
+        groups = {}
+        for k, sets in enumerate(step_sets):
+            groups.setdefault(id(sets), (sets, []))[1].append(k)
+        v = np.empty((runs, f.m))
+        for sets, rows in groups.values():
+            choice[rows, t], v[rows] = _best_rows(sets, y[rows])
+        state.observe(v, gamma)
+    y, v, _, conj_y = state.record()
+    fake = np.vecdot(y, v) - gamma * conj_y
+    return [
+        OcpRunTrace(
+            choice=choice[k],
+            fake=fake[k],
+            load=load,
+            cost=f.eval(load),
+            gamma=gamma,
+            labels=labels,
+            state=state,
+            run=k,
+        )
+        for k, load in enumerate(state.cum_v)
+    ]
 
 
 def check_cost_bound(trace) -> CheckReport:

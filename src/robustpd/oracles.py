@@ -62,8 +62,21 @@ class OptReport:
 # -- adversarial part, ocp -----------------------------------------------------
 
 
+# Rows of one enumerated block of menu combinations.
+ADV_BLOCK_ROWS = 2**15
+
+
 def opt_adv_ocp(adv_sets, f) -> OptReport:
-    """Minimum of ``cost(sum_t v_t)`` over all menu combinations."""
+    """Minimum of ``cost(sum_t v_t)`` over all menu combinations.
+
+    Combinations are enumerated in lexicographic order, in blocks that fix
+    the choices on a prefix of the menus and broadcast over the rest.  Each
+    load is summed in step order, as a recursion over the menus would; the
+    block is scored with ``eval_many``, and every combination within
+    ``1e-9 * max(1, |min|)`` of the block's minimum is re-scored with
+    ``eval``.  The answer is the lexicographically first combination of
+    least ``eval``.
+    """
     menus = [_menu(s) for s in adv_sets]
     if not menus:
         return OptReport(value=0.0, choices=[], load=np.zeros(f.m))
@@ -73,25 +86,28 @@ def opt_adv_ocp(adv_sets, f) -> OptReport:
             f"{combos} menu combinations exceed the {MAX_ADV_COMBOS} guard; "
             "use a smaller adversarial part"
         )
+    # The suffix of menus enumerated inside one block: at least the last.
+    split = len(menus) - 1
+    block_rows = len(menus[-1])
+    while split > 0 and block_rows * len(menus[split - 1]) <= ADV_BLOCK_ROWS:
+        split -= 1
+        block_rows *= len(menus[split])
+    suffix_shape = [len(o) for o in menus[split:]]
     best_val = math.inf
     best_idx = None
-    total = np.zeros(f.m)
-
-    def recurse(t, acc):
-        nonlocal best_val, best_idx
-        if t == len(menus):
-            val = f.eval(acc)
+    for prefix in itertools.product(*(range(len(o)) for o in menus[:split])):
+        block = np.zeros((1, f.m))
+        for t, j in enumerate(prefix):
+            block = block + menus[t][j]
+        for options in menus[split:]:
+            block = (block[:, None, :] + options[None, :, :]).reshape(-1, f.m)
+        scores = f.eval_many(block)
+        low = float(scores.min())
+        for r in np.flatnonzero(scores <= low + 1e-9 * max(1.0, abs(low))):
+            val = f.eval(block[r])
             if val < best_val:
                 best_val = val
-                best_idx = tuple(stack)
-            return
-        for j, row in enumerate(menus[t]):
-            stack.append(j)
-            recurse(t + 1, acc + row)
-            stack.pop()
-
-    stack: list[int] = []
-    recurse(0, total)
+                best_idx = prefix + tuple(int(j) for j in np.unravel_index(r, suffix_shape))
     choices = [menus[t][j] for t, j in enumerate(best_idx)]
     load = np.sum(choices, axis=0)
     return OptReport(

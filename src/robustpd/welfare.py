@@ -13,6 +13,10 @@ Costs with a linear part are reduced up front: rewards become
 ``c_t - <slopes, a_t>`` and the run uses the pure power part.  The linear
 part cancels exactly in the profit of any play, so the reported profit on
 the original instance equals the reduced run's profit.
+
+:func:`run_welfare_many` plays K realized request sequences in lockstep,
+which is how the harness replicates an instance; :func:`run_welfare` is
+its single-sequence case.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "WelfareTrace",
     "virtual_best_response",
     "run_welfare",
+    "run_welfare_many",
     "check_profit_chain_step",
     "greedy_marginal_profit",
     "mixture_wrapper",
@@ -65,11 +70,12 @@ def _split_requests(requests):
 
 
 def _accept(c, y, a):
-    """The virtual play for reward ``c``, dual ``y`` and consumption ``a``.
+    """The virtual plays for rewards ``c``, duals ``y`` and consumptions ``a``.
 
-    1.0 when ``c - <y, a>`` is strictly positive, else 0.0: ties decline.
+    1.0 where ``c - <y, a>`` is strictly positive, else 0.0: ties decline.
+    Rows of ``y`` and ``a`` broadcast against each other and against ``c``.
     """
-    return 1.0 if c - float(np.dot(y, a)) > 0.0 else 0.0
+    return np.where(c - np.vecdot(y, a) > 0.0, 1.0, 0.0)
 
 
 def virtual_best_response(y, req, gamma, f):
@@ -79,7 +85,7 @@ def virtual_best_response(y, req, gamma, f):
     linear coefficient is strictly positive.
     """
     (c,), (a,) = _split_requests([req])
-    return _accept(c, np.asarray(y), a)
+    return float(_accept(c, np.asarray(y, dtype=np.float64), a))
 
 
 @dataclass
@@ -87,7 +93,8 @@ class WelfareTrace:
     """Per-step log of a welfare run, in the reduced (pure-power) view.
 
     The duals ``y``, virtual loads ``a_t*x_t`` and conjugate values
-    ``conj_y`` are the dual state's run record.
+    ``conj_y`` are row ``run`` of the run record of the dual state that
+    the run shared with the other sequences played in lockstep.
     """
 
     x_virtual: np.ndarray  # (n,) virtual plays, each 0 or 1
@@ -99,18 +106,19 @@ class WelfareTrace:
     profit: float  # on the original instance == reduced profit
     reward_total: float  # sum c_t * x~_t (original rewards)
     cost_total: float  # cost(sum a_t * x~_t) (original cost)
+    run: int = 0  # this run's row in the state's record
 
     @property
     def y(self):
-        return self.state.record()[0]
+        return self.state.record()[0][self.run]
 
     @property
     def virtual_loads(self):
-        return self.state.record()[1]
+        return self.state.record()[1][self.run]
 
     @property
     def conj_y(self):
-        return self.state.record()[3]
+        return self.state.record()[3][self.run]
 
     @property
     def n(self):
@@ -168,11 +176,33 @@ def run_welfare(requests, f, labels=None, *, disable_shift=False, disable_regula
     Needs ``n >= 4p`` and a cost whose power part grows at least
     quadratically (checked by sampling when not certain from the family).
     """
-    n = len(requests)
+    return run_welfare_many(
+        [requests], f, labels, disable_shift=disable_shift, disable_regularizer=disable_regularizer
+    )[0]
+
+
+def run_welfare_many(sequences, f, labels=None, *, disable_shift=False, disable_regularizer=False):
+    """Run the welfare loop over K realized request sequences in lockstep.
+
+    The sequences have one length n and share ``labels``.  Returns one
+    :class:`WelfareTrace` per sequence, each equal bit for bit to a
+    separate run: the runs share one dual state whose iterates and record
+    carry one row per run.
+    """
+    if not sequences:
+        return []
+    n = len(sequences[0])
+    if any(len(requests) != n for requests in sequences):
+        raise ValueError("sequences run in lockstep need the same number of steps")
     if n < 4.0 * f.p:
         raise ConfigError(f"need n >= 4p, got n={n} with p={f.p}")
-    c, a = _split_requests(requests)
-    c_red, run_f = _reduce(c, a, f)
+    if labels is not None:
+        labels = np.asarray(labels, dtype=bool)
+        if labels.shape != (n,):
+            raise ValueError("labels must mark each of the n steps")
+    split = [_split_requests(requests) for requests in sequences]
+    reduced = [_reduce(c, a, f) for c, a in split]
+    run_f = reduced[0][1]
     certain = run_f.family == "sum_of_powers" and run_f.p >= 2.0
     if not certain and not run_f.grows_at_least_quadratically():
         raise ConfigError("cost must grow at least quadratically after reduction")
@@ -180,29 +210,33 @@ def run_welfare(requests, f, labels=None, *, disable_shift=False, disable_regula
     state = OcoState(
         run_f, gamma, disable_shift=disable_shift, disable_regularizer=disable_regularizer
     )
-    x_virtual = np.empty(n)
+    c_red = np.stack([c for c, _ in reduced])  # (K, n)
+    A = np.stack([a for _, a in split])  # (K, n, m)
+    x_virtual = np.empty(c_red.shape)
     for t in range(n):
-        x = _accept(c_red[t], state.next_iterate(), a[t])
-        state.observe(a[t] * x, gamma)
-        x_virtual[t] = x
+        x = _accept(c_red[:, t], state.next_iterate(), A[:, t])
+        state.observe(A[:, t] * x[:, None], gamma)
+        x_virtual[:, t] = x
     x_played = PLAY_SCALE * x_virtual
-    reward_total = float(np.dot(c, x_played))
-    cost_total = f.eval(a.T @ x_played)
-    if labels is not None:
-        labels = np.asarray(labels, dtype=bool)
-        if labels.shape != (n,):
-            raise ValueError("labels must mark each of the n steps")
-    return WelfareTrace(
-        x_virtual=x_virtual,
-        c_reduced=c_red,
-        a=a,
-        gamma=gamma,
-        labels=labels,
-        state=state,
-        profit=reward_total - cost_total,
-        reward_total=reward_total,
-        cost_total=cost_total,
-    )
+    traces = []
+    for k, ((c, a_k), (c_red_k, _)) in enumerate(zip(split, reduced)):
+        reward_total = float(np.dot(c, x_played[k]))
+        cost_total = f.eval(a_k.T @ x_played[k])
+        traces.append(
+            WelfareTrace(
+                x_virtual=x_virtual[k],
+                c_reduced=c_red_k,
+                a=a_k,
+                gamma=gamma,
+                labels=labels,
+                state=state,
+                profit=reward_total - cost_total,
+                reward_total=reward_total,
+                cost_total=cost_total,
+                run=k,
+            )
+        )
+    return traces
 
 
 def check_profit_chain_step(trace, beta=None, opt_selector=None, drawn=None) -> CheckReport:

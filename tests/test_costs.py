@@ -300,6 +300,37 @@ class TestSerialization:
         assert SumOfPowers([1.0], 2).separable
 
 
+class TestBatched:
+    """``grad_many`` and ``conj_many`` equal the per-row calls bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "name,p",
+        [
+            ("sum_of_powers", 2.0),
+            ("sum_of_powers", 3.0),
+            ("sum_of_powers", 4.0),
+            ("linear_plus_power", 2.0),
+            ("linear_plus_power", 3.0),
+            ("separable_generic", 3.0),
+        ],
+    )
+    def test_rows_match_single_point_calls(self, name, p, m):
+        rng = np.random.default_rng([m, int(p)])
+        f = make_family(name, m, p, rng)
+        U = rng.uniform(0.0, 3.0, (12, m))
+        U[::5] = 0.0
+        Y = f.grad_many(U)
+        assert np.array_equal(Y, np.array([f.grad(u) for u in U]))
+        # Gradients and arbitrary duals, some below the linear slopes.
+        for duals in (Y, rng.uniform(0.0, 3.0, (12, m))):
+            expected = np.array([f.conjugate_value(y) for y in duals])
+            assert np.array_equal(f.conj_many(duals), expected)
+            # A (runs, steps, m) batch reduces the same rows.
+            assert np.array_equal(f.conj_many(duals.reshape(3, 4, m)), expected.reshape(3, 4))
+        assert np.array_equal(f.grad_many(U.reshape(3, 4, m)), Y.reshape(3, 4, m))
+
+
 class TestDecomposition:
     def test_linear_plus_power_split(self):
         f = LinearPlusPower([2.0], [3.0], 2)

@@ -145,6 +145,9 @@ BAD_VALUES = [
     ("welfare", ("distribution", "support", 1, "c"), math.nan, "distribution.support[1].c"),
     ("welfare", ("timeline", 4, "data", "a", 1), math.nan, "timeline[4].data.a"),
     ("welfare", ("distribution", "support", 0, "a", 0), math.nan, "distribution.support[0].a"),
+    ("ocp", ("distribution", "support"), 5, "distribution.support"),
+    ("ocp", ("distribution", "probs"), "ab", "distribution.probs"),
+    ("ocp", ("problem",), "x", "problem"),
 ]
 
 
@@ -212,6 +215,11 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as err:
             instance_from_dict(obj)
         assert err.value.path == "distribution.probs"
+
+    def test_generated_instance_needs_p_at_least_2(self):
+        with pytest.raises(SchemaError) as err:
+            generate(GeneratorParams(problem="ocp", n=12, m=2, p=1.5, n_adv=3), 5)
+        assert err.value.path == "cost.p"
 
     def test_fractional_seed(self):
         obj = self.golden()

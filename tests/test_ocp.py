@@ -14,6 +14,7 @@ from robustpd.ocp import (
     effective_norm_power,
     run_loadbalance,
     run_ocp,
+    run_ocp_many,
 )
 
 from test_costs import make_family
@@ -105,18 +106,22 @@ class TestRunOcp:
             assert trace.fake[t] == pytest.approx(trace.recompute_fake(t), abs=1e-10)
 
     def test_one_grad_and_one_conjugate_per_step(self):
-        f = square2()
-        calls = {"grad": 0, "conjugate_value": 0}
-        for name in calls:
-
-            def counted(*args, _name=name, _method=getattr(f, name)):
-                calls[_name] += 1
-                return _method(*args)
-
-            setattr(f, name, counted)
+        # The engine evaluates both through the batched methods, once per
+        # step for all runs together.
+        calls = {"grad": 0, "conjugate_value": 0, "grad_many": 0, "conj_many": 0}
         n = 12
-        run_ocp([FeasibleSet(np.eye(2))] * n, f)
-        assert calls == {"grad": n, "conjugate_value": n}
+        for runs in (1, 3):
+            f = square2()
+            for name in calls:
+                calls[name] = 0
+
+                def counted(*args, _name=name, _method=getattr(f, name)):
+                    calls[_name] += 1
+                    return _method(*args)
+
+                setattr(f, name, counted)
+            run_ocp_many([[FeasibleSet(np.eye(2))] * n] * runs, f)
+            assert calls == {"grad": 0, "conjugate_value": 0, "grad_many": n, "conj_many": n}
 
     def test_best_response_dominance(self):
         # Every menu option must have done at least as badly at every step.
@@ -128,6 +133,78 @@ class TestRunOcp:
             chosen = float(np.dot(trace.y[t], trace.v[t]))
             others = V.options @ trace.y[t]
             assert chosen <= others.min() + 1e-10
+
+
+def sequential_ocp(sets, f):
+    """One run at a time, one point per call: the lockstep engine's reference."""
+    n = len(sets)
+    gamma = 1.0 / n
+    shift = np.full(f.m, 4.0 * f.p)
+    cum_v, cum_gamma = np.zeros(f.m), 0.0
+    rec = {"y": [], "v": [], "conj_y": [], "choice": [], "fake": []}
+    for V in sets:
+        y = f.grad((shift + cum_v) / (4.0 * (1.0 + cum_gamma + gamma)))
+        if isinstance(V, FeasibleSet) or not hasattr(V, "minimize"):
+            options = V.options if isinstance(V, FeasibleSet) else V
+            idx = int(np.argmin(options @ y))
+            v = options[idx]
+        else:
+            idx, v = -1, V.minimize(y)
+        conj = f.conjugate_value(y)
+        for key, value in zip(rec, (y, v, conj, idx, float(np.dot(y, v)) - gamma * conj)):
+            rec[key].append(value)
+        cum_v = cum_v + v
+        cum_gamma += gamma
+    rec = {key: np.array(values) for key, values in rec.items()}
+    rec["load"] = cum_v
+    return rec
+
+
+class TestLockstep:
+    def sequences(self, rng, runs, n, m):
+        """Adversarial steps shared by all runs, stochastic steps drawn per run.
+
+        The feasible sets are menus of 1 to 4 options, raw option arrays and
+        an object with a ``minimize`` hook.
+        """
+        oracle = TestOracleHook.SimplexOracle(m)
+        support = [FeasibleSet(rng.uniform(0, 1, (k, m))) for k in (2, 3, 4)] + [oracle]
+        adv = {
+            1: FeasibleSet(rng.uniform(0, 1, (1, m))),
+            4: rng.uniform(0, 1, (3, m)),
+            7: oracle,
+            9: FeasibleSet(rng.uniform(0, 1, (4, m))),
+        }
+        return [
+            [adv[t] if t in adv else support[int(rng.integers(len(support)))] for t in range(n)]
+            for _ in range(runs)
+        ]
+
+    @pytest.mark.parametrize("family,p", [
+        ("sum_of_powers", 2.0), ("sum_of_powers", 3.0), ("linear_plus_power", 2.0),
+        ("separable_generic", 2.0),
+    ])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_runs_match_separate_runs(self, family, p, m):
+        rng = np.random.default_rng([m, int(p), len(family)])
+        f = make_family(family, m, p, rng)
+        seqs = self.sequences(rng, 6, 14, m)
+        labels = np.array([t not in (1, 4, 7, 9) for t in range(14)])
+        traces = run_ocp_many(seqs, f, labels)
+        assert [tr.run for tr in traces] == list(range(6))
+        for sets, trace in zip(seqs, traces):
+            ref = sequential_ocp(sets, f)
+            for one in (trace, run_ocp(sets, f, labels)):
+                for key in ("y", "v", "conj_y", "choice", "fake", "load"):
+                    assert np.array_equal(getattr(one, key), ref[key]), key
+                assert one.cost == f.eval(ref["load"])
+                assert np.array_equal(one.labels, labels)
+
+    def test_sequences_must_share_their_length(self):
+        sets = [FeasibleSet(np.eye(2))] * 8
+        with pytest.raises(ValueError):
+            run_ocp_many([sets, sets[:-1]], square2())
+        assert run_ocp_many([], square2()) == []
 
 
 class TestOracleHook:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from robustpd import oracles
 from robustpd.costs import SumOfPowers
 from robustpd.oracles import (
     GuardError,
@@ -22,7 +23,59 @@ def square2():
     return SumOfPowers([1.0, 1.0], 2)
 
 
+def recursive_opt_adv(menus, f):
+    """Depth-first enumeration in lexicographic order: the reference optimum."""
+    best = [math.inf, None]
+
+    def recurse(t, acc, stack):
+        if t == len(menus):
+            val = f.eval(acc)
+            if val < best[0]:
+                best[:] = [val, list(stack)]
+            return
+        for j, row in enumerate(menus[t]):
+            recurse(t + 1, acc + row, stack + [j])
+
+    recurse(0, np.zeros(f.m), [])
+    return best
+
+
 class TestOptAdv:
+    @pytest.mark.parametrize("block_rows", [4, oracles.ADV_BLOCK_ROWS])
+    @pytest.mark.parametrize("family", ["sum_of_powers", "linear_plus_power", "separable_generic"])
+    def test_matches_recursion(self, monkeypatch, family, block_rows):
+        monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng([block_rows, len(family)])
+        for trial in range(8):
+            m = int(rng.integers(1, 4))
+            f = make_family(family, m, float(rng.choice([2.0, 3.0])), rng)
+            sizes = rng.integers(1, 5, size=int(rng.integers(1, 7)))
+            # Odd trials draw coordinates from {0, 0.5, 1}, so that many
+            # combinations tie exactly and the tie-break is exercised.
+            if trial % 2:
+                menus = [rng.integers(0, 3, (k, m)) / 2.0 for k in sizes]
+            else:
+                menus = [rng.uniform(0, 1, (k, m)) for k in sizes]
+            value, indices = recursive_opt_adv(menus, f)
+            report = opt_adv_ocp(menus, f)
+            assert report.value == value
+            assert report.extra["indices"] == indices
+
+    def test_answer_does_not_rest_on_eval_many_rounding(self):
+        class WobblyBatch(SumOfPowers):
+            # eval_many off by up to 1e-12 relative, which reorders exact ties.
+            def eval_many(self, U):
+                vals = super().eval_many(U)
+                return vals * (1.0 + 1e-12 * np.cos(np.arange(len(vals))))
+
+        rng = np.random.default_rng(43)
+        f = WobblyBatch([1.0, 0.5, 2.0], 2)
+        for _ in range(10):
+            menus = [rng.integers(0, 3, (int(k), 3)) / 2.0 for k in rng.integers(2, 5, size=6)]
+            value, indices = recursive_opt_adv(menus, f)
+            report = opt_adv_ocp(menus, f)
+            assert (report.value, report.extra["indices"]) == (value, indices)
+
     def test_two_step_split(self):
         sets = [np.array([[1.0, 0.0], [0.0, 1.0]])] * 2
         report = opt_adv_ocp(sets, square2())

@@ -8,7 +8,9 @@ from robustpd.welfare import (
     check_profit_chain_step,
     greedy_marginal_profit,
     mixture_wrapper,
+    PLAY_SCALE,
     run_welfare,
+    run_welfare_many,
     virtual_best_response,
 )
 
@@ -113,6 +115,67 @@ class TestLinearReduction:
             trace.a.T @ trace.x_played
         )
         assert trace.profit == pytest.approx(red, abs=1e-9)
+
+
+def sequential_welfare(requests, f):
+    """One run at a time, one point per call: the lockstep engine's reference."""
+    n = len(requests)
+    pairs = [(r.c, r.a) if isinstance(r, Request) else r for r in requests]
+    c = np.array([pair[0] for pair in pairs], dtype=np.float64)
+    a = np.array([pair[1] for pair in pairs], dtype=np.float64)
+    c_red, run_f = c - a @ f.linear_slopes, f.power_part()
+    gamma = 1.0 / n
+    shift = np.full(f.m, 4.0 * f.p)
+    cum_v, cum_gamma = np.zeros(f.m), 0.0
+    rec = {"y": [], "virtual_loads": [], "conj_y": [], "x_virtual": []}
+    for t in range(n):
+        y = run_f.grad((shift + cum_v) / (4.0 * (1.0 + cum_gamma + gamma)))
+        x = 1.0 if c_red[t] - float(np.dot(y, a[t])) > 0.0 else 0.0
+        for key, value in zip(rec, (y, a[t] * x, run_f.conjugate_value(y), x)):
+            rec[key].append(value)
+        cum_v = cum_v + a[t] * x
+        cum_gamma += gamma
+    rec = {key: np.array(values) for key, values in rec.items()}
+    x_played = PLAY_SCALE * rec["x_virtual"]
+    rec["reward_total"] = float(np.dot(c, x_played))
+    rec["cost_total"] = f.eval(a.T @ x_played)
+    rec["c_reduced"], rec["a"] = c_red, a
+    return rec
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("family,p,m", [
+        ("sum_of_powers", 2.0, 1), ("sum_of_powers", 3.0, 3), ("linear_plus_power", 2.0, 2),
+        ("linear_plus_power", 3.0, 1),
+    ])
+    def test_runs_match_separate_runs(self, family, p, m):
+        rng = np.random.default_rng([m, int(p), len(family)])
+        f = make_family(family, m, p, rng)
+        support = [(float(rng.uniform(-1, 25)), rng.uniform(0, 1, m)) for _ in range(3)]
+        support.append(Request(0.0, np.zeros(m)))  # a tie: always declined
+        adv = {0: (2.0, rng.uniform(0, 1, m)), 5: Request(4.0, rng.uniform(0, 1, m))}
+        n = 16
+        seqs = [
+            [adv.get(t, support[int(rng.integers(len(support)))]) for t in range(n)]
+            for _ in range(7)
+        ]
+        labels = np.array([t not in adv for t in range(n)])
+        traces = run_welfare_many(seqs, f, labels)
+        assert [tr.run for tr in traces] == list(range(7))
+        for requests, trace in zip(seqs, traces):
+            ref = sequential_welfare(requests, f)
+            for one in (trace, run_welfare(requests, f, labels)):
+                for key in ("y", "virtual_loads", "conj_y", "x_virtual", "c_reduced", "a"):
+                    assert np.array_equal(getattr(one, key), ref[key]), key
+                assert (one.reward_total, one.cost_total) == (ref["reward_total"], ref["cost_total"])
+                assert one.profit == ref["reward_total"] - ref["cost_total"]
+        plays = np.array([tr.x_virtual for tr in traces])
+        assert plays.any() and not plays.all()
+
+    def test_sequences_must_share_their_length(self):
+        reqs, f = single_request_instance()
+        with pytest.raises(ValueError):
+            run_welfare_many([reqs, reqs[:-1]], f)
 
 
 class TestProfitChain:
