@@ -7,11 +7,12 @@ Subcommands::
     robustpd run-loadbalance --instance FILE ...
     robustpd verify          [--seed S] [--count N] [--check SCOPE] [--mutation M]
 
-The run commands replay an instance file K times, check every
+The run commands replay an instance file K >= 1 times, check every
 per-realization and in-expectation inequality, and write one CSV or JSON
-report into ``--out-dir``.  ``verify`` runs the randomized property suite
-and prints a check-by-outcome matrix.  Exit status is 0 exactly when no
-check failed.
+report into ``--out-dir``; a configuration outside the guarantee regime,
+such as K < 1, is an error (exit status 2) and writes nothing.
+``verify`` runs the randomized property suite and prints a
+check-by-outcome matrix.  Exit status is 0 exactly when no check failed.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from robustpd.harness import (
     run_verify_suite,
 )
 from robustpd.instances import load_instance
+from robustpd.oco import ConfigError
 
 
 def _add_run_flags(sub):
@@ -81,7 +83,11 @@ def _cmd_run(args):
     if args.seed is not None:
         inst.seed = args.seed
     stem = os.path.splitext(os.path.basename(args.instance))[0]
-    report = evaluate(inst, args.replications, label=stem)
+    try:
+        report = evaluate(inst, args.replications, label=stem)
+    except ConfigError as err:
+        print(f"error: {args.instance}: {err}", file=sys.stderr)
+        return 2
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, f"{stem}_{kind}.{args.format}")
     if args.format == "csv":
@@ -94,8 +100,8 @@ def _cmd_run(args):
     print(f"{status} {stem}: mean={report.mean!r} stderr={report.stderr!r}")
     for check in report.checks:
         mark = "pass" if check.passed else "FAIL"
-        print(f"  [{mark}] {check.name} slack={check.slack:.3e}")
-    bad = [name for name in report.failed_names() if name not in {c.name for c in report.checks}]
+        print(f"  [{mark}] {check.check} slack={check.slack:.3e}")
+    bad = [name for name in report.failed_names() if name not in {c.check for c in report.checks}]
     if bad:
         print(f"  per-replication failures: {', '.join(bad)}")
     print(f"wrote {out_path}")

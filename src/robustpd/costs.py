@@ -24,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from robustpd.oco import Verdict, normalized_slack
+
 __all__ = [
     "CostFunction",
     "SumOfPowers",
     "LinearPlusPower",
     "SeparableGeneric",
     "ConjugateValue",
-    "GrowthReport",
     "fenchel_gap",
     "conjugate_numeric",
     "biconjugate_numeric",
@@ -483,39 +484,19 @@ def biconjugate_numeric(f, u) -> float:
     return total
 
 
-@dataclass
-class GrowthReport:
-    """Worst normalized violations of the growth-order consequences."""
-
-    scale_growth: float  # cost(g*u) <= g**p * cost(u), g >= 1
-    conjugate_shrink: float  # conj(d*y) <= d**(p/(p-1)) * conj(y), d in (0,1]
-    conjugate_of_grad: float  # conj(grad(u)) <= p * cost(u)
-    grad_inner: float  # <grad(u), u> <= p * cost(u)
-
-    @property
-    def max_violation(self):
-        return max(
-            self.scale_growth,
-            self.conjugate_shrink,
-            self.conjugate_of_grad,
-            self.grad_inner,
-        )
-
-    def passed(self, tol=1e-9):
-        return self.max_violation <= tol
-
-
-def _violation(lhs, rhs):
-    # Normalized slack of the claim lhs <= rhs.
-    return (lhs - rhs) / max(1.0, abs(rhs))
-
-
-def check_growth(f, samples) -> GrowthReport:
+def check_growth(f, samples) -> Verdict:
     """Evaluate the growth-order inequalities on ``(u, gamma, delta)`` samples.
 
     ``gamma >= 1`` scales the primal point, ``delta in (0, 1]`` shrinks the
-    dual ``y = grad(u)``.  Report-only: returns worst violations, raises
-    nothing.
+    dual ``y = grad(u)``.  Report-only: raises nothing.  The detail holds
+    the worst normalized violation (clipped at 0) of each claim::
+
+        scale_growth       cost(g*u) <= g**p * cost(u)
+        conjugate_shrink   conj(d*y) <= d**(p/(p-1)) * conj(y)
+        conjugate_of_grad  conj(grad(u)) <= p * cost(u)
+        grad_inner         <grad(u), u> <= p * cost(u)
+
+    and the slack is minus the largest of them; it passes at ``>= -1e-9``.
     """
     worst = [0.0, 0.0, 0.0, 0.0]
     q = f.p / (f.p - 1.0) if f.p > 1 else math.inf
@@ -523,15 +504,17 @@ def check_growth(f, samples) -> GrowthReport:
         u = _as_point(u, f.m)
         psi_u = f.eval(u)
         y = f.grad(u)
-        worst[0] = max(worst[0], _violation(f.eval(gamma * u), gamma**f.p * psi_u))
+        # The violation of lhs <= rhs is the slack of the reversed claim.
+        worst[0] = max(worst[0], normalized_slack(f.eval(gamma * u), gamma**f.p * psi_u))
         conj_y = f.conjugate_value(y)
         if f.p > 1:
             worst[1] = max(
-                worst[1], _violation(f.conjugate_value(delta * y), delta**q * conj_y)
+                worst[1], normalized_slack(f.conjugate_value(delta * y), delta**q * conj_y)
             )
-        worst[2] = max(worst[2], _violation(conj_y, f.p * psi_u))
-        worst[3] = max(worst[3], _violation(float(np.dot(y, u)), f.p * psi_u))
-    return GrowthReport(*worst)
+        worst[2] = max(worst[2], normalized_slack(conj_y, f.p * psi_u))
+        worst[3] = max(worst[3], normalized_slack(float(np.dot(y, u)), f.p * psi_u))
+    names = ("scale_growth", "conjugate_shrink", "conjugate_of_grad", "grad_inner")
+    return Verdict.of("growth", -max(worst), dict(zip(names, worst)), tol=1e-9)
 
 
 def check_superadditivity(f, u, v, tol=1e-9) -> bool:

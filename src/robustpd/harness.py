@@ -20,7 +20,7 @@ to 1 for homogeneous costs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +35,10 @@ from robustpd.costs import (
 )
 from robustpd.instances import GeneratorParams, generate, sample_realization
 from robustpd.oco import (
+    SLACK_TOL,
+    ConfigError,
     OcoState,
+    Verdict,
     check_be_the_leader,
     check_oco_guarantees,
     check_stability,
@@ -45,10 +48,11 @@ from robustpd.oco import (
 # run in lockstep; they stay importable from this module, where
 # perfbench/tracer.py wraps them.
 from robustpd.ocp import (
+    _loadbalance_cost,
+    _p_norm,
     check_adversarial_charging,
     check_cost_bound,
     check_homogeneous_equivalence,
-    effective_norm_power,
     run_loadbalance,
     run_ocp,
     run_ocp_many,
@@ -57,7 +61,6 @@ from robustpd.oracles import opt_adv_ocp, opt_stoch_ocp, opt_stoch_welfare
 from robustpd.welfare import PLAY_SCALE, check_profit_chain_step, run_welfare, run_welfare_many
 
 __all__ = [
-    "CheckOutcome",
     "RepRow",
     "InstanceReport",
     "evaluate_ocp_instance",
@@ -69,16 +72,6 @@ __all__ = [
     "CSV_HEADER",
     "SLACK_TOL",
 ]
-
-SLACK_TOL = 1e-8
-
-
-@dataclass
-class CheckOutcome:
-    name: str
-    passed: bool
-    slack: float
-
 
 @dataclass
 class RepRow:
@@ -105,7 +98,7 @@ class InstanceReport:
     mean: float
     stderr: float
     bound_rhs: float | None
-    checks: list[CheckOutcome]
+    checks: list[Verdict]
     details: dict = field(default_factory=dict)
 
     @property
@@ -114,7 +107,7 @@ class InstanceReport:
 
     def failed_names(self):
         names = {name for r in self.rows for name in r.failed}
-        names.update(c.name for c in self.checks if not c.passed)
+        names.update(c.check for c in self.checks if not c.passed)
         return sorted(names)
 
 
@@ -126,9 +119,8 @@ def _mean_se(values):
 
 
 def _at_most(name, value, rhs):
-    """Outcome of the claim ``value <= rhs``, slack normalized by ``max(1, |rhs|)``."""
-    slack = (rhs - value) / max(1.0, abs(rhs))
-    return CheckOutcome(name, slack >= -SLACK_TOL, slack)
+    """Verdict on the claim ``value <= rhs``, slack normalized by ``max(1, |rhs|)``."""
+    return Verdict.of(name, (rhs - value) / max(1.0, abs(rhs)))
 
 
 # The field of RepRow whose mean and standard error each problem reports.
@@ -146,6 +138,8 @@ def _evaluate(inst, replications, label, problem, f, adv_report, stoch_report, e
     the reported value's mean and standard error and the list of those
     extras, and returns ``(bound_rhs, checks, details)``.
     """
+    if replications < 1:
+        raise ConfigError(f"need at least 1 replication, got {replications}")
     realizations = [sample_realization(inst, rep) for rep in range(replications)]
     traces = engine([real.points for real in realizations], f, inst.stoch_mask)
     rows, extras = [], []
@@ -197,7 +191,7 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
         rep_checks = [check_cost_bound(trace)] + [
             check_adversarial_charging(trace, alpha, adv_report.choices) for alpha in alphas
         ]
-        failed = [c.name for c in rep_checks if not c.passed(SLACK_TOL)]
+        failed = [c.check for c in rep_checks if not c.passed]
         stoch_fake = 0.0
         if stoch_report is not None:
             v_star = np.stack([stoch_report.selector[j] for j in real.drawn[labels]])
@@ -259,7 +253,7 @@ def evaluate_welfare_instance(inst, replications, label="welfare") -> InstanceRe
             opt_selector=stoch_report.selector if stoch_report else None,
             drawn=real.drawn,
         )
-        failed = [] if chain.passed(SLACK_TOL) else [chain.name]
+        failed = [] if chain.passed else [chain.check]
         return RepRow(replication=rep, profit=trace.profit, failed=failed), None
 
     def bound(mean, se, extras):
@@ -284,10 +278,9 @@ def evaluate_loadbalance_instance(inst, replications, label="loadbalance") -> In
         mean ||load||_p <= e*(2e p^2)*||vOPT_adv||_p + e*beta*||E vOPT_stoch||_p
                            + e*p*m**(1/p) + 3*SE
     """
-    p_req = inst.cost["p"]
     m = inst.m
-    p_eff = effective_norm_power(p_req, m)
-    f = SumOfPowers(np.ones(m), p_eff)
+    f = _loadbalance_cost(inst.cost["p"], m)
+    p_eff = f.p
     adv_sets, adv_report, stoch_report = _ocp_oracles(inst, f)
 
     def replicate(rep, real, trace):
@@ -295,16 +288,13 @@ def evaluate_loadbalance_instance(inst, replications, label="loadbalance") -> In
         norm_eff = float(trace.cost ** (1.0 / p_eff))
         return RepRow(replication=rep, cost=trace.cost, norm=norm_eff), None
 
-    def norm_of(load):
-        return float(np.sum(np.asarray(load) ** p_eff) ** (1.0 / p_eff))
-
     def bound(mean, se, extras):
         rhs = math.e * p_eff * m ** (1.0 / p_eff) + 3.0 * se
         if adv_sets:
-            rhs += math.e * (2.0 * math.e * p_eff**2) * norm_of(adv_report.load)
+            rhs += math.e * (2.0 * math.e * p_eff**2) * _p_norm(adv_report.load, p_eff)
         if stoch_report is not None:
             beta = inst.n / inst.n_stoch
-            rhs += math.e * beta * norm_of(stoch_report.load)
+            rhs += math.e * beta * _p_norm(stoch_report.load, p_eff)
         return rhs, [_at_most("norm_bound", mean, rhs)], {}
 
     return _evaluate(
@@ -378,14 +368,6 @@ def _random_cost(rng, m, p, family):
     return SeparableGeneric(comps, p)
 
 
-@dataclass
-class SuiteResult:
-    check: str
-    config: str
-    passed: bool
-    slack: float
-
-
 def _oco_configs(count, seed):
     rng = np.random.default_rng(seed)
     fams = ["sum_of_powers", "linear_plus_power", "separable_generic"]
@@ -417,15 +399,13 @@ def run_oco_suite(count=200, seed=42, mutation=None):
         for t in range(n):
             state.observe(loads[t], gamma_bar if active[t] else 0.0)
         config = f"{fam},m={m},p={p:g},n={n},gamma={gp},load={vp}"
-        for report in (
+        for verdict in (
             check_oco_guarantees(state),
             check_be_the_leader(state),
             check_stability(state),
             dominating_set(state)[2],
         ):
-            results.append(
-                SuiteResult(report.name, config, report.passed(SLACK_TOL), report.worst_slack)
-            )
+            results.append(replace(verdict, config=config))
     return results
 
 
@@ -437,28 +417,22 @@ def run_core_suite(samples=1000, seed=42):
         for p in (2.0, 3.0):
             m = int(rng.integers(1, 4))
             f = _random_cost(rng, m, p, fam)
-            config = f"{fam},m={m},p={p:g}"
             worst_gap = math.inf
             for _ in range(samples // 10):
                 u = rng.uniform(0.0, 4.0, m)
                 y = f.grad(rng.uniform(0.0, 4.0, m))
                 worst_gap = min(worst_gap, fenchel_gap(f, u, y))
-            results.append(
-                SuiteResult("fenchel_gap", config, worst_gap >= -1e-9, worst_gap)
-            )
+            verdicts = [Verdict.of("fenchel_gap", worst_gap, tol=1e-9)]
             grow_samples = [
                 (rng.uniform(0.0, 3.0, m), rng.uniform(1.0, 4.0), rng.uniform(0.01, 1.0))
                 for _ in range(samples // 10)
             ]
-            rep = check_growth(f, grow_samples)
-            results.append(
-                SuiteResult("growth", config, rep.passed(1e-9), -rep.max_violation)
-            )
+            verdicts.append(check_growth(f, grow_samples))
             super_ok = all(
                 check_superadditivity(f, rng.uniform(0, 3, m), rng.uniform(0, 3, m))
                 for _ in range(samples // 10)
             )
-            results.append(SuiteResult("superadditivity", config, super_ok, 0.0))
+            verdicts.append(Verdict("superadditivity", 0.0, super_ok))
             if fam != "separable_generic":
                 worst = math.inf
                 for _ in range(20):
@@ -468,13 +442,16 @@ def run_core_suite(samples=1000, seed=42):
                     worst = min(
                         worst, 1e-6 - abs(closed - numeric) / max(1.0, abs(numeric))
                     )
-                results.append(SuiteResult("conjugate_numeric", config, worst >= 0, worst))
+                verdicts.append(Verdict.of("conjugate_numeric", worst, tol=0.0))
+            config = f"{fam},m={m},p={p:g}"
+            results += [replace(v, config=config) for v in verdicts]
     return results
 
 
 def _instance_result(check, report):
+    # Passes only if the per-replication checks passed too.
     slack = min((c.slack for c in report.checks), default=0.0)
-    return SuiteResult(check, f"{report.instance},seed={report.seed}", report.all_pass, slack)
+    return Verdict(check, slack, report.all_pass, f"{report.instance},seed={report.seed}")
 
 
 def run_engine_suite(count=10, seed=42, replications=20, mutation=None, problems=("ocp", "welfare")):
@@ -502,11 +479,8 @@ def run_engine_suite(count=10, seed=42, replications=20, mutation=None, problems
                 trace = run_ocp(real.points, f, inst.stoch_mask,
                                 disable_shift=(mutation == "shift"),
                                 disable_regularizer=(mutation == "regularizer"))
-                rep = check_homogeneous_equivalence(trace, inst.stoch_mask, real.points)
-                results.append(
-                    SuiteResult(rep.name, f"ocp-{i},seed={inst.seed}",
-                                rep.passed(SLACK_TOL), rep.worst_slack)
-                )
+                verdict = check_homogeneous_equivalence(trace, inst.stoch_mask, real.points)
+                results.append(replace(verdict, config=f"ocp-{i},seed={inst.seed}"))
         if "welfare" in problems:
             wparams = GeneratorParams(problem="welfare", adv_placement="random", **shape)
             winst = generate(wparams, seed_wel)
@@ -612,7 +586,7 @@ def report_to_json(report) -> dict:
         "bound_rhs": report.bound_rhs,
         "details": report.details,
         "checks": [
-            {"name": c.name, "passed": c.passed, "slack": c.slack} for c in report.checks
+            {"name": c.check, "passed": c.passed, "slack": c.slack} for c in report.checks
         ],
         "rows": [
             {

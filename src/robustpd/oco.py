@@ -39,7 +39,8 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "OcoState",
-    "CheckReport",
+    "SLACK_TOL",
+    "Verdict",
     "check_be_the_leader",
     "check_stability",
     "check_oco_guarantees",
@@ -52,12 +53,37 @@ class ConfigError(ValueError):
     """Raised when a run is configured outside the guarantee regime."""
 
 
+# A check passes when its worst normalized slack is at least -SLACK_TOL.
+SLACK_TOL = 1e-8
+
+
 def normalized_slack(lhs, rhs):
     """Slack of the claim ``lhs >= rhs``, normalized by ``max(1, |rhs|)``.
 
-    Negative values are violations; checks pass at ``>= -1e-8``.
+    Negative values are violations; checks pass at ``>= -SLACK_TOL``.
     """
     return (lhs - rhs) / max(1.0, abs(rhs))
+
+
+@dataclass
+class Verdict:
+    """Outcome of one named check.
+
+    ``slack`` is the worst normalized slack (negative is a violation),
+    ``passed`` the decision, ``config`` the configuration the check ran on
+    (set by the suites) and ``detail`` the named parts behind the slack.
+    """
+
+    check: str
+    slack: float
+    passed: bool
+    config: str = ""
+    detail: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, check, slack, detail=None, *, tol=SLACK_TOL):
+        """The verdict that passes exactly when ``slack >= -tol``."""
+        return cls(check, slack, bool(slack >= -tol), detail=detail or {})
 
 
 class OcoState:
@@ -187,18 +213,6 @@ class OcoState:
 # -- post-run checks ---------------------------------------------------------
 
 
-@dataclass
-class CheckReport:
-    """Outcome of one named inequality check."""
-
-    name: str
-    worst_slack: float
-    detail: dict = field(default_factory=dict)
-
-    def passed(self, tol=1e-8) -> bool:
-        return self.worst_slack >= -tol
-
-
 def _prefix_sums(a):
     """Row t holds the sum of the first t rows of ``a``, for t = 0..n.
 
@@ -208,7 +222,7 @@ def _prefix_sums(a):
     return np.cumsum(np.concatenate([np.zeros((1,) + a.shape[1:]), a]), axis=0)
 
 
-def check_be_the_leader(state) -> CheckReport:
+def check_be_the_leader(state) -> Verdict:
     """Leader-gain dominance at every prefix.
 
     The banked gains of the one-step-ahead leader iterates must dominate
@@ -237,10 +251,10 @@ def check_be_the_leader(state) -> CheckReport:
         lhs += float(np.dot(y_next, v[t - 1])) - 4.0 * g * f.conjugate_value(y_next)
         rhs = 4.0 * (1.0 + cum_gamma[t]) * f.eval(w)
         worst = min(worst, normalized_slack(lhs, rhs))
-    return CheckReport("be_the_leader", worst, detail)
+    return Verdict.of("be_the_leader", worst, detail)
 
 
-def check_stability(state) -> CheckReport:
+def check_stability(state) -> Verdict:
     """Sandwich of each iterate by the next leader iterate.
 
     Coordinate-wise ``y_t <= y~_{t+1} <= 2*y_t``, plus the per-step window
@@ -268,12 +282,10 @@ def check_stability(state) -> CheckReport:
     window_ok = arg_lo >= 1.0 - 1e-12 and arg_hi <= 2.0 ** (1.0 / f.p) * (1.0 + 1e-12)
     if not window_ok:
         worst = min(worst, -1.0)
-    return CheckReport(
-        "stability", worst, {"arg_ratio_range": (arg_lo, arg_hi)}
-    )
+    return Verdict.of("stability", worst, {"arg_ratio_range": (arg_lo, arg_hi)})
 
 
-def check_oco_guarantees(state) -> CheckReport:
+def check_oco_guarantees(state) -> Verdict:
     """Regret and size control of a complete run.
 
     1. ``sum_t L_gamma(y_t, v_t/2) >= cost(sum_t v_t / 8) - cost(p*ones)``,
@@ -317,15 +329,15 @@ def check_oco_guarantees(state) -> CheckReport:
         s3 = normalized_slack(inner_sum + base, f.conjugate_value(y_max) / f.p)
         detail["size_control_separable"] = s3
         worst = min(worst, s3)
-    return CheckReport("oco_guarantees", worst, detail)
+    return Verdict.of("oco_guarantees", worst, detail)
 
 
 def dominating_set(state):
     """Small set of iterates that e-dominates every iterate of the run.
 
-    Returns ``(indices, witness, report)``: 1-based time indices (at most
+    Returns ``(indices, witness, verdict)``: 1-based time indices (at most
     ``ceil(p)`` of them), the witness index for every step (the smallest
-    chosen index at or after it), and a :class:`CheckReport` whose slack
+    chosen index at or after it), and a :class:`Verdict` whose slack
     certifies ``y_t <= e * y_witness(t)`` coordinate-wise.
 
     The i-th index is the first time the cumulative multiplier enters
@@ -368,5 +380,4 @@ def dominating_set(state):
         yw = e * y[witness[t] - 1]
         i = int(np.argmin((yw - y[t]) / np.maximum(1.0, np.abs(yw))))
         worst = min(worst, normalized_slack(yw[i], y[t][i]))
-    report = CheckReport("dominating_set", worst, {"indices": indices})
-    return indices, witness, report
+    return indices, witness, Verdict.of("dominating_set", worst, {"indices": indices})

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from robustpd.costs import SumOfPowers
-from robustpd.oco import CheckReport, ConfigError, OcoState, normalized_slack
+from robustpd.oco import ConfigError, OcoState, Verdict, normalized_slack
 
 __all__ = [
     "FeasibleSet",
@@ -148,10 +148,6 @@ class OcpRunTrace:
     def n(self):
         return self.choice.shape[0]
 
-    def recompute_fake(self, t):
-        y = self.y[t]
-        return float(np.dot(y, self.v[t])) - self.gamma * self.conj_y[t]
-
     def to_json(self) -> dict:
         return {
             "kind": "ocp_trace",
@@ -239,7 +235,7 @@ def run_ocp_many(sequences, f, labels=None, *, disable_shift=False, disable_regu
     ]
 
 
-def check_cost_bound(trace) -> CheckReport:
+def check_cost_bound(trace) -> Verdict:
     """Real cost of the run against its fake cost, in the scaled form.
 
     ``cost(load/8) <= sum_t fake_t - conj_max/(2p) + 1.5*cost(p*ones)``;
@@ -259,10 +255,10 @@ def check_cost_bound(trace) -> CheckReport:
         sep = normalized_slack(rhs_sep, lhs)
         detail["separable"] = sep
         worst = min(worst, sep)
-    return CheckReport("cost_bound", worst, detail)
+    return Verdict.of("cost_bound", worst, detail)
 
 
-def check_adversarial_charging(trace, alpha, opt_choices) -> CheckReport:
+def check_adversarial_charging(trace, alpha, opt_choices) -> Verdict:
     """Fake cost of the offline choices on the adversarial steps.
 
     With ``vOPT = sum of opt_choices`` and any ``alpha >= 1``::
@@ -297,7 +293,7 @@ def check_adversarial_charging(trace, alpha, opt_choices) -> CheckReport:
         sep = normalized_slack(rhs2, lhs)
         detail["pointwise_max_form"] = sep
         worst = min(worst, sep)
-    return CheckReport(f"adversarial_charging(alpha={alpha:g})", worst, detail)
+    return Verdict.of(f"adversarial_charging(alpha={alpha:g})", worst, detail)
 
 
 def effective_norm_power(p, m):
@@ -310,22 +306,32 @@ def effective_norm_power(p, m):
     return min(float(p), max(2.0, float(math.ceil(math.log(m))))) if m > 1 else 2.0
 
 
+def _loadbalance_cost(p, m):
+    """The unit-weight cost ``||x||_q ** q`` that load balancing runs.
+
+    ``q = effective_norm_power(p, m)``, so the ``1/q``-th power of a run's
+    cost is the effective norm of its final load.
+    """
+    return SumOfPowers(np.ones(m), effective_norm_power(p, m))
+
+
+def _p_norm(load, p):
+    """``||load||_p`` of a nonnegative load vector."""
+    return float(np.sum(np.asarray(load, dtype=np.float64) ** float(p)) ** (1.0 / p))
+
+
 def run_loadbalance(sets, p, m, labels=None):
     """Route jobs through the unit-weight power cost and report norms.
 
     Returns ``(trace, norm_requested, norm_effective)`` where the norms are
     the requested-p and effective-p norms of the final machine loads.
     """
-    p_eff = effective_norm_power(p, m)
-    f = SumOfPowers(np.ones(m), p_eff)
+    f = _loadbalance_cost(p, m)
     trace = run_ocp(sets, f, labels)
-    load = trace.load
-    norm_req = float(np.sum(load**float(p)) ** (1.0 / p)) if np.any(load > 0) else 0.0
-    norm_eff = float(trace.cost ** (1.0 / p_eff))
-    return trace, norm_req, norm_eff
+    return trace, _p_norm(trace.load, p), float(trace.cost ** (1.0 / f.p))
 
 
-def check_homogeneous_equivalence(trace, stoch_mask, sets) -> CheckReport:
+def check_homogeneous_equivalence(trace, stoch_mask, sets) -> Verdict:
     """Invariance of the choices under the oracle-informed multipliers.
 
     Re-derives the duals that the run would have produced had it known the
@@ -364,6 +370,4 @@ def check_homogeneous_equivalence(trace, stoch_mask, sets) -> CheckReport:
         state.observe(trace.v[t], gamma_mod if stoch_mask[t] else 0.0)
     if mismatches:
         worst = -1.0
-    return CheckReport(
-        "homogeneous_equivalence", worst, {"choice_mismatches": mismatches}
-    )
+    return Verdict.of("homogeneous_equivalence", worst, {"choice_mismatches": mismatches})

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robustpd.oco import CheckReport, ConfigError, OcoState, normalized_slack
+from robustpd.oco import ConfigError, OcoState, Verdict, normalized_slack
 
 __all__ = [
     "PLAY_SCALE",
@@ -239,7 +239,7 @@ def run_welfare_many(sequences, f, labels=None, *, disable_shift=False, disable_
     return traces
 
 
-def check_profit_chain_step(trace, beta=None, opt_selector=None, drawn=None) -> CheckReport:
+def check_profit_chain_step(trace, beta=None, opt_selector=None, drawn=None) -> Verdict:
     """Per-realization links of the profit guarantee.
 
     * accept-or-decline dominance: at every step the virtual fake profit
@@ -281,7 +281,7 @@ def check_profit_chain_step(trace, beta=None, opt_selector=None, drawn=None) -> 
     s_scale = normalized_slack(trace.profit, rhs_scaled)
     detail["scaled_profit"] = s_scale
     worst = min(worst, s_scale)
-    return CheckReport("profit_chain", worst, detail)
+    return Verdict.of("profit_chain", worst, detail)
 
 
 def greedy_marginal_profit(requests, f):

@@ -80,7 +80,7 @@ def test_criterion_2_growth_suite():
                 for _ in range(n_samples)
             ]
             report = check_growth(f, samples)
-            worst = max(worst, report.max_violation)
+            worst = max(worst, -report.slack)
             for _ in range(n_samples):
                 if not check_superadditivity(f, rng.uniform(0, 3, f.m), rng.uniform(0, 3, f.m)):
                     super_failures += 1
@@ -176,9 +176,9 @@ def test_criterion_5_homogeneous_equivalence():
         f = inst.cost_function()
         trace = run_ocp(real.points, f, inst.stoch_mask)
         rep = check_homogeneous_equivalence(trace, inst.stoch_mask, real.points)
-        worst_spread_slack = min(worst_spread_slack, rep.worst_slack)
+        worst_spread_slack = min(worst_spread_slack, rep.slack)
         mismatches += rep.detail["choice_mismatches"]
-    # worst_slack = 1e-9 - spread, so nonnegative slack means spread <= 1e-9
+    # slack = 1e-9 - spread, so nonnegative slack means spread <= 1e-9
     ok = worst_spread_slack >= 0.0 and mismatches == 0
     announce(
         5,

@@ -98,6 +98,17 @@ class TestRunCommands:
         assert code == 2
         assert "not usable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_replications_below_one_is_a_usage_error(self, tmp_path, capsys, count):
+        out_dir = tmp_path / "out"
+        code = run_cli(
+            "run-ocp", "--instance", OCP_INSTANCE, "--replications", count,
+            "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out_dir.exists()
+
     def test_seed_override_changes_draws(self, tmp_path):
         outs = []
         for seed in ("1", "2"):

@@ -228,7 +228,7 @@ class TestGrowth:
             for _ in range(count)
         ]
         report = check_growth(f, samples)
-        assert report.passed(1e-9), report
+        assert report.passed, report
 
 
 class TestSuperadditivity:

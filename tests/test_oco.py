@@ -123,13 +123,13 @@ class TestStability:
     def test_worked_pair(self):
         st = square_state()
         drive(st, [[1.0]] * 8, [1 / 8] * 8)
-        assert check_stability(st).passed()
+        assert check_stability(st).passed
 
     def test_all_zero_loads(self):
         st = square_state()
         drive(st, [[0.0]] * 8, [1 / 8] * 8)
         rep = check_stability(st)
-        assert rep.passed()
+        assert rep.passed
         lo, hi = rep.detail["arg_ratio_range"]
         assert lo >= 1.0 - 1e-12 and hi <= 2 ** 0.5
 
@@ -137,7 +137,7 @@ class TestStability:
         f = SumOfPowers([1.0, 1.0], 2)
         st = OcoState(f, 1 / 8)
         drive(st, np.ones((8, 2)), [1 / 8] * 8)
-        assert check_stability(st).passed()
+        assert check_stability(st).passed
 
     def test_leader_iterates_computed_once(self):
         # Both checks read the state's leader cache: one grad per step plus
@@ -146,7 +146,7 @@ class TestStability:
         st = drive(OcoState(f, 1 / 8), np.full((8, 2), 0.5), [1 / 8] * 8)
         grad, calls = f.grad, []
         f.grad = lambda w: calls.append(w) or grad(w)
-        assert check_be_the_leader(st).passed() and check_stability(st).passed()
+        assert check_be_the_leader(st).passed and check_stability(st).passed
         assert len(calls) == 8 + 1
         st.observe(np.array([1.0, 0.0]), 0.0)
         assert st.leaders()[1].shape == (9, 2)
@@ -167,11 +167,11 @@ class TestBeTheLeader:
         st = square_state()
         drive(st, [[0.0]] * 8, [1 / 8] * 8)
         rep = check_be_the_leader(st)
-        assert rep.passed()
+        assert rep.passed
         lhs_t1 = 16.0 - 128.0 / 81.0
         rhs_t1 = 4.5 * (16.0 / 9.0) ** 2
-        assert rep.worst_slack <= (lhs_t1 - rhs_t1) / max(1.0, rhs_t1) + 1e-12
-        assert rep.worst_slack > 0.0
+        assert rep.slack <= (lhs_t1 - rhs_t1) / max(1.0, rhs_t1) + 1e-12
+        assert rep.slack > 0.0
 
     def test_random_runs(self):
         rng = np.random.default_rng(11)
@@ -179,7 +179,7 @@ class TestBeTheLeader:
             f = make_family("sum_of_powers", 2, 3.0, rng)
             st = OcoState(f, 1 / 16)
             drive(st, rng.uniform(0, 1, (16, 2)), [1 / 16] * 16)
-            assert check_be_the_leader(st).passed()
+            assert check_be_the_leader(st).passed
 
 
 class TestGuarantees:
@@ -187,7 +187,7 @@ class TestGuarantees:
         st = square_state()
         drive(st, [[0.0]] * 8, [1 / 8] * 8)
         rep = check_oco_guarantees(st)
-        assert rep.passed()
+        assert rep.passed
         # regret claim degenerates to 0 >= -cost(p*ones)
         assert rep.detail["regret_final"] >= 0
 
@@ -205,7 +205,7 @@ class TestGuarantees:
             st = OcoState(f, 1 / 16)
             drive(st, rng.uniform(0, 1, (16, 3)), [1 / 16] * 16)
             rep = check_oco_guarantees(st)
-            assert rep.passed(), rep
+            assert rep.passed, rep
             # the separable size control dominates the max-based one
             assert rep.detail["size_control"] >= rep.detail["size_control_separable"] - 1e-12
 
@@ -216,7 +216,7 @@ class TestDominatingSet:
         drive(st, [[1.0]] * 8, [1 / 8] * 8)
         indices, witness, rep = dominating_set(st)
         assert indices == [4, 8]
-        assert rep.passed()
+        assert rep.passed
         assert np.all(witness >= np.arange(1, 9))
 
     def test_p_one_degenerate(self):
@@ -225,7 +225,7 @@ class TestDominatingSet:
         drive(st, [[1.0]] * 4, [1 / 4] * 4)
         indices, _, rep = dominating_set(st)
         assert indices == [4]
-        assert rep.passed()
+        assert rep.passed
 
     def test_trailing_zero_multipliers_stay_dominated(self):
         # Spend the whole multiplier budget early, then keep loading: the
@@ -238,7 +238,7 @@ class TestDominatingSet:
         drive(st, loads, gammas)
         indices, witness, rep = dominating_set(st)
         assert indices[-1] == 24
-        assert rep.passed()
+        assert rep.passed
 
     def test_certificate_on_random_runs(self):
         rng = np.random.default_rng(13)
@@ -255,7 +255,7 @@ class TestDominatingSet:
             drive(st, rng.uniform(0, 1, (n, m)), np.where(active, 1.0 / k, 0.0))
             indices, witness, rep = dominating_set(st)
             assert len(indices) <= math.ceil(p)
-            assert rep.passed(), (trial, rep)
+            assert rep.passed, (trial, rep)
 
 
 def test_shift_keeps_argument_away_from_origin():
@@ -281,10 +281,10 @@ def test_guarantees_hold_for_arbitrary_loads(loads):
     state = OcoState(f, 1 / 8)
     for v in loads:
         state.observe(np.array(v), 1 / 8)
-    assert check_oco_guarantees(state).passed()
-    assert check_stability(state).passed()
-    assert check_be_the_leader(state).passed()
-    assert dominating_set(state)[2].passed()
+    assert check_oco_guarantees(state).passed
+    assert check_stability(state).passed
+    assert check_be_the_leader(state).passed
+    assert dominating_set(state)[2].passed
 
 
 class TestMutations:
@@ -294,8 +294,8 @@ class TestMutations:
         st = OcoState(f, 1 / 16, disable_shift=True)
         drive(st, rng.uniform(0.5, 1.0, (16, 2)), [1 / 16] * 16)
         failed = (
-            not check_oco_guarantees(st).passed()
-            or not check_stability(st).passed()
+            not check_oco_guarantees(st).passed
+            or not check_stability(st).passed
         )
         assert failed
 
@@ -304,4 +304,4 @@ class TestMutations:
         f = SumOfPowers([1.0, 1.0], 2)
         st = OcoState(f, 1 / 16, disable_regularizer=True)
         drive(st, rng.uniform(0, 1, (16, 2)), [1 / 16] * 16)
-        assert not check_stability(st).passed()
+        assert not check_stability(st).passed

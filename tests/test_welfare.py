@@ -183,7 +183,7 @@ class TestProfitChain:
         reqs, f = single_request_instance()
         trace = run_welfare(reqs, f)
         rep = check_profit_chain_step(trace)
-        assert rep.passed()
+        assert rep.passed
 
     def test_with_selector(self):
         rng = np.random.default_rng(55)
@@ -196,7 +196,7 @@ class TestProfitChain:
         rep = check_profit_chain_step(
             trace, beta=n / labels.sum(), opt_selector=[0.8], drawn=drawn
         )
-        assert rep.passed(), rep
+        assert rep.passed, rep
 
     def test_random_instances(self):
         rng = np.random.default_rng(56)
@@ -204,7 +204,7 @@ class TestProfitChain:
             f = make_family("linear_plus_power", 2, 2.0, rng)
             reqs = [(float(rng.uniform(-1, 4)), rng.uniform(0, 1, 2)) for _ in range(16)]
             trace = run_welfare(reqs, f)
-            assert check_profit_chain_step(trace).passed()
+            assert check_profit_chain_step(trace).passed
 
 
 class TestMixture:
