@@ -106,9 +106,22 @@ class CostFunction:
         raise NotImplementedError
 
     def eval_many(self, U) -> np.ndarray:
-        """Row-wise evaluation of a ``(k, m)`` batch of points."""
+        """Row-wise evaluation of a ``(k, m)`` batch of points.
+
+        Built for throughput on large blocks; a row's value may differ from
+        :meth:`eval` in the last bit.  :meth:`eval_rows` is the bit-equal form.
+        """
+        return self.eval_rows(U)
+
+    def eval_rows(self, U) -> np.ndarray:
+        """Values of a ``(..., m)`` batch of points, shape ``(...)``.
+
+        Each value equals :meth:`eval` of its row bit for bit; unlike
+        :meth:`eval`, the rows are not validated.
+        """
         U = np.asarray(U, dtype=np.float64)
-        return np.array([self.eval(row) for row in U])
+        values = [self.eval(u) for u in U.reshape(-1, self.m)]
+        return np.array(values, dtype=np.float64).reshape(U.shape[:-1])
 
     def grad_many(self, U) -> np.ndarray:
         """Gradients of a ``(..., m)`` batch of points, one row per point.
@@ -191,10 +204,13 @@ class SumOfPowers(CostFunction):
             self._conj_scale = _power_conj_scale(coeffs, self.p)
 
     def eval(self, u):
-        u = _as_point(u, self.m)
+        return float(self.eval_rows(_as_point(u, self.m)))
+
+    def eval_rows(self, U):
+        # vecdot reduces each row with the same kernel as np.dot.
         if self.p == 2.0:
-            return float(np.dot(self.coeffs, u * u))
-        return float(np.dot(self.coeffs, u**self.p))
+            return np.vecdot(self.coeffs, U * U)
+        return np.vecdot(self.coeffs, U**self.p)
 
     def eval_many(self, U):
         U = np.asarray(U, dtype=np.float64)
@@ -288,8 +304,10 @@ class LinearPlusPower(CostFunction):
         self._conj_scale = _power_conj_scale(self._weights, self.p)
 
     def eval(self, u):
-        u = _as_point(u, self.m)
-        return float(np.dot(self._weights, u**self.p) + np.dot(self.slopes, u))
+        return float(self.eval_rows(_as_point(u, self.m)))
+
+    def eval_rows(self, U):
+        return np.vecdot(self._weights, U**self.p) + np.vecdot(self.slopes, U)
 
     def eval_many(self, U):
         U = np.asarray(U, dtype=np.float64)

@@ -1,11 +1,12 @@
 """Experiment harness: replicated runs, oracle-anchored bound checks, reports.
 
-One instance is evaluated by computing the offline optima once, drawing K
-seeded realizations and running them through the engine in lockstep,
-checking the per-realization inequalities on every replication, and
-finally the in-expectation bounds on the Monte-Carlo means (always with a
-3-standard-error allowance, since the guarantees are statements about
-expectations).
+One instance is evaluated by computing the offline optima once, drawing
+the support indices of K seeded realizations as one ``(K, n)`` matrix,
+running them through the engine in lockstep, checking the per-realization
+inequalities of all K replications at once (each check is one array
+formula over the run record), and finally the in-expectation bounds on
+the Monte-Carlo means (always with a 3-standard-error allowance, since the
+guarantees are statements about expectations).
 
 The end-to-end cost bound is checked with explicit constants::
 
@@ -33,7 +34,7 @@ from robustpd.costs import (
     conjugate_numeric,
     fenchel_gap,
 )
-from robustpd.instances import GeneratorParams, generate, sample_realization
+from robustpd.instances import GeneratorParams, draw_matrix, generate, sample_realization
 from robustpd.oco import (
     SLACK_TOL,
     ConfigError,
@@ -48,17 +49,19 @@ from robustpd.oco import (
 # run in lockstep; they stay importable from this module, where
 # perfbench/tracer.py wraps them.
 from robustpd.ocp import (
+    _fake_total,
     _loadbalance_cost,
     _p_norm,
     check_adversarial_charging,
+    check_best_response,
     check_cost_bound,
     check_homogeneous_equivalence,
     run_loadbalance,
     run_ocp,
-    run_ocp_many,
+    run_ocp_batch,
 )
 from robustpd.oracles import opt_adv_ocp, opt_stoch_ocp, opt_stoch_welfare
-from robustpd.welfare import PLAY_SCALE, check_profit_chain_step, run_welfare, run_welfare_many
+from robustpd.welfare import PLAY_SCALE, check_profit_chain_step, run_welfare, run_welfare_batch
 
 __all__ = [
     "RepRow",
@@ -123,7 +126,8 @@ def _at_most(name, value, rhs):
     return Verdict.of(name, (rhs - value) / max(1.0, abs(rhs)))
 
 
-# The field of RepRow whose mean and standard error each problem reports.
+# The field of RepRow whose mean and standard error each problem reports, in
+# the order of the cost, profit and norm columns of the CSV.
 _REPORTED = {"ocp": "cost", "welfare": "profit", "loadbalance": "norm"}
 
 
@@ -131,23 +135,30 @@ def _evaluate(inst, replications, label, problem, f, adv_report, stoch_report, e
               replicate, bound):
     """Replicate one instance against its oracle answers and check its bound.
 
-    ``engine(sequences, f, labels)`` plays the realized sequences of all
-    replications in lockstep and returns one trace per replication;
-    ``replicate(rep, realization, trace)`` returns the replication's row
-    and the extra values the bound needs; ``bound(mean, se, extras)`` gets
-    the reported value's mean and standard error and the list of those
-    extras, and returns ``(bound_rhs, checks, details)``.
+    Draws the ``(K, n)`` support indices of all K replications, plays them
+    with ``engine(points, at, f, labels)``, which returns the trace of all
+    K runs, and checks every replication at once: ``replicate(runs,
+    drawn)`` returns the report columns (``RepRow`` field -> ``(K,)``
+    values), the per-replication verdicts (``(K,)`` pass columns) and the
+    extra values the bound needs; ``bound(mean, se, extras)`` gets the
+    reported value's mean and standard error and those extras, and returns
+    ``(bound_rhs, checks, details)``.
     """
     if replications < 1:
         raise ConfigError(f"need at least 1 replication, got {replications}")
-    realizations = [sample_realization(inst, rep) for rep in range(replications)]
-    traces = engine([real.points for real in realizations], f, inst.stoch_mask)
-    rows, extras = [], []
-    for rep, (real, trace) in enumerate(zip(realizations, traces)):
-        row, extra = replicate(rep, real, trace)
-        rows.append(row)
-        extras.append(extra)
-    mean, se = _mean_se([getattr(r, _REPORTED[problem]) for r in rows])
+    drawn = draw_matrix(inst, range(replications))
+    runs = engine(*inst.point_table(drawn), f, inst.stoch_mask)
+    columns, verdicts, extras = replicate(runs, drawn)
+    failed = [[] for _ in range(replications)]
+    for verdict in verdicts:
+        for rep in np.flatnonzero(~verdict.passed):
+            failed[rep].append(verdict.check)
+    values = {name: column.tolist() for name, column in columns.items()}
+    rows = [
+        RepRow(replication=rep, failed=failed[rep], **{name: v[rep] for name, v in values.items()})
+        for rep in range(replications)
+    ]
+    mean, se = _mean_se(columns[_REPORTED[problem]])
     rhs, checks, details = bound(mean, se, extras)
     return InstanceReport(
         instance=label,
@@ -187,29 +198,27 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
     adv_sets, adv_report, stoch_report = _ocp_oracles(inst, f)
     alphas = (2.0 * f.p, 2.0 * math.e * f.p**2)
 
-    def replicate(rep, real, trace):
-        rep_checks = [check_cost_bound(trace)] + [
-            check_adversarial_charging(trace, alpha, adv_report.choices) for alpha in alphas
+    def replicate(runs, drawn):
+        rep_checks = [
+            check_cost_bound(runs),
+            *(check_adversarial_charging(runs, alpha, adv_report.choices) for alpha in alphas),
+            check_best_response(runs),
         ]
-        failed = [c.check for c in rep_checks if not c.passed]
-        stoch_fake = 0.0
+        stoch_fake = np.zeros(replications)
         if stoch_report is not None:
-            v_star = np.stack([stoch_report.selector[j] for j in real.drawn[labels]])
-            stoch_fake = float(
-                np.einsum("tm,tm->", trace.y[labels], v_star)
-                - trace.gamma * trace.conj_y[labels].sum()
-            )
-        row = RepRow(replication=rep, cost=trace.cost, failed=failed)
-        return row, (f.eval(trace.load / 8.0), stoch_fake)
+            selector = np.array(stoch_report.selector, dtype=np.float64)
+            stoch_fake = _fake_total(runs, labels, selector[drawn[:, labels]])
+        return {"cost": runs.cost}, rep_checks, (f.eval_rows(runs.load / 8.0), stoch_fake)
 
     def bound(mean, se, extras):
-        mean_scaled, se_scaled = _mean_se([e[0] for e in extras])
+        scaled, stoch_fake = extras
+        mean_scaled, se_scaled = _mean_se(scaled)
         checks, rhs = [], None
         # The mean-form bounds anchor to the *optimal* selector; when the
         # oracle fell back to Monte Carlo they are not certified, so skip.
         stoch_exact = stoch_report.exact if stoch_report is not None else True
         if n_stoch and stoch_exact:
-            mean_fake, se_fake = _mean_se([e[1] for e in extras])
+            mean_fake, se_fake = _mean_se(stoch_fake)
             rhs = f.eval(beta * stoch_report.load) / beta + 3.0 * se_fake
             checks.append(_at_most("stoch_mean", mean_fake, rhs))
         if stoch_exact:
@@ -235,7 +244,7 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
         return rhs, checks, details
 
     return _evaluate(
-        inst, replications, label, "ocp", f, adv_report, stoch_report, run_ocp_many,
+        inst, replications, label, "ocp", f, adv_report, stoch_report, run_ocp_batch,
         replicate, bound,
     )
 
@@ -246,15 +255,14 @@ def evaluate_welfare_instance(inst, replications, label="welfare") -> InstanceRe
     beta = inst.n / n_stoch if n_stoch else None
     stoch_report = opt_stoch_welfare(inst.support, inst.probs, n_stoch, f) if n_stoch else None
 
-    def replicate(rep, real, trace):
+    def replicate(runs, drawn):
         chain = check_profit_chain_step(
-            trace,
+            runs,
             beta=beta,
             opt_selector=stoch_report.selector if stoch_report else None,
-            drawn=real.drawn,
+            drawn=drawn,
         )
-        failed = [] if chain.passed else [chain.check]
-        return RepRow(replication=rep, profit=trace.profit, failed=failed), None
+        return {"profit": runs.profit}, [chain], None
 
     def bound(mean, se, extras):
         rhs = -PLAY_SCALE * f.cost_at_p_ones() - 3.0 * se
@@ -264,7 +272,7 @@ def evaluate_welfare_instance(inst, replications, label="welfare") -> InstanceRe
         return rhs, [_at_most("profit_bound", -mean, -rhs)], {}
 
     return _evaluate(
-        inst, replications, label, "welfare", f, None, stoch_report, run_welfare_many,
+        inst, replications, label, "welfare", f, None, stoch_report, run_welfare_batch,
         replicate, bound,
     )
 
@@ -283,10 +291,11 @@ def evaluate_loadbalance_instance(inst, replications, label="loadbalance") -> In
     p_eff = f.p
     adv_sets, adv_report, stoch_report = _ocp_oracles(inst, f)
 
-    def replicate(rep, real, trace):
-        # The effective norm as run_loadbalance reports it.
-        norm_eff = float(trace.cost ** (1.0 / p_eff))
-        return RepRow(replication=rep, cost=trace.cost, norm=norm_eff), None
+    def replicate(runs, drawn):
+        # The effective norm as run_loadbalance reports it: a Python power per
+        # run, since numpy's power of an array need not round the same way.
+        norm_eff = np.array([cost ** (1.0 / p_eff) for cost in runs.cost.tolist()])
+        return {"cost": runs.cost, "norm": norm_eff}, [], None
 
     def bound(mean, se, extras):
         rhs = math.e * p_eff * m ** (1.0 / p_eff) + 3.0 * se
@@ -299,7 +308,7 @@ def evaluate_loadbalance_instance(inst, replications, label="loadbalance") -> In
 
     return _evaluate(
         inst, replications, label, "loadbalance", f, adv_report, stoch_report,
-        run_ocp_many, replicate, bound,
+        run_ocp_batch, replicate, bound,
     )
 
 
@@ -526,46 +535,22 @@ def _fmt(x):
 
 
 def report_to_csv(report) -> str:
+    """One line per replication, then the summary line; see ``CSV_HEADER``."""
+    instance = _fmt(report.instance)
+    shape = ",".join(_fmt(x) for x in (report.seed, report.n, report.m, report.p, report.family))
+    oracles = f"{_fmt(report.opt_adv)},{_fmt(report.opt_stoch)}"
     lines = [CSV_HEADER]
-    fixed = [
-        report.instance,
-        None,
-        report.seed,
-        report.n,
-        report.m,
-        report.p,
-        report.family,
-    ]
     for row in report.rows:
-        rec = list(fixed)
-        rec[1] = row.replication
-        rec += [
-            row.cost,
-            row.profit,
-            row.norm,
-            report.opt_adv,
-            report.opt_stoch,
-            None,
-            ";".join(row.failed),
-            not row.failed,
-        ]
-        lines.append(",".join(_fmt(x) for x in rec))
-    summary = list(fixed)
-    summary[1] = "mean"
-    mean_cost = report.mean if report.problem == "ocp" else None
-    mean_profit = report.mean if report.problem == "welfare" else None
-    mean_norm = report.mean if report.problem == "loadbalance" else None
-    summary += [
-        mean_cost,
-        mean_profit,
-        mean_norm,
-        report.opt_adv,
-        report.opt_stoch,
-        report.bound_rhs,
-        ";".join(report.failed_names()),
-        report.all_pass,
-    ]
-    lines.append(",".join(_fmt(x) for x in summary))
+        values = ",".join(_fmt(x) for x in (row.cost, row.profit, row.norm))
+        lines.append(
+            f"{instance},{row.replication},{shape},{values},{oracles},,"
+            f"{';'.join(row.failed)},{not row.failed}"
+        )
+    means = [report.mean if report.problem == problem else None for problem in _REPORTED]
+    lines.append(
+        f"{instance},mean,{shape},{','.join(_fmt(x) for x in means)},{oracles},"
+        f"{_fmt(report.bound_rhs)},{';'.join(report.failed_names())},{report.all_pass}"
+    )
     return "\n".join(lines) + "\n"
 
 

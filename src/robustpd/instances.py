@@ -27,6 +27,7 @@ __all__ = [
     "MixedInstance",
     "Realization",
     "GeneratorParams",
+    "draw_matrix",
     "sample_realization",
     "load_instance",
     "save_instance",
@@ -120,6 +121,19 @@ class MixedInstance:
     def cost_function(self):
         return cost_from_config(self.cost)
 
+    def point_table(self, drawn):
+        """The data the steps can hold, and which entry each step holds.
+
+        Returns ``(points, at)``: the adversarial entries in timeline order
+        followed by the support, and, for draws ``drawn`` shaped ``(n,)``
+        or ``(K, n)`` as :func:`draw_matrix` gives them, the index into
+        ``points`` of each step's data.
+        """
+        mask = self.stoch_mask
+        adv = [e.data for e in self.timeline if e.kind == "adv"]
+        at = np.where(mask, len(adv) + drawn, np.cumsum(~mask) - 1)
+        return adv + list(self.support), at
+
 
 def _stream(seed, *key):
     # Counter-based generator; one stream per (seed, replication).
@@ -127,27 +141,35 @@ def _stream(seed, *key):
     return np.random.Generator(np.random.Philox(ss))
 
 
+def draw_matrix(inst, replications) -> np.ndarray:
+    """Support index drawn at each step of each replication: ``(K, n)`` int64.
+
+    Row i belongs to replication ``replications[i]`` and comes from one
+    counter-based stream keyed by ``(seed, replication)``, which always
+    yields n uniforms, one per timeline position, so the value at step t
+    depends only on ``(seed, replication, t)``.  A uniform ``u`` maps to
+    the first index whose cumulative probability exceeds it, exactly as
+    ``Generator.choice(k, size=n, p=probs)`` maps its uniforms.
+    Adversarial steps hold -1.
+    """
+    mask = inst.stoch_mask
+    if not mask.any():
+        return np.full((len(replications), inst.n), -1, dtype=np.int64)
+    cdf = np.cumsum(inst.probs)
+    cdf /= cdf[-1]
+    uniforms = np.array([_stream(inst.seed, r).random(inst.n) for r in replications])
+    return np.where(mask, cdf.searchsorted(uniforms, side="right"), -1)
+
+
 def sample_realization(inst, replication) -> Realization:
     """Deterministic draw of the stochastic entries of one replication.
 
-    A single counter-based stream is keyed by ``(seed, replication)`` and
-    always yields n categorical draws, one per timeline position, so the
-    value at step t depends only on ``(seed, replication, t)``; adversarial
-    entries pass through verbatim and ignore their draw.
+    The draws are row ``replication`` of :func:`draw_matrix`; adversarial
+    entries pass through verbatim.
     """
-    rng = _stream(inst.seed, replication)
-    draws = rng.choice(len(inst.support) if inst.support else 1, size=inst.n, p=inst.probs)
-    points = []
-    mask = np.zeros(inst.n, dtype=bool)
-    drawn = np.full(inst.n, -1, dtype=np.int64)
-    for t, entry in enumerate(inst.timeline):
-        if entry.kind == "adv":
-            points.append(entry.data)
-        else:
-            mask[t] = True
-            drawn[t] = int(draws[t])
-            points.append(inst.support[drawn[t]])
-    return Realization(points, mask, drawn)
+    drawn = draw_matrix(inst, [replication])[0]
+    points, at = inst.point_table(drawn)
+    return Realization([points[j] for j in at], inst.stoch_mask, drawn)
 
 
 # -- JSON round trip ---------------------------------------------------------

@@ -31,8 +31,9 @@ checks take single-run states.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,8 +62,18 @@ def normalized_slack(lhs, rhs):
     """Slack of the claim ``lhs >= rhs``, normalized by ``max(1, |rhs|)``.
 
     Negative values are violations; checks pass at ``>= -SLACK_TOL``.
+    Elementwise when ``rhs`` is an array (a check over K runs at once).
     """
+    if isinstance(rhs, np.ndarray):
+        return (lhs - rhs) / np.maximum(1.0, np.abs(rhs))
     return (lhs - rhs) / max(1.0, abs(rhs))
+
+
+def _plain(x):
+    """A numpy scalar or 0-d array as the Python number it holds; else ``x``."""
+    if isinstance(x, (np.ndarray, np.generic)) and x.ndim == 0:
+        return x.item()
+    return x
 
 
 @dataclass
@@ -72,6 +83,9 @@ class Verdict:
     ``slack`` is the worst normalized slack (negative is a violation),
     ``passed`` the decision, ``config`` the configuration the check ran on
     (set by the suites) and ``detail`` the named parts behind the slack.
+    A check of one run holds Python numbers; a check of the K runs of a
+    lockstep batch holds ``(K,)`` arrays in ``slack``, ``passed`` and the
+    detail values, one entry per run.
     """
 
     check: str
@@ -82,8 +96,68 @@ class Verdict:
 
     @classmethod
     def of(cls, check, slack, detail=None, *, tol=SLACK_TOL):
-        """The verdict that passes exactly when ``slack >= -tol``."""
-        return cls(check, slack, bool(slack >= -tol), detail=detail or {})
+        """The verdict that passes exactly when ``slack >= -tol``, per run."""
+        slack = _plain(slack)
+        passed = _plain(slack >= -tol)
+        detail = {key: _plain(value) for key, value in (detail or {}).items()}
+        return cls(check, slack, passed, detail=detail)
+
+    @classmethod
+    def of_parts(cls, check, parts, *, tol=SLACK_TOL):
+        """The verdict on the worst of the named slacks ``parts``, its detail."""
+        return cls.of(check, functools.reduce(np.minimum, parts.values()), parts, tol=tol)
+
+
+def _step_table(sequences):
+    """The distinct step objects of K equally long sequences, and where each sits.
+
+    Returns ``(objects, at)``: the objects in order of first appearance and
+    the ``(K, n)`` index into them of the object at each step of each
+    sequence; two steps share an index exactly when they hold the same
+    object.  This is the input form of the batched engines.
+    """
+    n = len(sequences[0])
+    if any(len(seq) != n for seq in sequences):
+        raise ValueError("sequences run in lockstep need the same number of steps")
+    index, objects = {}, []
+    for seq in sequences:
+        for obj in seq:
+            if id(obj) not in index:
+                index[id(obj)] = len(objects)
+                objects.append(obj)
+    at = np.array([[index[id(obj)] for obj in seq] for seq in sequences], dtype=np.int64)
+    return objects, at.reshape(len(sequences), n)
+
+
+class _LockstepTrace:
+    """Base of the engine traces: one run, or all K runs of a lockstep batch.
+
+    A trace with ``run = k`` holds run k; with ``run = None`` it holds all
+    runs, and each field named in ``_PER_RUN`` gains a leading axis of
+    length K.  The duals ``y`` and conjugate values ``conj_y`` are read from
+    the run record of the dual state ``state`` that the runs shared.
+    """
+
+    _PER_RUN = ()
+
+    def _of_run(self, a):
+        return a if self.run is None else a[self.run]
+
+    @property
+    def y(self):
+        return self._of_run(self.state.record()[0])
+
+    @property
+    def conj_y(self):
+        return self._of_run(self.state.record()[3])
+
+    def rows(self):
+        """The one-run traces of an all-runs trace, in run order."""
+        count = len(getattr(self, self._PER_RUN[0]))
+        return [
+            replace(self, run=k, **{name: _plain(getattr(self, name)[k]) for name in self._PER_RUN})
+            for k in range(count)
+        ]
 
 
 class OcoState:

@@ -11,9 +11,12 @@ The engine never sees which steps are adversarial and which are
 stochastic; origin labels travel through the trace for the post-run
 accounting only.
 
-:func:`run_ocp_many` plays K realized sequences of one instance in
-lockstep, which is how the harness replicates an instance; :func:`run_ocp`
-is its single-sequence case.
+:func:`run_ocp_batch` plays K realized sequences of one instance in
+lockstep, which is how the harness replicates an instance, and returns one
+trace of all K runs; :func:`run_ocp_many` splits it into one trace per run
+and :func:`run_ocp` is the single-sequence case.  Every check takes either
+kind of trace: on all K runs it computes one result per run with the same
+formula it applies to one run.
 """
 
 from __future__ import annotations
@@ -24,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from robustpd.costs import SumOfPowers
-from robustpd.oco import ConfigError, OcoState, Verdict, normalized_slack
+from robustpd.oco import (
+    ConfigError,
+    OcoState,
+    Verdict,
+    _LockstepTrace,
+    _step_table,
+    normalized_slack,
+)
 
 __all__ = [
     "FeasibleSet",
@@ -32,8 +42,10 @@ __all__ = [
     "best_response",
     "run_ocp",
     "run_ocp_many",
+    "run_ocp_batch",
     "check_cost_bound",
     "check_adversarial_charging",
+    "check_best_response",
     "run_loadbalance",
     "check_homogeneous_equivalence",
     "effective_norm_power",
@@ -85,8 +97,7 @@ def _best_rows(feasible, Y):
     """
     if isinstance(feasible, FeasibleSet) or not hasattr(feasible, "minimize"):
         options = _menu(feasible)
-        stacked = np.broadcast_to(options, (len(Y),) + options.shape)
-        idx = np.argmin(np.matmul(stacked, Y[:, :, None])[:, :, 0], axis=1)
+        idx = np.argmin(np.matmul(options, Y[:, :, None])[:, :, 0], axis=1)
         return idx, options[idx]
     picks = [feasible.minimize(y) for y in Y]
     picks = [p if isinstance(p, tuple) else (-1, np.asarray(p, dtype=np.float64)) for p in picks]
@@ -115,13 +126,17 @@ def best_response(y, feasible, gamma, f):
 
 
 @dataclass
-class OcpRunTrace:
+class OcpRunTrace(_LockstepTrace):
     """Everything a post-run inequality check needs, per step and in total.
 
-    The duals ``y``, chosen options ``v`` and conjugate values ``conj_y``
-    are row ``run`` of the run record of the dual state that the run
-    shared with the other sequences played in lockstep.
+    A trace holds one run (``run = k``, row k of the shared record), or all
+    K runs of a lockstep batch (``run = None``): ``choice``, ``fake``,
+    ``load``, ``cost`` and ``at`` then gain a leading axis of length K and
+    every check computes one result per run.  ``sets[at[t]]`` is the
+    feasible set faced at step t.
     """
+
+    _PER_RUN = ("choice", "fake", "load", "cost", "at")
 
     choice: np.ndarray  # (n,) option indices
     fake: np.ndarray  # (n,) fake costs <y,v> - gamma*conj(y)
@@ -130,23 +145,17 @@ class OcpRunTrace:
     gamma: float  # the per-step multiplier, 1/n
     labels: np.ndarray | None  # True at stochastic steps (accounting only)
     state: OcoState
-    run: int = 0  # this run's row in the state's record
-
-    @property
-    def y(self):
-        return self.state.record()[0][self.run]
+    sets: list  # the distinct feasible sets the runs faced
+    at: np.ndarray  # (n,) index into ``sets`` of the set faced at each step
+    run: int | None = 0  # this run's row in the state's record; None: all runs
 
     @property
     def v(self):
-        return self.state.record()[1][self.run]
-
-    @property
-    def conj_y(self):
-        return self.state.record()[3][self.run]
+        return self._of_run(self.state.record()[1])
 
     @property
     def n(self):
-        return self.choice.shape[0]
+        return self.choice.shape[-1]
 
     def to_json(self) -> dict:
         return {
@@ -187,16 +196,26 @@ def run_ocp_many(sequences, f, labels=None, *, disable_shift=False, disable_regu
     """Run the primal-dual loop over K realized sequences in lockstep.
 
     The sequences have one length n and share ``labels``.  Returns one
-    :class:`OcpRunTrace` per sequence, each equal bit for bit to a
-    separate run: the runs share one dual state whose iterates and record
-    carry one row per run, and at each step the rows that face the same
-    feasible-set object are answered together.
+    :class:`OcpRunTrace` per sequence, the rows of :func:`run_ocp_batch`.
     """
     if not sequences:
         return []
-    n = len(sequences[0])
-    if any(len(sets) != n for sets in sequences):
-        raise ValueError("sequences run in lockstep need the same number of steps")
+    sets, at = _step_table(sequences)
+    return run_ocp_batch(
+        sets, at, f, labels, disable_shift=disable_shift, disable_regularizer=disable_regularizer
+    ).rows()
+
+
+def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regularizer=False):
+    """Run the primal-dual loop for K runs in lockstep; returns the all-runs trace.
+
+    Run k faces the feasible set ``sets[at[k, t]]`` at step t.  Each run is
+    equal bit for bit to a separate run: the runs share one dual state
+    whose iterates and record carry one row per run, and at each step the
+    rows that face the same set are answered together.
+    """
+    at = np.ascontiguousarray(at, dtype=np.int64)
+    runs, n = at.shape
     if n < 4.0 * f.p:
         raise ConfigError(f"need n >= 4p, got n={n} with p={f.p}")
     if labels is not None:
@@ -207,32 +226,51 @@ def run_ocp_many(sequences, f, labels=None, *, disable_shift=False, disable_regu
     state = OcoState(
         f, gamma, disable_shift=disable_shift, disable_regularizer=disable_regularizer
     )
-    runs = len(sequences)
     choice = np.empty((runs, n), dtype=np.int64)
-    for t, step_sets in enumerate(zip(*sequences)):
-        y = np.broadcast_to(state.next_iterate(), (runs, f.m))
-        groups = {}
-        for k, sets in enumerate(step_sets):
-            groups.setdefault(id(sets), (sets, []))[1].append(k)
+    # Column t of ``order`` lists the runs by the set they face at step t,
+    # each group in run order; ``cuts`` marks where a group ends.
+    order = np.argsort(at, axis=0, kind="stable")
+    grouped = np.take_along_axis(at, order, axis=0)
+    cuts = np.diff(grouped, axis=0, append=-1) != 0
+    for t in range(n):
+        y = state.next_iterate()
+        y = y if y.ndim == 2 else np.broadcast_to(y, (runs, f.m))
         v = np.empty((runs, f.m))
-        for sets, rows in groups.values():
-            choice[rows, t], v[rows] = _best_rows(sets, y[rows])
+        start = 0
+        for end in np.flatnonzero(cuts[:, t]).tolist():
+            rows = order[start : end + 1, t]
+            choice[rows, t], v[rows] = _best_rows(sets[grouped[end, t]], y[rows])
+            start = end + 1
         state.observe(v, gamma)
     y, v, _, conj_y = state.record()
-    fake = np.vecdot(y, v) - gamma * conj_y
-    return [
-        OcpRunTrace(
-            choice=choice[k],
-            fake=fake[k],
-            load=load,
-            cost=f.eval(load),
-            gamma=gamma,
-            labels=labels,
-            state=state,
-            run=k,
-        )
-        for k, load in enumerate(state.cum_v)
-    ]
+    return OcpRunTrace(
+        choice=choice,
+        fake=np.vecdot(y, v) - gamma * conj_y,
+        load=state.cum_v,
+        cost=f.eval_rows(state.cum_v),
+        gamma=gamma,
+        labels=labels,
+        state=state,
+        sets=list(sets),
+        at=at,
+        run=None,
+    )
+
+
+def _fake_total(trace, steps, choices):
+    """``sum_{t in steps} L(y_t, o_t)``: the fake cost of other choices ``o``.
+
+    ``steps`` selects steps of the trace and ``choices`` holds one row per
+    selected step, shared by all runs or with a leading run axis.  One
+    value per run.  Every operand is copied to a contiguous array first:
+    selecting steps of a ``(K, n, m)`` record, or gathering choices with
+    such a selection, can give a strided array, and ``einsum`` and ``sum``
+    reduce one of those in another order than one run's rows.
+    """
+    y = np.ascontiguousarray(trace.y[..., steps, :])
+    conj_y = np.ascontiguousarray(trace.conj_y[..., steps])
+    choices = np.ascontiguousarray(choices)
+    return np.einsum("...tm,...tm->...", y, choices) - trace.gamma * conj_y.sum(axis=-1)
 
 
 def check_cost_bound(trace) -> Verdict:
@@ -243,19 +281,16 @@ def check_cost_bound(trace) -> Verdict:
     coordinate-wise max dual.
     """
     f = trace.state.f
-    lhs = f.eval(trace.load / 8.0)
-    fake_total = float(trace.fake.sum())
+    lhs = f.eval_rows(trace.load / 8.0)
+    fake_sum = trace.fake.sum(axis=-1)
     base = 1.5 * f.cost_at_p_ones()
-    rhs = fake_total - float(trace.conj_y.max(initial=0.0)) / (2.0 * f.p) + base
-    worst = normalized_slack(rhs, lhs)
-    detail = {"nonseparable": worst}
+    rhs = fake_sum - trace.conj_y.max(axis=-1, initial=0.0) / (2.0 * f.p) + base
+    parts = {"nonseparable": normalized_slack(rhs, lhs)}
     if f.separable:
-        y_max = trace.y.max(axis=0, initial=0.0)
-        rhs_sep = fake_total - f.conjugate_value(y_max) / (2.0 * f.p) + base
-        sep = normalized_slack(rhs_sep, lhs)
-        detail["separable"] = sep
-        worst = min(worst, sep)
-    return Verdict.of("cost_bound", worst, detail)
+        y_max = trace.y.max(axis=-2, initial=0.0)
+        rhs_sep = fake_sum - f.conj_many(y_max) / (2.0 * f.p) + base
+        parts["separable"] = normalized_slack(rhs_sep, lhs)
+    return Verdict.of_parts("cost_bound", parts)
 
 
 def check_adversarial_charging(trace, alpha, opt_choices) -> Verdict:
@@ -279,21 +314,58 @@ def check_adversarial_charging(trace, alpha, opt_choices) -> Verdict:
     if opt_choices.shape[0] != int(adv.sum()):
         raise ValueError("one offline choice per adversarial step required")
     v_opt = opt_choices.sum(axis=0) if opt_choices.size else np.zeros(f.m)
-    y_adv = trace.y[adv]
-    lhs = float(np.einsum("tm,tm->", y_adv, opt_choices)) - trace.gamma * float(
-        trace.conj_y[adv].sum()
-    )
-    conj_max = float(trace.conj_y.max(initial=0.0))
-    rhs1 = math.e * f.eval(alpha * v_opt) + (math.e * f.p / alpha) * conj_max
-    worst = normalized_slack(rhs1, lhs)
-    detail = {"max_form": worst}
+    cost_opt = f.eval(alpha * v_opt)
+    lhs = _fake_total(trace, adv, opt_choices)
+    conj_max = trace.conj_y.max(axis=-1, initial=0.0)
+    rhs1 = math.e * cost_opt + (math.e * f.p / alpha) * conj_max
+    parts = {"max_form": normalized_slack(rhs1, lhs)}
     if f.separable:
-        y_max = trace.y.max(axis=0, initial=0.0)
-        rhs2 = f.eval(alpha * v_opt) + f.conjugate_value(y_max) / alpha
-        sep = normalized_slack(rhs2, lhs)
-        detail["pointwise_max_form"] = sep
-        worst = min(worst, sep)
-    return Verdict.of(f"adversarial_charging(alpha={alpha:g})", worst, detail)
+        y_max = trace.y.max(axis=-2, initial=0.0)
+        rhs2 = cost_opt + f.conj_many(y_max) / alpha
+        parts["pointwise_max_form"] = normalized_slack(rhs2, lhs)
+    return Verdict.of_parts(f"adversarial_charging(alpha={alpha:g})", parts)
+
+
+def check_best_response(trace) -> Verdict:
+    """Certificate that every choice of the run is a best response to its dual.
+
+    At each step t the chosen load ``v_t`` must score no more than any
+    option ``o`` of the menu faced, up to rounding::
+
+        <y_t, v_t> <= min_o <y_t, o> + 1e-12 * max(1, |min_o <y_t, o>|)
+
+    and where the menu repeats the chosen option row exactly, the choice
+    must be its first occurrence (the lowest-index tie-break).  Computed
+    from the record and the menus, without the engine's scorer.  The slack
+    is the worst normalized margin over the steps, or -1 where a tie went
+    to a later index.  Every set faced must be a menu: a
+    :class:`FeasibleSet` or a raw option array.
+    """
+    if any(hasattr(s, "minimize") and not isinstance(s, FeasibleSet) for s in trace.sets):
+        raise ValueError("the best-response certificate needs finite menus")
+    menus = [_menu(s) for s in trace.sets]
+    width = max(len(options) for options in menus)
+    padded = np.zeros((len(menus), width, trace.state.f.m))
+    scored = np.zeros((len(menus), width), dtype=bool)
+    first = np.zeros((len(menus), width), dtype=bool)
+    for j, options in enumerate(menus):
+        k = len(options)
+        padded[j, :k] = options
+        scored[j, :k] = True
+        same = (options[:, None, :] == options[None, :, :]).all(axis=-1)
+        first[j, :k] = ~np.tril(same, -1).any(axis=1)
+    y = trace.y
+    scores = np.einsum("...km,...m->...k", padded[trace.at], y)
+    best = np.where(scored[trace.at], scores, np.inf).min(axis=-1)
+    margin = (best - np.vecdot(y, trace.v)) / np.maximum(1.0, np.abs(best))
+    worst = margin.min(axis=-1)
+    ties_first = first[trace.at, trace.choice].all(axis=-1)
+    return Verdict.of(
+        "best_response",
+        np.where(ties_first, worst, -1.0),
+        {"margin": worst, "ties_first": ties_first},
+        tol=1e-12,
+    )
 
 
 def effective_norm_power(p, m):

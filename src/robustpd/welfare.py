@@ -14,19 +14,26 @@ Costs with a linear part are reduced up front: rewards become
 part cancels exactly in the profit of any play, so the reported profit on
 the original instance equals the reduced run's profit.
 
-:func:`run_welfare_many` plays K realized request sequences in lockstep,
-which is how the harness replicates an instance; :func:`run_welfare` is
-its single-sequence case.
+:func:`run_welfare_batch` plays K realized request sequences in lockstep,
+which is how the harness replicates an instance, and returns one trace of
+all K runs; :func:`run_welfare_many` splits it into one trace per run and
+:func:`run_welfare` is its single-sequence case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from robustpd.oco import ConfigError, OcoState, Verdict, normalized_slack
+from robustpd.oco import (
+    ConfigError,
+    OcoState,
+    Verdict,
+    _LockstepTrace,
+    _step_table,
+    normalized_slack,
+)
 
 __all__ = [
     "PLAY_SCALE",
@@ -35,6 +42,7 @@ __all__ = [
     "virtual_best_response",
     "run_welfare",
     "run_welfare_many",
+    "run_welfare_batch",
     "check_profit_chain_step",
     "greedy_marginal_profit",
     "mixture_wrapper",
@@ -89,13 +97,17 @@ def virtual_best_response(y, req, gamma, f):
 
 
 @dataclass
-class WelfareTrace:
+class WelfareTrace(_LockstepTrace):
     """Per-step log of a welfare run, in the reduced (pure-power) view.
 
-    The duals ``y``, virtual loads ``a_t*x_t`` and conjugate values
-    ``conj_y`` are row ``run`` of the run record of the dual state that
-    the run shared with the other sequences played in lockstep.
+    A trace holds one run (``run = k``, row k of the shared record), or all
+    K runs of a lockstep batch (``run = None``): ``x_virtual``,
+    ``c_reduced``, ``a``, ``profit``, ``reward_total`` and ``cost_total``
+    then gain a leading axis of length K and the check computes one result
+    per run.
     """
+
+    _PER_RUN = ("x_virtual", "c_reduced", "a", "profit", "reward_total", "cost_total")
 
     x_virtual: np.ndarray  # (n,) virtual plays, each 0 or 1
     c_reduced: np.ndarray  # (n,) rewards after the linear-part reduction
@@ -106,23 +118,15 @@ class WelfareTrace:
     profit: float  # on the original instance == reduced profit
     reward_total: float  # sum c_t * x~_t (original rewards)
     cost_total: float  # cost(sum a_t * x~_t) (original cost)
-    run: int = 0  # this run's row in the state's record
-
-    @property
-    def y(self):
-        return self.state.record()[0][self.run]
+    run: int | None = 0  # this run's row in the state's record; None: all runs
 
     @property
     def virtual_loads(self):
-        return self.state.record()[1][self.run]
-
-    @property
-    def conj_y(self):
-        return self.state.record()[3][self.run]
+        return self._of_run(self.state.record()[1])
 
     @property
     def n(self):
-        return self.x_virtual.shape[0]
+        return self.x_virtual.shape[-1]
 
     @property
     def x_played(self):
@@ -130,7 +134,7 @@ class WelfareTrace:
 
     def fake_costs(self):
         """Per-step ``L(y_t, v_t)`` on the virtual loads."""
-        inner = np.einsum("tm,tm->t", self.y, self.virtual_loads)
+        inner = np.einsum("...tm,...tm->...t", self.y, self.virtual_loads)
         return inner - self.gamma * self.conj_y
 
     def to_json(self) -> dict:
@@ -185,24 +189,37 @@ def run_welfare_many(sequences, f, labels=None, *, disable_shift=False, disable_
     """Run the welfare loop over K realized request sequences in lockstep.
 
     The sequences have one length n and share ``labels``.  Returns one
-    :class:`WelfareTrace` per sequence, each equal bit for bit to a
-    separate run: the runs share one dual state whose iterates and record
-    carry one row per run.
+    :class:`WelfareTrace` per sequence, the rows of :func:`run_welfare_batch`.
     """
     if not sequences:
         return []
-    n = len(sequences[0])
-    if any(len(requests) != n for requests in sequences):
-        raise ValueError("sequences run in lockstep need the same number of steps")
+    requests, at = _step_table(sequences)
+    return run_welfare_batch(
+        requests, at, f, labels, disable_shift=disable_shift, disable_regularizer=disable_regularizer
+    ).rows()
+
+
+def run_welfare_batch(requests, at, f, labels=None, *, disable_shift=False,
+                      disable_regularizer=False):
+    """Run the welfare loop for K runs in lockstep; returns the all-runs trace.
+
+    Run k receives the request ``requests[at[k, t]]`` at step t.  Each run
+    is equal bit for bit to a separate run: the runs share one dual state
+    whose iterates and record carry one row per run.
+    """
+    # A contiguous index gathers contiguous (K, n) and (K, n, m) arrays.
+    at = np.ascontiguousarray(at, dtype=np.int64)
+    n = at.shape[1]
     if n < 4.0 * f.p:
         raise ConfigError(f"need n >= 4p, got n={n} with p={f.p}")
     if labels is not None:
         labels = np.asarray(labels, dtype=bool)
         if labels.shape != (n,):
             raise ValueError("labels must mark each of the n steps")
-    split = [_split_requests(requests) for requests in sequences]
-    reduced = [_reduce(c, a, f) for c, a in split]
-    run_f = reduced[0][1]
+    c_table, a_table = _split_requests(requests)
+    c, A = c_table[at], a_table[at]  # (K, n), (K, n, m)
+    # A stacked matmul reduces each run's rows as that run's own (n, m) matrix would.
+    c_red, run_f = _reduce(c, A, f)
     certain = run_f.family == "sum_of_powers" and run_f.p >= 2.0
     if not certain and not run_f.grows_at_least_quadratically():
         raise ConfigError("cost must grow at least quadratically after reduction")
@@ -210,33 +227,26 @@ def run_welfare_many(sequences, f, labels=None, *, disable_shift=False, disable_
     state = OcoState(
         run_f, gamma, disable_shift=disable_shift, disable_regularizer=disable_regularizer
     )
-    c_red = np.stack([c for c, _ in reduced])  # (K, n)
-    A = np.stack([a for _, a in split])  # (K, n, m)
     x_virtual = np.empty(c_red.shape)
     for t in range(n):
         x = _accept(c_red[:, t], state.next_iterate(), A[:, t])
         state.observe(A[:, t] * x[:, None], gamma)
         x_virtual[:, t] = x
     x_played = PLAY_SCALE * x_virtual
-    traces = []
-    for k, ((c, a_k), (c_red_k, _)) in enumerate(zip(split, reduced)):
-        reward_total = float(np.dot(c, x_played[k]))
-        cost_total = f.eval(a_k.T @ x_played[k])
-        traces.append(
-            WelfareTrace(
-                x_virtual=x_virtual[k],
-                c_reduced=c_red_k,
-                a=a_k,
-                gamma=gamma,
-                labels=labels,
-                state=state,
-                profit=reward_total - cost_total,
-                reward_total=reward_total,
-                cost_total=cost_total,
-                run=k,
-            )
-        )
-    return traces
+    reward_total = np.vecdot(c, x_played)
+    cost_total = f.eval_rows((np.swapaxes(A, 1, 2) @ x_played[:, :, None])[:, :, 0])
+    return WelfareTrace(
+        x_virtual=x_virtual,
+        c_reduced=c_red,
+        a=A,
+        gamma=gamma,
+        labels=labels,
+        state=state,
+        profit=reward_total - cost_total,
+        reward_total=reward_total,
+        cost_total=cost_total,
+        run=None,
+    )
 
 
 def check_profit_chain_step(trace, beta=None, opt_selector=None, drawn=None) -> Verdict:
@@ -252,36 +262,29 @@ def check_profit_chain_step(trace, beta=None, opt_selector=None, drawn=None) -> 
 
     ``opt_selector`` maps support index to the offline fractional level,
     ``drawn`` gives the support index drawn at each step (-1 where
-    adversarial).
+    adversarial), with a leading run axis for an all-runs trace.
     """
     fake = trace.fake_costs()
     step_gain = trace.c_reduced * trace.x_virtual - fake
-    virtual_profit = float(step_gain.sum())
-    worst = math.inf
-    detail = {}
+    virtual_profit = step_gain.sum(axis=-1)
     # Declining is always available: c*x - L(y, a*x) >= -L(y, 0) >= 0.
     decline = trace.gamma * trace.conj_y
-    slacks = (step_gain - decline) / np.maximum(1.0, np.abs(decline))
-    detail["decline_dominance"] = float(slacks.min())
-    worst = min(worst, detail["decline_dominance"])
+    parts = {"decline_dominance": normalized_slack(step_gain, decline).min(axis=-1)}
     if opt_selector is not None:
         stoch = trace.labels
-        x_cand = np.array(
-            [opt_selector[j] if j >= 0 else 0.0 for j in drawn], dtype=np.float64
-        ) / beta
-        inner = np.einsum("tm,tm->t", trace.y, trace.a)
-        cand_gain = (trace.c_reduced - inner) * x_cand + decline
-        slacks = (step_gain - cand_gain)[stoch] / np.maximum(1.0, np.abs(cand_gain[stoch]))
-        detail["selector_dominance"] = float(slacks.min(initial=0.0))
-        worst = min(worst, detail["selector_dominance"])
-        s_w2 = normalized_slack(virtual_profit, float(cand_gain[stoch].sum()))
-        detail["virtual_vs_scaled_offline"] = s_w2
-        worst = min(worst, s_w2)
+        # drawn is -1 at adversarial steps, which picks the appended level 0.
+        level = np.append(np.asarray(opt_selector, dtype=np.float64), 0.0)[drawn]
+        inner = np.einsum("...tm,...tm->...t", trace.y, trace.a)
+        cand_gain = (trace.c_reduced - inner) * (level / beta) + decline
+        cand_stoch = np.ascontiguousarray(cand_gain[..., stoch])
+        slacks = normalized_slack(step_gain[..., stoch], cand_stoch)
+        parts["selector_dominance"] = slacks.min(axis=-1, initial=0.0)
+        parts["virtual_vs_scaled_offline"] = normalized_slack(
+            virtual_profit, cand_stoch.sum(axis=-1)
+        )
     rhs_scaled = PLAY_SCALE * (virtual_profit - trace.state.f.cost_at_p_ones())
-    s_scale = normalized_slack(trace.profit, rhs_scaled)
-    detail["scaled_profit"] = s_scale
-    worst = min(worst, s_scale)
-    return Verdict.of("profit_chain", worst, detail)
+    parts["scaled_profit"] = normalized_slack(trace.profit, rhs_scaled)
+    return Verdict.of_parts("profit_chain", parts)
 
 
 def greedy_marginal_profit(requests, f):

@@ -301,7 +301,7 @@ class TestSerialization:
 
 
 class TestBatched:
-    """``grad_many`` and ``conj_many`` equal the per-row calls bit for bit."""
+    """``grad_many``, ``conj_many`` and ``eval_rows`` equal the per-row calls bit for bit."""
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     @pytest.mark.parametrize(
@@ -329,6 +329,24 @@ class TestBatched:
             # A (runs, steps, m) batch reduces the same rows.
             assert np.array_equal(f.conj_many(duals.reshape(3, 4, m)), expected.reshape(3, 4))
         assert np.array_equal(f.grad_many(U.reshape(3, 4, m)), Y.reshape(3, 4, m))
+        values = np.array([f.eval(u) for u in U])
+        assert np.array_equal(f.eval_rows(U), values)
+        assert np.array_equal(f.eval_rows(U.reshape(3, 4, m)), values.reshape(3, 4))
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 9, 17, 40])
+    def test_eval_rows_reduce_as_np_dot(self, m):
+        """Each row is reduced by the ``np.dot`` kernel, not by a matrix product."""
+        rng = np.random.default_rng(m)
+        c, scales, slopes = (rng.uniform(0.3, 2.0, m) for _ in range(3))
+        cases = [
+            (SumOfPowers(c, 2.0), lambda u: np.dot(c, u * u)),
+            (SumOfPowers(c, 3.0), lambda u: np.dot(c, u**3.0)),
+            (LinearPlusPower(scales, slopes, 2.5),
+             lambda u: np.dot(scales**2.5, u**2.5) + np.dot(slopes, u)),
+        ]
+        U = rng.uniform(0.0, 30.0, (64, m))
+        for f, dot_form in cases:
+            assert np.array_equal(f.eval_rows(U), [dot_form(u) for u in U])
 
 
 class TestDecomposition:

@@ -7,6 +7,7 @@ import pytest
 from robustpd.instances import (
     GeneratorParams,
     SchemaError,
+    draw_matrix,
     generate,
     instance_from_dict,
     instance_to_dict,
@@ -96,6 +97,69 @@ def test_draw_frequencies():
         total += drawn.size
     freq = hits / total  # 1e5 draws
     assert abs(freq - 0.5) < 0.01
+
+
+def choice_stream(inst, replication):
+    """The documented stream of one replication, drawn with Generator.choice."""
+    seq = np.random.SeedSequence(entropy=inst.seed, spawn_key=(replication,))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+class TestDrawMatrix:
+    """The draw matrix maps uniforms to support indices as Generator.choice does.
+
+    ``draw_matrix`` relies on ``Generator.choice(k, size=n, p=probs)`` being
+    ``searchsorted`` over the normalized cumulative probabilities; these
+    tests pin that against numpy draw for draw.
+    """
+
+    @pytest.mark.parametrize("probs", [
+        [0.2, 0.5, 0.3],
+        [0.0, 0.6, 0.0, 0.4],  # zero-probability entries, inside and first
+        [0.5, 0.5, 0.0],  # a zero-probability last entry
+        [1.0],  # a one-element support
+    ])
+    def test_matches_generator_choice(self, probs):
+        inst = generate(GeneratorParams(n=40, n_adv=6, support_size=(len(probs),) * 2), 11)
+        inst.probs = np.array(probs)
+        mask = inst.stoch_mask
+        drawn = draw_matrix(inst, range(60))
+        assert drawn.shape == (60, 40) and drawn.dtype == np.int64
+        for rep, row in enumerate(drawn):
+            ref = choice_stream(inst, rep).choice(len(probs), size=inst.n, p=inst.probs)
+            assert np.array_equal(row[mask], ref[mask])
+            assert np.all(row[~mask] == -1)
+        assert not np.any(np.isin(drawn, np.flatnonzero(inst.probs == 0.0)))
+
+    def test_matches_generator_choice_on_generated_instances(self):
+        for i in range(40):
+            params = GeneratorParams(n=16 + i % 5, n_adv=i % 7, support_size=(1, 4))
+            inst = generate(params, 900 + i)
+            mask = inst.stoch_mask
+            for rep, row in enumerate(draw_matrix(inst, range(50))):
+                ref = choice_stream(inst, rep).choice(len(inst.support), size=inst.n, p=inst.probs)
+                assert np.array_equal(row, np.where(mask, ref, -1))
+
+    def test_instance_without_support(self):
+        inst = generate(GeneratorParams(n=8, n_adv=8), 2)
+        assert inst.support == [] and inst.probs is None
+        assert np.array_equal(draw_matrix(inst, range(3)), np.full((3, 8), -1))
+        assert np.array_equal(sample_realization(inst, 4).drawn, np.full(8, -1))
+
+    def test_sample_realization_is_a_row(self, ocp_params):
+        inst = generate(ocp_params, 5)
+        drawn = draw_matrix(inst, range(50))
+        for rep in (0, 1, 17, 49):
+            real = sample_realization(inst, rep)
+            assert np.array_equal(real.drawn, drawn[rep])
+            assert np.array_equal(real.stoch_mask, inst.stoch_mask)
+            for t, (point, entry) in enumerate(zip(real.points, inst.timeline)):
+                expected = entry.data if entry.kind == "adv" else inst.support[drawn[rep, t]]
+                assert point is expected
+
+    def test_rows_follow_the_replication_numbers(self, ocp_params):
+        inst = generate(ocp_params, 6)
+        assert np.array_equal(draw_matrix(inst, [7, 3]), draw_matrix(inst, range(8))[[7, 3]])
 
 
 class TestRoundTrip:

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from robustpd import ocp
 from robustpd.costs import SumOfPowers
+from robustpd.harness import evaluate_ocp_instance
+from robustpd.instances import load_instance
 from robustpd.oco import ConfigError
 from robustpd.ocp import (
     FeasibleSet,
     best_response,
     check_adversarial_charging,
+    check_best_response,
     check_cost_bound,
     check_homogeneous_equivalence,
     effective_norm_power,
@@ -281,6 +285,66 @@ class TestAdversarialCharging:
         trace = run_ocp(random_sets(rng, 8, 2), square2(), labels=np.zeros(8, dtype=bool))
         with pytest.raises(ValueError):
             check_adversarial_charging(trace, 0.5, trace.v)
+
+
+def wrong_best_rows(pick):
+    """A menu scorer that picks ``pick(scores)`` instead of the lowest-index minimizer."""
+
+    def best_rows(feasible, Y):
+        options = ocp._menu(feasible)
+        idx = pick(Y @ options.T)
+        return idx, options[idx]
+
+    return best_rows
+
+
+WRONG_PRIMALS = {
+    "argmax": lambda scores: scores.argmax(axis=1),
+    "option_0": lambda scores: np.zeros(len(scores), dtype=np.int64),
+}
+
+
+def last_tie(scores):
+    return scores.shape[1] - 1 - scores[:, ::-1].argmin(axis=1)
+
+
+class TestBestResponseCertificate:
+    def test_correct_runs_pass(self):
+        rng = np.random.default_rng(31)
+        for m in (1, 3):
+            sets = random_sets(rng, 16, m, k_range=(1, 5))
+            sets[3] = sets[3].options  # a raw option array is a menu too
+            rep = check_best_response(run_ocp(sets, make_family("linear_plus_power", m, 2.0, rng)))
+            assert rep.passed is True and rep.detail["ties_first"] is True
+            assert rep.slack >= -1e-12
+
+    def test_golden_instance_passes(self):
+        report = evaluate_ocp_instance(load_instance("tests/data/ocp_small.json"), 20)
+        assert report.all_pass
+
+    @pytest.mark.parametrize("mutation", sorted(WRONG_PRIMALS))
+    def test_wrong_primal_fails_on_golden_instance(self, monkeypatch, mutation):
+        monkeypatch.setattr(ocp, "_best_rows", wrong_best_rows(WRONG_PRIMALS[mutation]))
+        report = evaluate_ocp_instance(load_instance("tests/data/ocp_small.json"), 3)
+        assert not report.all_pass
+        assert all("best_response" in row.failed for row in report.rows)
+
+    def test_late_tie_fails_where_a_menu_repeats_an_option(self, monkeypatch):
+        # Options 0 and 2 are equal and beat option 1 for every positive dual.
+        menu = FeasibleSet([[0.2, 0.3], [0.9, 0.9], [0.2, 0.3]])
+        sets = [menu] * 8
+        assert check_best_response(run_ocp(sets, square2())).passed
+        monkeypatch.setattr(ocp, "_best_rows", wrong_best_rows(last_tie))
+        trace = run_ocp(sets, square2())
+        assert set(trace.choice.tolist()) == {2}
+        rep = check_best_response(trace)
+        assert not rep.passed and rep.slack == -1.0
+        assert rep.detail["margin"] >= -1e-12 and rep.detail["ties_first"] is False
+
+    def test_needs_menus(self):
+        trace = run_ocp([TestOracleHook.SimplexOracle(2)] * 8, square2())
+        with pytest.raises(ValueError):
+            check_best_response(trace)
 
 
 class TestLoadBalance:
