@@ -106,10 +106,12 @@ class CostFunction:
         raise NotImplementedError
 
     def eval_many(self, U) -> np.ndarray:
-        """Row-wise evaluation of a ``(k, m)`` batch of points.
+        """Row-wise evaluation of a ``(k, m)`` batch of points, shape ``(k,)``.
 
         Built for throughput on large blocks; a row's value may differ from
         :meth:`eval` in the last bit.  :meth:`eval_rows` is the bit-equal form.
+        A stacked ``(..., k, m)`` batch evaluates each ``(k, m)`` block as
+        ``eval_many`` of that block alone does.
         """
         return self.eval_rows(U)
 
@@ -385,6 +387,9 @@ class SeparableGeneric(CostFunction):
 
     def _conj_1d(self, i, y):
         fn, deriv = self.components[i]
+        # The search runs in Python floats: the same IEEE products as numpy
+        # scalars, without their per-operation overhead.
+        y = float(y)
         if y <= 0.0:
             return 0.0, 0.0
         hi = 1.0

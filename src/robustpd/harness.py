@@ -61,7 +61,13 @@ from robustpd.ocp import (
     run_ocp_batch,
 )
 from robustpd.oracles import opt_adv_ocp, opt_stoch_ocp, opt_stoch_welfare
-from robustpd.welfare import PLAY_SCALE, check_profit_chain_step, run_welfare, run_welfare_batch
+from robustpd.welfare import (
+    PLAY_SCALE,
+    check_accept_rule,
+    check_profit_chain_step,
+    run_welfare,
+    run_welfare_batch,
+)
 
 __all__ = [
     "RepRow",
@@ -262,7 +268,7 @@ def evaluate_welfare_instance(inst, replications, label="welfare") -> InstanceRe
             opt_selector=stoch_report.selector if stoch_report else None,
             drawn=drawn,
         )
-        return {"profit": runs.profit}, [chain], None
+        return {"profit": runs.profit}, [chain, check_accept_rule(runs)], None
 
     def bound(mean, se, extras):
         rhs = -PLAY_SCALE * f.cost_at_p_ones() - 3.0 * se
@@ -366,7 +372,7 @@ def _random_cost(rng, m, p, family):
     if family == "linear_plus_power":
         return LinearPlusPower(rng.uniform(0.4, 1.6, m), rng.uniform(0.0, 1.0, m), p)
     # Generic: mildly inhomogeneous power mix with known growth order p.
-    weights = rng.uniform(0.5, 1.5, m)
+    weights = rng.uniform(0.5, 1.5, m).tolist()  # Python floats for the conjugate search
     comps = [
         (
             lambda x, w=w, p=p: w * (x**p + 0.5 * x**2),

@@ -9,6 +9,14 @@ appears, not on the order).  Welfare optima over the box use projected
 gradient ascent on the concave profit, cross-checked by grid search at
 small sizes.
 
+The enumerations run as array passes.  The multiset table is built by
+stars and bars; the selectors of ``opt_stoch_ocp`` and the candidate
+levels of one coordinate of ``opt_stoch_welfare`` are scored in blocks of
+at most ``ADV_BLOCK_ROWS`` load rows, one ``eval_many`` and one
+``np.vecdot`` expectation per block.  Each block stacks the per-selector
+(per-candidate) load matrices on a leading axis, so every value, tie-break
+and answer equals that of scoring them one at a time, bit for bit.
+
 Every oracle is guarded: past the stated size thresholds the exact paths
 either refuse loudly or fall back to a flagged Monte-Carlo estimate.
 """
@@ -62,7 +70,8 @@ class OptReport:
 # -- adversarial part, ocp -----------------------------------------------------
 
 
-# Rows of one enumerated block of menu combinations.
+# Load rows of one scored block: menu combinations in opt_adv_ocp, selectors
+# and candidate levels in the stochastic oracles.
 ADV_BLOCK_ROWS = 2**15
 
 
@@ -125,30 +134,32 @@ def count_multisets(n, s):
     return math.comb(n + s - 1, s - 1)
 
 
-def _compositions(n, s):
-    """Nonnegative integer vectors of length s summing to n."""
-    if s == 1:
-        yield (n,)
-        return
-    for k in range(n + 1):
-        for rest in _compositions(n - k, s - 1):
-            yield (k, *rest)
-
-
 def _multiset_table(n_draws, probs):
-    """All draw-count vectors with their multinomial probabilities."""
+    """All draw-count vectors with their multinomial probabilities.
+
+    The rows are the compositions of ``n_draws`` into ``len(probs)`` parts
+    in lexicographic order, built by stars and bars: the bar positions
+    come from ``itertools.combinations`` in lexicographic order, and a
+    part is the gap between two bars.  Each row's log-factorials are summed
+    column by column, left to right.
+    """
     s = len(probs)
-    counts = np.array(list(_compositions(n_draws, s)), dtype=np.int64)
+    rows = count_multisets(n_draws, s)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n_draws + s - 1), s - 1)),
+        dtype=np.int64,
+        count=rows * (s - 1),
+    ).reshape(rows, s - 1)
+    counts = np.diff(bars, axis=1, prepend=-1, append=n_draws + s - 1) - 1
     probs = np.asarray(probs, dtype=np.float64)
     # The 1e-300 floor avoids 0 * -inf; rows drawing a zero-probability
     # element are zeroed outright afterwards.
     log_probs = np.log(np.maximum(probs, 1e-300))
-    lg = math.lgamma(n_draws + 1)
-    logpmf = (
-        lg
-        - np.array([sum(math.lgamma(k + 1) for k in row) for row in counts])
-        + counts @ log_probs
-    )
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n_draws + 1)])[counts]
+    row_sum = log_fact[:, 0]
+    for col in range(1, s):
+        row_sum = row_sum + log_fact[:, col]
+    logpmf = math.lgamma(n_draws + 1) - row_sum + counts @ log_probs
     pmf = np.exp(logpmf)
     dead = probs <= 0.0
     if np.any(dead):
@@ -156,10 +167,54 @@ def _multiset_table(n_draws, probs):
     return counts, pmf
 
 
+def _best_selector(menus, counts, f, score):
+    """The first selector of least ``score`` in ``itertools.product`` order.
+
+    A selector picks one option of each menu, and its load at draw-count
+    row ``k`` is ``counts[k] @ chosen``.  Selectors are scored in blocks of
+    at most ``ADV_BLOCK_ROWS`` load rows (at least one selector): one
+    stacked ``counts @ chosen`` gives the ``(B, rows, m)`` loads of a block,
+    one ``eval_many`` their ``(B, rows)`` costs, each selector's rows
+    evaluated as on their own, and ``score`` maps the costs to ``(B,)``
+    values.  Returns the value, the selector's option indices and its
+    costs.
+    """
+    sizes = [len(o) for o in menus]
+    table = np.concatenate(menus)
+    offsets = np.cumsum([0, *sizes[:-1]])
+    counts = counts.astype(np.float64)  # exact: the counts are small integers
+    rows = counts.shape[0]
+    total = math.prod(sizes)
+    block = max(1, ADV_BLOCK_ROWS // rows)
+    best_val, best_r, best_costs = math.inf, None, None
+    for start in range(0, total, block):
+        selectors = np.unravel_index(np.arange(start, min(start + block, total)), sizes)
+        chosen = table[offsets + np.stack(selectors, axis=1)]  # (B, s, m)
+        costs = f.eval_many(counts @ chosen)
+        vals = score(costs)
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val, best_r, best_costs = float(vals[i]), start + i, costs[i]
+    indices = [int(j) for j in np.unravel_index(best_r, sizes)]
+    return best_val, indices, best_costs
+
+
+def _selector_report(menus, probs, n_stoch, value, indices, **kwargs):
+    chosen = [menus[j][i] for j, i in enumerate(indices)]
+    return OptReport(
+        value=value,
+        selector=[np.asarray(c) for c in chosen],
+        load=n_stoch * (probs @ np.stack(chosen)),
+        extra={"indices": indices, "n_stoch": n_stoch},
+        **kwargs,
+    )
+
+
 def opt_stoch_ocp(support, probs, n_stoch, f, *, mc_samples=10**5, seed=0) -> OptReport:
     """Best selector ``support -> option`` for the expected cost of the draws.
 
-    The expectation is exact (multiset enumeration).  If the selector space
+    The expectation is exact (multiset enumeration), scored block by block
+    over the selectors (see :func:`_best_selector`).  If the selector space
     or the multiset table blows past the guards, falls back to a flagged
     Monte-Carlo estimate over random draws.
     """
@@ -173,51 +228,22 @@ def opt_stoch_ocp(support, probs, n_stoch, f, *, mc_samples=10**5, seed=0) -> Op
     if selector_count > MAX_SELECTORS or n_multisets > MAX_MULTISETS:
         return _opt_stoch_ocp_mc(menus, probs, n_stoch, f, mc_samples, seed)
     counts, pmf = _multiset_table(n_stoch, probs)
-    best_val = math.inf
-    best_sel = None
-    for sel in itertools.product(*(range(len(o)) for o in menus)):
-        chosen = np.stack([menus[j][sel[j]] for j in range(s)])
-        loads = counts @ chosen
-        val = float(pmf @ f.eval_many(loads))
-        if val < best_val:
-            best_val = val
-            best_sel = sel
-    chosen = [menus[j][best_sel[j]] for j in range(s)]
-    mean_load = n_stoch * (probs @ np.stack(chosen))
-    return OptReport(
-        value=best_val,
-        selector=[np.asarray(c) for c in chosen],
-        load=mean_load,
-        extra={"indices": list(best_sel), "n_stoch": n_stoch},
-    )
+    # vecdot reduces each row with the same kernel as pmf @ costs.
+    value, indices, _ = _best_selector(menus, counts, f, lambda costs: np.vecdot(costs, pmf))
+    return _selector_report(menus, probs, n_stoch, value, indices)
 
 
 def _opt_stoch_ocp_mc(menus, probs, n_stoch, f, mc_samples, seed):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     s = len(menus)
-    best_val = math.inf
-    best_sel = None
-    best_err = 0.0
     draws = rng.choice(s, size=(mc_samples, n_stoch), p=probs)
     counts = np.stack([(draws == j).sum(axis=1) for j in range(s)], axis=1)
-    for sel in itertools.product(*(range(len(o)) for o in menus)):
-        chosen = np.stack([menus[j][sel[j]] for j in range(s)])
-        vals = f.eval_many(counts @ chosen)
-        mean = float(vals.mean())
-        if mean < best_val:
-            best_val = mean
-            best_sel = sel
-            best_err = float(vals.std(ddof=1) / math.sqrt(mc_samples))
-    chosen = [menus[j][best_sel[j]] for j in range(s)]
-    mean_load = n_stoch * (np.asarray(probs) @ np.stack(chosen))
-    return OptReport(
-        value=best_val,
-        selector=[np.asarray(c) for c in chosen],
-        load=mean_load,
+    value, indices, costs = _best_selector(menus, counts, f, lambda costs: costs.mean(axis=1))
+    return _selector_report(
+        menus, probs, n_stoch, value, indices,
         method="monte-carlo",
         exact=False,
-        stderr=best_err,
-        extra={"indices": list(best_sel), "n_stoch": n_stoch},
+        stderr=float(costs.std(ddof=1) / math.sqrt(mc_samples)),
     )
 
 
@@ -333,24 +359,36 @@ def opt_stoch_welfare(support, probs, n_stoch, f, *, grid=101, sweeps=40) -> Opt
         loads = counts @ (A * x[:, None])
         return reward - float(pmf @ f.eval_many(loads))
 
-    def profit_on_axis(x, j, axis):
-        # Vectorized over candidate values of coordinate j.
+    def axis_profits(x, j):
+        """Profits of candidate levels of coordinate j, the others held at x.
+
+        The ``(G, rows, m)`` loads of all candidates are scored with one
+        ``eval_many`` (in blocks of at most ``ADV_BLOCK_ROWS`` load rows, at
+        least one candidate), each candidate's rows evaluated as on their
+        own.
+        """
         others = counts @ (A * x[:, None]) - np.outer(counts[:, j], A[j] * x[j])
         reward_base = float(mean_counts @ (c * x)) - mean_counts[j] * c[j] * x[j]
-        vals = np.empty(axis.size)
-        for i, g in enumerate(axis):
-            loads = others + np.outer(counts[:, j], A[j] * g)
-            vals[i] = reward_base + mean_counts[j] * c[j] * g - float(
-                pmf @ f.eval_many(loads)
-            )
-        return vals
+        block = max(1, ADV_BLOCK_ROWS // len(pmf))
+
+        def profits(levels):
+            expected = []
+            for start in range(0, levels.size, block):
+                steps = levels[start:start + block, None] * A[j]
+                loads = others + counts[:, j, None] * steps[:, None, :]
+                costs = f.eval_many(loads)
+                # vecdot reduces each row with the same kernel as pmf @ costs.
+                expected.append(np.vecdot(costs, pmf))
+            return reward_base + mean_counts[j] * c[j] * levels - np.concatenate(expected)
+
+        return profits
 
     axis = np.linspace(0.0, 1.0, grid)
     x = np.zeros(s)
     for _ in range(sweeps):
         moved = False
         for j in range(s):
-            vals = profit_on_axis(x, j, axis)
+            vals = axis_profits(x, j)(axis)
             g = float(axis[int(np.argmax(vals))])
             if g != x[j]:
                 x[j] = g
@@ -359,12 +397,13 @@ def opt_stoch_welfare(support, probs, n_stoch, f, *, grid=101, sweeps=40) -> Opt
             break
     # Ternary refinement per coordinate around the grid solution.
     for j in range(s):
+        profits = axis_profits(x, j)
         lo = max(0.0, x[j] - 1.0 / (grid - 1))
         hi = min(1.0, x[j] + 1.0 / (grid - 1))
         for _ in range(80):
             d = (hi - lo) / 3.0
             a, b = lo + d, hi - d
-            va, vb = profit_on_axis(x, j, np.array([a, b]))
+            va, vb = profits(np.array([a, b]))
             if va < vb:
                 lo = a
             else:

@@ -43,6 +43,7 @@ __all__ = [
     "run_welfare",
     "run_welfare_many",
     "run_welfare_batch",
+    "check_accept_rule",
     "check_profit_chain_step",
     "greedy_marginal_profit",
     "mixture_wrapper",
@@ -247,6 +248,21 @@ def run_welfare_batch(requests, at, f, labels=None, *, disable_shift=False,
         cost_total=cost_total,
         run=None,
     )
+
+
+def check_accept_rule(trace) -> Verdict:
+    """Certificate that every virtual play follows the accept rule.
+
+    At each step the virtual play must be ``1[c_t > <y_t, a_t>]`` for the
+    reduced reward ``c_t``, the posted dual ``y_t`` and the consumption
+    ``a_t`` (ties decline), recomputed from the record and the step data
+    without the engine's rule.  The slack is 0 where every play of the run
+    follows the rule and -1 where one does not; the detail counts the
+    steps that do not.
+    """
+    accept = trace.c_reduced > np.vecdot(trace.y, trace.a)
+    wrong = (trace.x_virtual != accept).sum(axis=-1)
+    return Verdict.of("accept_rule", np.where(wrong == 0, 0.0, -1.0), {"wrong_steps": wrong})
 
 
 def check_profit_chain_step(trace, beta=None, opt_selector=None, drawn=None) -> Verdict:

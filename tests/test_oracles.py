@@ -6,6 +6,8 @@ import pytest
 
 from robustpd import oracles
 from robustpd.costs import SumOfPowers
+from robustpd.instances import GeneratorParams, generate
+from robustpd.ocp import _menu
 from robustpd.oracles import (
     GuardError,
     count_multisets,
@@ -15,6 +17,7 @@ from robustpd.oracles import (
     opt_stoch_welfare,
     opt_welfare,
 )
+from robustpd.welfare import _split_requests
 
 from test_costs import make_family
 
@@ -268,3 +271,281 @@ class TestOptStochWelfare:
                 )
                 best = max(best, val)
         assert report.value >= best - 1e-6
+
+
+# -- the loops that the batched stochastic oracles replaced, as references ----------
+
+
+def compositions(n, s):
+    """Nonnegative integer vectors of length s summing to n, lexicographically."""
+    if s == 1:
+        yield (n,)
+        return
+    for k in range(n + 1):
+        for rest in compositions(n - k, s - 1):
+            yield (k, *rest)
+
+
+def left_sum(values):
+    # Python's sum of floats up to 3.11: left to right from 0 (3.12 and
+    # later compensate the rounding).
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
+def loop_multiset_table(n_draws, probs):
+    s = len(probs)
+    counts = np.array(list(compositions(n_draws, s)), dtype=np.int64)
+    probs = np.asarray(probs, dtype=np.float64)
+    log_probs = np.log(np.maximum(probs, 1e-300))
+    lg = math.lgamma(n_draws + 1)
+    logpmf = (
+        lg
+        - np.array([left_sum(math.lgamma(k + 1) for k in row) for row in counts])
+        + counts @ log_probs
+    )
+    pmf = np.exp(logpmf)
+    dead = probs <= 0.0
+    if np.any(dead):
+        pmf[(counts[:, dead] > 0).any(axis=1)] = 0.0
+    return counts, pmf
+
+
+def loop_opt_stoch_ocp(support, probs, n_stoch, f):
+    """(value, indices, load), one selector at a time."""
+    menus = [_menu(s) for s in support]
+    probs = np.asarray(probs, dtype=np.float64)
+    counts, pmf = loop_multiset_table(n_stoch, probs)
+    best_val, best_sel = math.inf, None
+    for sel in itertools.product(*(range(len(o)) for o in menus)):
+        chosen = np.stack([menus[j][i] for j, i in enumerate(sel)])
+        val = float(pmf @ f.eval_many(counts @ chosen))
+        if val < best_val:
+            best_val, best_sel = val, sel
+    chosen = np.stack([menus[j][i] for j, i in enumerate(best_sel)])
+    return best_val, list(best_sel), n_stoch * (probs @ chosen)
+
+
+def loop_opt_stoch_ocp_mc(support, probs, n_stoch, f, mc_samples, seed=0):
+    """(value, indices, load, stderr) of the Monte Carlo fallback, one selector at a time."""
+    menus = [_menu(s) for s in support]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    s = len(menus)
+    best_val, best_sel, best_err = math.inf, None, 0.0
+    draws = rng.choice(s, size=(mc_samples, n_stoch), p=probs)
+    counts = np.stack([(draws == j).sum(axis=1) for j in range(s)], axis=1)
+    for sel in itertools.product(*(range(len(o)) for o in menus)):
+        chosen = np.stack([menus[j][i] for j, i in enumerate(sel)])
+        vals = f.eval_many(counts @ chosen)
+        mean = float(vals.mean())
+        if mean < best_val:
+            best_val, best_sel = mean, sel
+            best_err = float(vals.std(ddof=1) / math.sqrt(mc_samples))
+    chosen = np.stack([menus[j][i] for j, i in enumerate(best_sel)])
+    return best_val, list(best_sel), n_stoch * (np.asarray(probs) @ chosen), best_err
+
+
+def loop_opt_stoch_welfare(support, probs, n_stoch, f, grid=101, sweeps=40):
+    """(value, selector, load), one axis candidate at a time."""
+    s = len(support)
+    c, A = _split_requests(support)
+    probs = np.asarray(probs, dtype=np.float64)
+    counts, pmf = loop_multiset_table(n_stoch, probs)
+    mean_counts = n_stoch * probs
+
+    def expected_profit(x):
+        reward = float(mean_counts @ (c * x))
+        return reward - float(pmf @ f.eval_many(counts @ (A * x[:, None])))
+
+    def profit_on_axis(x, j, axis):
+        others = counts @ (A * x[:, None]) - np.outer(counts[:, j], A[j] * x[j])
+        reward_base = float(mean_counts @ (c * x)) - mean_counts[j] * c[j] * x[j]
+        vals = np.empty(axis.size)
+        for i, g in enumerate(axis):
+            loads = others + np.outer(counts[:, j], A[j] * g)
+            vals[i] = reward_base + mean_counts[j] * c[j] * g - float(pmf @ f.eval_many(loads))
+        return vals
+
+    axis = np.linspace(0.0, 1.0, grid)
+    x = np.zeros(s)
+    for _ in range(sweeps):
+        moved = False
+        for j in range(s):
+            g = float(axis[int(np.argmax(profit_on_axis(x, j, axis)))])
+            if g != x[j]:
+                x[j] = g
+                moved = True
+        if not moved:
+            break
+    for j in range(s):
+        lo = max(0.0, x[j] - 1.0 / (grid - 1))
+        hi = min(1.0, x[j] + 1.0 / (grid - 1))
+        for _ in range(80):
+            d = (hi - lo) / 3.0
+            a, b = lo + d, hi - d
+            va, vb = profit_on_axis(x, j, np.array([a, b]))
+            if va < vb:
+                lo = a
+            else:
+                hi = b
+        trial = x.copy()
+        trial[j] = 0.5 * (lo + hi)
+        if expected_profit(trial) >= expected_profit(x):
+            x = trial
+    return expected_profit(x), x.tolist(), n_stoch * ((probs * x) @ A)
+
+
+def stochastic_parts(problem, count, seed):
+    """``(support, probs, n_stoch, f)`` of generated instances at m = 1 and 2.
+
+    Both cost families and p = 2, 3 alternate.  Every fourth instance gets a
+    zero-probability support entry, every eighth a support of 8 or 9
+    elements (a table with s >= 8), and some a support of one element.
+    OCP menus repeat an option row on odd instances, so that distinct
+    selectors tie exactly.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m = 1 + i % 2
+        p = (2.0, 3.0)[(i // 4) % 2]
+        n = int(rng.integers(12, 17))
+        wide = i % 8 == 5
+        params = GeneratorParams(
+            problem=problem,
+            n=n,
+            m=m,
+            p=p,
+            family=("sum_of_powers", "linear_plus_power")[(i // 2) % 2],
+            n_adv=n - int(rng.integers(1, 4)) if wide else int(rng.integers(0, 5)),
+            support_size=(8, 9) if wide else (1, 4),
+            options_range=(1, 2) if wide else (1, 3),
+        )
+        inst = generate(params, int(rng.integers(10**6)))
+        support, probs = list(inst.support), np.array(inst.probs)
+        if i % 4 == 3 and len(probs) > 1:
+            probs[int(rng.integers(len(probs)))] = 0.0
+            probs /= probs.sum()
+        if problem == "ocp" and i % 2:
+            menus = [_menu(s) for s in support]
+            j = int(rng.integers(len(menus)))
+            support = menus[:j] + [np.vstack([menus[j], menus[j][:1]])] + menus[j + 1:]
+        yield support, probs, inst.n_stoch, inst.cost_function()
+
+
+def test_cases_cover_the_edges():
+    for problem in ("ocp", "welfare"):
+        cases = list(stochastic_parts(problem, 40, 0))
+        sizes = [len(probs) for _, probs, _, _ in cases]
+        assert min(sizes) == 1 and max(sizes) >= 8
+        assert any(np.any(probs == 0.0) for _, probs, _, _ in cases)
+        assert {f.m for *_, f in cases} == {1, 2}
+
+
+class TestBatchedEqualsLoops:
+    @pytest.mark.parametrize(
+        "n,probs",
+        [(5, [1.0]), (0, [0.5, 0.5]), (6, [0.2, 0.0, 0.5, 0.3]), (3, [0.1] * 10), (9, [0.25] * 4),
+         (12, [0.125] * 8)],
+    )
+    def test_multiset_table(self, n, probs):
+        # At 8 parts and more, numpy's pairwise row sum would round some
+        # rows of log-factorials differently from a left-to-right sum.
+        counts, pmf = oracles._multiset_table(n, probs)
+        ref_counts, ref_pmf = loop_multiset_table(n, probs)
+        assert counts.dtype == ref_counts.dtype
+        assert np.array_equal(counts, ref_counts) and np.array_equal(pmf, ref_pmf)
+
+    @pytest.mark.parametrize("block_rows", [7, oracles.ADV_BLOCK_ROWS])
+    def test_stoch_ocp(self, monkeypatch, block_rows):
+        monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", block_rows)
+        for support, probs, n_stoch, f in stochastic_parts("ocp", 40, 1):
+            report = opt_stoch_ocp(support, probs, n_stoch, f)
+            value, indices, load = loop_opt_stoch_ocp(support, probs, n_stoch, f)
+            assert report.value == value
+            assert report.extra["indices"] == indices
+            assert np.array_equal(report.load, load)
+
+    def test_stoch_ocp_ties_keep_the_first_selector(self, monkeypatch):
+        # Every menu repeats its options, so each value is reached by many
+        # selectors; a 7-row block splits them across blocks.
+        monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", 7)
+        f = square2()
+        menu = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, 0.5]])
+        for n_stoch in (1, 2, 3):
+            report = opt_stoch_ocp([menu] * 3, [0.5, 0.25, 0.25], n_stoch, f)
+            value, indices, _ = loop_opt_stoch_ocp([menu] * 3, [0.5, 0.25, 0.25], n_stoch, f)
+            assert (report.value, report.extra["indices"]) == (value, indices)
+
+    @pytest.mark.parametrize("block_rows", [7, oracles.ADV_BLOCK_ROWS])
+    def test_stoch_ocp_monte_carlo(self, monkeypatch, block_rows):
+        monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(49)
+        for m in (1, 2):
+            f = make_family("linear_plus_power", m, 2.0, rng)
+            support = [rng.uniform(0, 1, (int(k), m)) for k in (2, 1, 3)]
+            support[2][2] = support[2][0]
+            probs = [0.5, 0.2, 0.3]
+            report = opt_stoch_ocp(support, probs, 2000, f, mc_samples=300, seed=m)
+            value, indices, load, stderr = loop_opt_stoch_ocp_mc(support, probs, 2000, f, 300, m)
+            assert report.method == "monte-carlo"
+            assert (report.value, report.extra["indices"], report.stderr) == (value, indices, stderr)
+            assert np.array_equal(report.load, load)
+
+    @pytest.mark.parametrize("block_rows", [50, oracles.ADV_BLOCK_ROWS])
+    def test_stoch_welfare(self, monkeypatch, block_rows):
+        monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", block_rows)
+        for support, probs, n_stoch, f in stochastic_parts("welfare", 40, 2):
+            report = opt_stoch_welfare(support, probs, n_stoch, f)
+            value, selector, load = loop_opt_stoch_welfare(support, probs, n_stoch, f)
+            assert report.value == value
+            assert report.selector == selector
+            assert np.array_equal(report.load, load)
+
+
+class CountingCost(SumOfPowers):
+    """A cost that records the shape of every ``eval_many`` call."""
+
+    def __init__(self, coeffs, p):
+        super().__init__(coeffs, p)
+        self.calls = []
+
+    def eval_many(self, U):
+        self.calls.append(np.shape(U))
+        return super().eval_many(U)
+
+
+class TestBatching:
+    def test_stoch_welfare_one_call_per_axis_scan_and_ternary_step(self):
+        f = CountingCost([1.0, 0.5], 2)
+        support = [(3.0, np.array([0.4, 0.1])), (1.0, np.array([0.3, 0.6]))]
+        opt_stoch_welfare(support, [0.6, 0.4], 5, f, grid=101)
+        s, rows = 2, count_multisets(5, 2)
+        scans = [shape for shape in f.calls if shape == (101, rows, 2)]
+        steps = [shape for shape in f.calls if shape == (2, rows, 2)]
+        profits = [shape for shape in f.calls if shape == (rows, 2)]
+        assert len(scans) + len(steps) + len(profits) == len(f.calls)
+        # The sweeps stop at the first sweep that moves no coordinate.
+        assert len(scans) % s == 0 and 2 * s <= len(scans) <= 40 * s
+        assert len(steps) == 80 * s
+        assert len(profits) == 2 * s + 1  # the refinement's checks and the value
+
+    def test_stoch_welfare_blocks_bound_the_rows(self, monkeypatch):
+        monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", 100)
+        f = CountingCost([1.0], 2)
+        opt_stoch_welfare([(3.0, np.array([0.4])), (1.0, np.array([0.3]))], [0.6, 0.4], 5, f)
+        # 6 rows per candidate: blocks of 16 candidates, the last of 5.
+        assert {shape[0] for shape in f.calls if len(shape) == 3} == {16, 5, 2}
+
+    @pytest.mark.parametrize("block_rows,blocks", [(oracles.ADV_BLOCK_ROWS, 1), (40, 6)])
+    def test_stoch_ocp_one_call_per_block(self, monkeypatch, block_rows, blocks):
+        monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", block_rows)
+        f = CountingCost([1.0, 0.5], 2)
+        rng = np.random.default_rng(50)
+        support = [rng.uniform(0, 1, (k, 2)) for k in (3, 2, 2)]  # 12 selectors
+        opt_stoch_ocp(support, [0.5, 0.3, 0.2], 4, f)
+        rows = count_multisets(4, 3)  # 15 rows: a block of 40 rows holds 2 selectors
+        assert len(f.calls) == blocks
+        assert sum(shape[0] for shape in f.calls) == 12
+        assert all(shape[1:] == (rows, 2) for shape in f.calls)

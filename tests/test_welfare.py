@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from robustpd import welfare
 from robustpd.costs import LinearPlusPower, SeparableGeneric, SumOfPowers
+from robustpd.harness import evaluate_welfare_instance
+from robustpd.instances import load_instance
 from robustpd.oco import ConfigError
 from robustpd.welfare import (
     Request,
+    check_accept_rule,
     check_profit_chain_step,
     greedy_marginal_profit,
     mixture_wrapper,
@@ -205,6 +209,56 @@ class TestProfitChain:
             reqs = [(float(rng.uniform(-1, 4)), rng.uniform(0, 1, 2)) for _ in range(16)]
             trace = run_welfare(reqs, f)
             assert check_profit_chain_step(trace).passed
+
+
+# Wrong accept rules, each a drop-in for welfare._accept.
+WRONG_ACCEPTS = {
+    "never": lambda c, y, a: np.zeros(np.shape(c)),
+    "always": lambda c, y, a: np.ones(np.shape(c)),
+    "ties_accept": lambda c, y, a: np.where(c - np.vecdot(y, a) >= 0.0, 1.0, 0.0),
+}
+
+
+class TestAcceptRuleCertificate:
+    def test_correct_runs_pass(self):
+        rng = np.random.default_rng(57)
+        for family in ("sum_of_powers", "linear_plus_power"):
+            f = make_family(family, 2, 2.0, rng)
+            reqs = [(float(rng.uniform(-1, 4)), rng.uniform(0, 1, 2)) for _ in range(16)]
+            rep = check_accept_rule(run_welfare(reqs, f))
+            assert rep.passed is True and rep.slack == 0.0 and rep.detail["wrong_steps"] == 0
+
+    def test_golden_instance_passes_every_replication(self):
+        report = evaluate_welfare_instance(load_instance("tests/data/welfare_small.json"), 20)
+        assert not any("accept_rule" in row.failed for row in report.rows)
+
+    @pytest.mark.parametrize("mutation", ["never", "always"])
+    def test_wrong_rule_fails_on_golden_instance(self, monkeypatch, mutation):
+        monkeypatch.setattr(welfare, "_accept", WRONG_ACCEPTS[mutation])
+        report = evaluate_welfare_instance(load_instance("tests/data/welfare_small.json"), 3)
+        assert not report.all_pass
+        assert all("accept_rule" in row.failed for row in report.rows)
+
+    def test_accepted_tie_fails(self, monkeypatch):
+        # A zero reward for zero consumption ties with every dual.
+        reqs = [(0.0, np.zeros(2)), (2.0, np.array([0.5, 0.2]))] * 4
+        f = SumOfPowers([1.0, 1.0], 2)
+        assert check_accept_rule(run_welfare(reqs, f)).passed
+        monkeypatch.setattr(welfare, "_accept", WRONG_ACCEPTS["ties_accept"])
+        trace = run_welfare(reqs, f)
+        assert np.all(trace.x_virtual[::2] == 1.0)
+        rep = check_accept_rule(trace)
+        assert not rep.passed and rep.slack == -1.0 and rep.detail["wrong_steps"] == 4
+
+    def test_columns_over_runs(self):
+        rng = np.random.default_rng(58)
+        f = make_family("sum_of_powers", 2, 2.0, rng)
+        reqs = [(float(rng.uniform(-1, 4)), rng.uniform(0, 1, 2)) for _ in range(12)]
+        batch = welfare.run_welfare_batch(reqs, rng.integers(0, 12, (5, 12)), f)
+        batch.x_virtual[3, 7] = 1.0 - batch.x_virtual[3, 7]
+        rep = check_accept_rule(batch)
+        assert rep.passed.tolist() == [True, True, True, False, True]
+        assert rep.detail["wrong_steps"].tolist() == [0, 0, 0, 1, 0]
 
 
 class TestMixture:
