@@ -17,11 +17,16 @@ In closed form::
 Each observed step appends ``(y_t, v_t, gamma_t, conj(y_t))`` to the
 state's run record, :meth:`OcoState.record`, and advances the running sums
 that the next iterate needs.  The engines' traces and every post-run check
-read that record: the checks rebuild prefix sums from it, and
-:meth:`OcoState.leaders` derives from those, once per state, the
-unregularized leader iterates
+read that record, and :meth:`OcoState.leaders` derives from it, once per
+state, the unregularized leader iterates
 ``grad( (4p*ones + v_{1:t}) / (4*(1 + gamma_{1:t})) )`` that the
-gain-accounting checks compare against.
+gain-accounting checks compare against.  Each post-run check is one array
+formula over the record, its prefix sums and the leaders, with no loop
+over steps.  The prefix sums come from ``np.cumsum``, which adds in step
+order as the running sums do, and the per-step reductions from
+``np.vecdot``, ``eval_rows`` and ``conj_many``, which reduce each row as
+``np.dot``, ``eval`` and ``conjugate_value`` do, so each check gives the
+bits its per-step loop gave.
 
 One state can also carry K runs in lockstep that share the multipliers:
 it then observes ``(K, m)`` loads, posts ``(K, m)`` iterates (one row per
@@ -106,27 +111,6 @@ class Verdict:
     def of_parts(cls, check, parts, *, tol=SLACK_TOL):
         """The verdict on the worst of the named slacks ``parts``, its detail."""
         return cls.of(check, functools.reduce(np.minimum, parts.values()), parts, tol=tol)
-
-
-def _step_table(sequences):
-    """The distinct step objects of K equally long sequences, and where each sits.
-
-    Returns ``(objects, at)``: the objects in order of first appearance and
-    the ``(K, n)`` index into them of the object at each step of each
-    sequence; two steps share an index exactly when they hold the same
-    object.  This is the input form of the batched engines.
-    """
-    n = len(sequences[0])
-    if any(len(seq) != n for seq in sequences):
-        raise ValueError("sequences run in lockstep need the same number of steps")
-    index, objects = {}, []
-    for seq in sequences:
-        for obj in seq:
-            if id(obj) not in index:
-                index[id(obj)] = len(objects)
-                objects.append(obj)
-    at = np.array([[index[id(obj)] for obj in seq] for seq in sequences], dtype=np.int64)
-    return objects, at.reshape(len(sequences), n)
 
 
 class _LockstepTrace:
@@ -299,64 +283,56 @@ def _prefix_sums(a):
 def check_be_the_leader(state) -> Verdict:
     """Leader-gain dominance at every prefix.
 
-    The banked gains of the one-step-ahead leader iterates must dominate
-    the best fixed dual in hindsight, whose value has the closed form
-    ``4*(1+gamma_{1:t}) * cost((shift + v_{1:t}) / (4*(1+gamma_{1:t})))``.
+    The banked gains of the one-step-ahead leader iterates, after the fake
+    time-0 gain ``<y~_1, shift> - 4*conj(y~_1)``, must dominate the best
+    fixed dual in hindsight at every t::
+
+        gain_0 + sum_{s<=t} (<y~_{s+1}, v_s> - 4*gamma_s*conj(y~_{s+1}))
+            >= 4*(1+gamma_{1:t}) * cost((shift + v_{1:t}) / (4*(1+gamma_{1:t})))
+
     Evaluated against the state's actual shift, so it holds for mutated
     runs too (it is a property of leader optimality, not of the shift).
+    With the nominal shift the time-0 gain must also equal
+    ``4*cost(p*ones)``; a mismatch gives slack -1.
     """
     f = state.f
     _, v, gamma, _ = state.record()
-    cum_gamma = _prefix_sums(gamma).tolist()
+    w, y_next = state.leaders()
     y1 = f.grad(state.shift / 4.0)
-    lhs = float(np.dot(y1, state.shift) - 4.0 * f.conjugate_value(y1))
-    worst = math.inf
+    time0 = float(np.dot(y1, state.shift) - 4.0 * f.conjugate_value(y1))
     detail = {}
+    floor = math.inf
     if np.array_equal(state.shift, np.full(f.m, 4.0 * f.p)):
-        # With the shift in place the fake time-0 gain is exactly
-        # 4 * cost(p * ones).
         base = 4.0 * f.cost_at_p_ones()
-        time0_ok = abs(lhs - base) <= 1e-9 * max(1.0, base)
-        detail["time0_gain_matches"] = time0_ok
-        if not time0_ok:
-            worst = -1.0
-    leaders = zip(gamma.tolist(), *state.leaders())
-    for t, (g, w, y_next) in enumerate(leaders, start=1):
-        lhs += float(np.dot(y_next, v[t - 1])) - 4.0 * g * f.conjugate_value(y_next)
-        rhs = 4.0 * (1.0 + cum_gamma[t]) * f.eval(w)
-        worst = min(worst, normalized_slack(lhs, rhs))
-    return Verdict.of("be_the_leader", worst, detail)
+        detail["time0_gain_matches"] = abs(time0 - base) <= 1e-9 * max(1.0, base)
+        floor = math.inf if detail["time0_gain_matches"] else -1.0
+    gains = np.vecdot(y_next, v) - 4.0 * gamma * f.conj_many(y_next)
+    # The banked total after each step, added in step order from gain_0.
+    lhs = np.cumsum(np.concatenate([[time0], gains]))[1:]
+    rhs = 4.0 * (1.0 + _prefix_sums(gamma)[1:]) * f.eval_rows(w)
+    return Verdict.of("be_the_leader", normalized_slack(lhs, rhs).min(initial=floor), detail)
 
 
 def check_stability(state) -> Verdict:
     """Sandwich of each iterate by the next leader iterate.
 
-    Coordinate-wise ``y_t <= y~_{t+1} <= 2*y_t``, plus the per-step window
-    on the gradient arguments: each coordinate ratio of the arguments lies
-    in ``[1, 2**(1/p)]``.
+    Coordinate-wise ``y_t <= y~_{t+1} <= 2*y_t`` at every t, plus the
+    window on the gradient arguments: each coordinate ratio of the leader
+    argument ``w~_{t+1}`` to the iterate's argument ``w_t`` lies in
+    ``[1, 2**(1/p)]`` (slack -1 when it does not).
     """
     f = state.f
     y, v, gamma, _ = state.record()
-    cum_v = _prefix_sums(v)
-    cum_gamma = _prefix_sums(gamma).tolist()
-    worst = math.inf
-    arg_lo, arg_hi = math.inf, -math.inf
-    for t, (w_tilde, y_next) in enumerate(zip(*state.leaders()), start=1):
-        w_bar = (state.shift + cum_v[t - 1]) / (
-            4.0 * (1.0 + cum_gamma[t - 1] + state._regularizer)
-        )
-        for lhs, rhs in ((y_next, y[t - 1]), (2.0 * y[t - 1], y_next)):
-            diff = lhs - rhs
-            i = int(np.argmin(diff / np.maximum(1.0, np.abs(rhs))))
-            worst = min(worst, normalized_slack(lhs[i], rhs[i]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(w_bar > 0, w_tilde / w_bar, np.inf)
-        arg_lo = min(arg_lo, float(ratio.min()))
-        arg_hi = max(arg_hi, float(ratio.max()))
+    w_tilde, y_next = state.leaders()
+    scale = 4.0 * (1.0 + _prefix_sums(gamma)[:-1, None] + state._regularizer)
+    w_bar = (state.shift + _prefix_sums(v)[:-1]) / scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(w_bar > 0, w_tilde / w_bar, np.inf)
+    arg_lo, arg_hi = float(ratio.min(initial=math.inf)), float(ratio.max(initial=-math.inf))
     window_ok = arg_lo >= 1.0 - 1e-12 and arg_hi <= 2.0 ** (1.0 / f.p) * (1.0 + 1e-12)
-    if not window_ok:
-        worst = min(worst, -1.0)
-    return Verdict.of("stability", worst, {"arg_ratio_range": (arg_lo, arg_hi)})
+    sandwich = np.minimum(normalized_slack(y_next, y), normalized_slack(2.0 * y, y_next))
+    slack = sandwich.min(initial=math.inf if window_ok else -1.0)
+    return Verdict.of("stability", slack, {"arg_ratio_range": (arg_lo, arg_hi)})
 
 
 def check_oco_guarantees(state) -> Verdict:
@@ -378,32 +354,20 @@ def check_oco_guarantees(state) -> Verdict:
     if not state.complete:
         raise ValueError("guarantee check requires multipliers summing to 1")
     y, v, gamma, conj_y = state.record()
-    cum_v = _prefix_sums(v)
-    cum_gamma = _prefix_sums(gamma).tolist()
     base = f.cost_at_p_ones()
-    nominal_shift = 4.0 * f.p
-    worst = math.inf
-    fake_half = 0.0
-    inner_sum = 0.0
-    detail = {}
-    for t, (g, c) in enumerate(zip(gamma.tolist(), conj_y.tolist()), start=1):
-        inner = float(np.dot(y[t - 1], v[t - 1]))
-        fake_half += 0.5 * inner - g * c
-        inner_sum += inner
-        prefix_rhs = f.eval((nominal_shift + cum_v[t]) / (4.0 * (1.0 + cum_gamma[t]))) - base
-        worst = min(worst, normalized_slack(fake_half, prefix_rhs))
-    detail["regret_prefix"] = worst
-    s1 = normalized_slack(fake_half, f.eval(state.cum_v / 8.0) - base)
-    detail["regret_final"] = s1
-    s2 = normalized_slack(inner_sum + base, float(conj_y.max(initial=0.0)) / f.p)
-    detail["size_control"] = s2
-    worst = min(worst, s1, s2)
+    inner = np.vecdot(y, v)
+    fake_half = _prefix_sums(0.5 * inner - gamma * conj_y)[1:]
+    inner_sum = _prefix_sums(inner)[-1]
+    leader = (4.0 * f.p + _prefix_sums(v)[1:]) / (4.0 * (1.0 + _prefix_sums(gamma)[1:, None]))
+    detail = {
+        "regret_prefix": normalized_slack(fake_half, f.eval_rows(leader) - base).min(),
+        "regret_final": normalized_slack(fake_half[-1], f.eval(state.cum_v / 8.0) - base),
+        "size_control": normalized_slack(inner_sum + base, float(conj_y.max(initial=0.0)) / f.p),
+    }
     if f.separable:
-        y_max = y.max(axis=0, initial=0.0)
-        s3 = normalized_slack(inner_sum + base, f.conjugate_value(y_max) / f.p)
-        detail["size_control_separable"] = s3
-        worst = min(worst, s3)
-    return Verdict.of("oco_guarantees", worst, detail)
+        conj_max = f.conjugate_value(y.max(axis=0, initial=0.0))
+        detail["size_control_separable"] = normalized_slack(inner_sum + base, conj_max / f.p)
+    return Verdict.of("oco_guarantees", min(detail.values()), detail)
 
 
 def dominating_set(state):
@@ -412,7 +376,10 @@ def dominating_set(state):
     Returns ``(indices, witness, verdict)``: 1-based time indices (at most
     ``ceil(p)`` of them), the witness index for every step (the smallest
     chosen index at or after it), and a :class:`Verdict` whose slack
-    certifies ``y_t <= e * y_witness(t)`` coordinate-wise.
+    certifies ``y_t <= e * y_witness(t)`` coordinate-wise.  Each step is
+    scored at the coordinate where ``(e*y_w - y_t) / max(1, |e*y_w|)`` is
+    least, and its slack there is :func:`normalized_slack`, which
+    normalizes by ``|y_t|``.
 
     The i-th index is the first time the cumulative multiplier enters
     ``[2**(i/p) - 1, 2**(i/p) - 1 + gamma_bar]``; the last one is the final
@@ -425,33 +392,20 @@ def dominating_set(state):
         raise ValueError("dominating set requires a complete run")
     y, _, gamma, _ = state.record()
     n = len(gamma)
-    cum_gamma = _prefix_sums(gamma).tolist()
-    k = max(1, math.ceil(f.p))
-    thresholds = [2.0 ** (i / f.p) - 1.0 for i in range(1, k)]
-    indices = []
-    ti = 0
-    for t in range(1, n + 1):
-        while ti < len(thresholds) and cum_gamma[t] >= thresholds[ti] - 1e-12:
-            indices.append(t)
-            ti += 1
-    if ti < len(thresholds):
+    cum_gamma = _prefix_sums(gamma)[1:]
+    lo = np.array([2.0 ** (i / f.p) - 1.0 for i in range(1, max(1, math.ceil(f.p)))])
+    # The cumulative multiplier never decreases, so each interval's first
+    # step is the first step at or past its lower end.
+    entered = cum_gamma >= lo[:, None] - 1e-12
+    if not entered.any(axis=1).all():
         raise AssertionError("multiplier schedule never crossed an interval")
-    indices.append(n)
-    for i, t in zip(range(1, k + 1), indices):
-        lo = 2.0 ** (i / f.p) - 1.0
-        if i < k and not (lo - 1e-12 <= cum_gamma[t] <= lo + state.gamma_bar + 1e-12):
-            raise AssertionError("chosen index fell outside its interval")
-    indices = sorted(set(indices))
-    witness = np.empty(n, dtype=np.int64)
-    j = 0
-    for t in range(1, n + 1):
-        while indices[j] < t:
-            j += 1
-        witness[t - 1] = indices[j]
-    worst = math.inf
-    e = math.e
-    for t in range(n):
-        yw = e * y[witness[t] - 1]
-        i = int(np.argmin((yw - y[t]) / np.maximum(1.0, np.abs(yw))))
-        worst = min(worst, normalized_slack(yw[i], y[t][i]))
-    return indices, witness, Verdict.of("dominating_set", worst, {"indices": indices})
+    first = entered.argmax(axis=1)
+    entry = cum_gamma[first]
+    if not np.all((lo - 1e-12 <= entry) & (entry <= lo + state.gamma_bar + 1e-12)):
+        raise AssertionError("chosen index fell outside its interval")
+    indices = sorted(set((first + 1).tolist() + [n]))
+    witness = np.array(indices)[np.searchsorted(indices, np.arange(1, n + 1))]
+    yw = math.e * y[witness - 1]
+    i = np.argmin((yw - y) / np.maximum(1.0, np.abs(yw)), axis=1)[:, None]
+    slack = normalized_slack(np.take_along_axis(yw, i, 1), np.take_along_axis(y, i, 1)).min()
+    return indices, witness, Verdict.of("dominating_set", slack, {"indices": indices})

@@ -13,10 +13,9 @@ accounting only.
 
 :func:`run_ocp_batch` plays K realized sequences of one instance in
 lockstep, which is how the harness replicates an instance, and returns one
-trace of all K runs; :func:`run_ocp_many` splits it into one trace per run
-and :func:`run_ocp` is the single-sequence case.  Every check takes either
-kind of trace: on all K runs it computes one result per run with the same
-formula it applies to one run.
+trace of all K runs; :func:`run_ocp` is its single-sequence case.  Every
+check takes either kind of trace: on all K runs it computes one result per
+run with the same formula it applies to one run.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from robustpd.oco import (
     OcoState,
     Verdict,
     _LockstepTrace,
-    _step_table,
     normalized_slack,
 )
 
@@ -41,7 +39,6 @@ __all__ = [
     "OcpRunTrace",
     "best_response",
     "run_ocp",
-    "run_ocp_many",
     "run_ocp_batch",
     "check_cost_bound",
     "check_adversarial_charging",
@@ -70,10 +67,6 @@ class FeasibleSet:
     def m(self):
         return self.options.shape[1]
 
-    def minimize(self, y):
-        """Lowest-index minimizer of ``<y, .>``; returns ``(index, option)``."""
-        return _minimize_over(self, np.asarray(y, dtype=np.float64))
-
     def __repr__(self):
         return f"FeasibleSet({len(self)} options, m={self.m})"
 
@@ -95,7 +88,7 @@ def _best_rows(feasible, Y):
     ``minimize(y)`` hook (e.g. an exact polytope oracle), called once per
     row, that returns ``(index, point)`` or the point alone (index -1).
     """
-    if isinstance(feasible, FeasibleSet) or not hasattr(feasible, "minimize"):
+    if not hasattr(feasible, "minimize"):
         options = _menu(feasible)
         idx = np.argmin(np.matmul(options, Y[:, :, None])[:, :, 0], axis=1)
         return idx, options[idx]
@@ -145,7 +138,7 @@ class OcpRunTrace(_LockstepTrace):
     gamma: float  # the per-step multiplier, 1/n
     labels: np.ndarray | None  # True at stochastic steps (accounting only)
     state: OcoState
-    sets: list  # the distinct feasible sets the runs faced
+    sets: list  # the feasible sets that ``at`` indexes
     at: np.ndarray  # (n,) index into ``sets`` of the set faced at each step
     run: int | None = 0  # this run's row in the state's record; None: all runs
 
@@ -185,25 +178,13 @@ def run_ocp(sets, f, labels=None, *, disable_shift=False, disable_regularizer=Fa
     """Run the primal-dual loop over a realized sequence of feasible sets.
 
     Requires ``n >= 4p`` so the uniform multiplier ``1/n`` respects the
-    dual learner's cap.
+    dual learner's cap.  The one run of :func:`run_ocp_batch`.
     """
-    return run_ocp_many(
-        [sets], f, labels, disable_shift=disable_shift, disable_regularizer=disable_regularizer
-    )[0]
-
-
-def run_ocp_many(sequences, f, labels=None, *, disable_shift=False, disable_regularizer=False):
-    """Run the primal-dual loop over K realized sequences in lockstep.
-
-    The sequences have one length n and share ``labels``.  Returns one
-    :class:`OcpRunTrace` per sequence, the rows of :func:`run_ocp_batch`.
-    """
-    if not sequences:
-        return []
-    sets, at = _step_table(sequences)
+    sets = list(sets)
     return run_ocp_batch(
-        sets, at, f, labels, disable_shift=disable_shift, disable_regularizer=disable_regularizer
-    ).rows()
+        sets, np.arange(len(sets))[None], f, labels,
+        disable_shift=disable_shift, disable_regularizer=disable_regularizer,
+    ).rows()[0]
 
 
 def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regularizer=False):
@@ -341,7 +322,7 @@ def check_best_response(trace) -> Verdict:
     to a later index.  Every set faced must be a menu: a
     :class:`FeasibleSet` or a raw option array.
     """
-    if any(hasattr(s, "minimize") and not isinstance(s, FeasibleSet) for s in trace.sets):
+    if any(hasattr(s, "minimize") for s in trace.sets):
         raise ValueError("the best-response certificate needs finite menus")
     menus = [_menu(s) for s in trace.sets]
     width = max(len(options) for options in menus)

@@ -318,11 +318,10 @@ def grid_search_welfare(requests, f, resolution=200) -> OptReport:
     best_val = -math.inf
     best_x = None
     chunk = 200_000
-    grids = itertools.product(*([axis] * n))
-    while True:
-        block = np.array(list(itertools.islice(grids, chunk)))
-        if block.size == 0:
-            break
+    # Flat index i is grid point i in itertools.product order (C order).
+    for start in range(0, pts**n, chunk):
+        flat = np.arange(start, min(start + chunk, pts**n))
+        block = axis[np.stack(np.unravel_index(flat, (pts,) * n), axis=1)]
         vals = block @ c - f.eval_many(block @ A)
         j = int(np.argmax(vals))
         if vals[j] > best_val:

@@ -16,8 +16,7 @@ the original instance equals the reduced run's profit.
 
 :func:`run_welfare_batch` plays K realized request sequences in lockstep,
 which is how the harness replicates an instance, and returns one trace of
-all K runs; :func:`run_welfare_many` splits it into one trace per run and
-:func:`run_welfare` is its single-sequence case.
+all K runs; :func:`run_welfare` is its single-sequence case.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from robustpd.oco import (
     OcoState,
     Verdict,
     _LockstepTrace,
-    _step_table,
     normalized_slack,
 )
 
@@ -41,7 +39,6 @@ __all__ = [
     "WelfareTrace",
     "virtual_best_response",
     "run_welfare",
-    "run_welfare_many",
     "run_welfare_batch",
     "check_accept_rule",
     "check_profit_chain_step",
@@ -175,33 +172,18 @@ def _reduce(c, a, f):
     return c - a @ slopes, high
 
 
-def run_welfare(requests, f, labels=None, *, disable_shift=False, disable_regularizer=False):
+def run_welfare(requests, f, labels=None):
     """Run the scaled primal-dual welfare loop over realized requests.
 
     Needs ``n >= 4p`` and a cost whose power part grows at least
     quadratically (checked by sampling when not certain from the family).
+    The one run of :func:`run_welfare_batch`.
     """
-    return run_welfare_many(
-        [requests], f, labels, disable_shift=disable_shift, disable_regularizer=disable_regularizer
-    )[0]
+    requests = list(requests)
+    return run_welfare_batch(requests, np.arange(len(requests))[None], f, labels).rows()[0]
 
 
-def run_welfare_many(sequences, f, labels=None, *, disable_shift=False, disable_regularizer=False):
-    """Run the welfare loop over K realized request sequences in lockstep.
-
-    The sequences have one length n and share ``labels``.  Returns one
-    :class:`WelfareTrace` per sequence, the rows of :func:`run_welfare_batch`.
-    """
-    if not sequences:
-        return []
-    requests, at = _step_table(sequences)
-    return run_welfare_batch(
-        requests, at, f, labels, disable_shift=disable_shift, disable_regularizer=disable_regularizer
-    ).rows()
-
-
-def run_welfare_batch(requests, at, f, labels=None, *, disable_shift=False,
-                      disable_regularizer=False):
+def run_welfare_batch(requests, at, f, labels=None):
     """Run the welfare loop for K runs in lockstep; returns the all-runs trace.
 
     Run k receives the request ``requests[at[k, t]]`` at step t.  Each run
@@ -225,9 +207,7 @@ def run_welfare_batch(requests, at, f, labels=None, *, disable_shift=False,
     if not certain and not run_f.grows_at_least_quadratically():
         raise ConfigError("cost must grow at least quadratically after reduction")
     gamma = 1.0 / n
-    state = OcoState(
-        run_f, gamma, disable_shift=disable_shift, disable_regularizer=disable_regularizer
-    )
+    state = OcoState(run_f, gamma)
     x_virtual = np.empty(c_red.shape)
     for t in range(n):
         x = _accept(c_red[:, t], state.next_iterate(), A[:, t])

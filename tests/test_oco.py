@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustpd.costs import SumOfPowers
+from robustpd.harness import run_oco_suite
 from robustpd.oco import (
     ConfigError,
     OcoState,
@@ -305,3 +306,17 @@ class TestMutations:
         st = OcoState(f, 1 / 16, disable_regularizer=True)
         drive(st, rng.uniform(0, 1, (16, 2)), [1 / 16] * 16)
         assert not check_stability(st).passed
+
+    def test_dual_one_step_late_breaks_stability(self, monkeypatch):
+        # Post the previous step's iterate (the first step posts its own).
+        observe = OcoState.observe
+
+        def observe_late(self, v, gamma):
+            current = self.next_iterate()
+            self._cached_y = getattr(self, "_late_y", current)
+            self._late_y = current
+            observe(self, v, gamma)
+
+        monkeypatch.setattr(OcoState, "observe", observe_late)
+        results = run_oco_suite(count=40)
+        assert any(r.check == "stability" and not r.passed for r in results)

@@ -18,7 +18,7 @@ from robustpd.ocp import (
     effective_norm_power,
     run_loadbalance,
     run_ocp,
-    run_ocp_many,
+    run_ocp_batch,
 )
 
 from test_costs import make_family
@@ -125,7 +125,7 @@ class TestRunOcp:
                     return _method(*args)
 
                 setattr(f, name, counted)
-            run_ocp_many([[FeasibleSet(np.eye(2))] * n] * runs, f)
+            run_ocp_batch([FeasibleSet(np.eye(2))], np.zeros((runs, n), dtype=np.int64), f)
             assert calls == {"grad": 0, "conjugate_value": 0, "grad_many": n, "conj_many": n}
 
     def test_best_response_dominance(self):
@@ -149,7 +149,7 @@ def sequential_ocp(sets, f):
     rec = {"y": [], "v": [], "conj_y": [], "choice": [], "fake": []}
     for V in sets:
         y = f.grad((shift + cum_v) / (4.0 * (1.0 + cum_gamma + gamma)))
-        if isinstance(V, FeasibleSet) or not hasattr(V, "minimize"):
+        if not hasattr(V, "minimize"):
             options = V.options if isinstance(V, FeasibleSet) else V
             idx = int(np.argmin(options @ y))
             v = options[idx]
@@ -166,24 +166,26 @@ def sequential_ocp(sets, f):
 
 
 class TestLockstep:
-    def sequences(self, rng, runs, n, m):
+    ADV = (1, 4, 7, 9)
+
+    def point_table(self, rng, runs, n, m):
         """Adversarial steps shared by all runs, stochastic steps drawn per run.
 
-        The feasible sets are menus of 1 to 4 options, raw option arrays and
-        an object with a ``minimize`` hook.
+        Returns the feasible sets and the ``(runs, n)`` index into them of
+        the set each run faces at each step.  The sets are menus of 1 to 4
+        options, raw option arrays and an object with a ``minimize`` hook.
         """
         oracle = TestOracleHook.SimplexOracle(m)
-        support = [FeasibleSet(rng.uniform(0, 1, (k, m))) for k in (2, 3, 4)] + [oracle]
-        adv = {
-            1: FeasibleSet(rng.uniform(0, 1, (1, m))),
-            4: rng.uniform(0, 1, (3, m)),
-            7: oracle,
-            9: FeasibleSet(rng.uniform(0, 1, (4, m))),
-        }
-        return [
-            [adv[t] if t in adv else support[int(rng.integers(len(support)))] for t in range(n)]
-            for _ in range(runs)
+        sets = [
+            FeasibleSet(rng.uniform(0, 1, (1, m))),
+            rng.uniform(0, 1, (3, m)),
+            oracle,
+            FeasibleSet(rng.uniform(0, 1, (4, m))),
         ]
+        sets += [FeasibleSet(rng.uniform(0, 1, (k, m))) for k in (2, 3, 4)] + [oracle]
+        at = rng.integers(len(self.ADV), len(sets), (runs, n))
+        at[:, list(self.ADV)] = np.arange(len(self.ADV))
+        return sets, at
 
     @pytest.mark.parametrize("family,p", [
         ("sum_of_powers", 2.0), ("sum_of_powers", 3.0), ("linear_plus_power", 2.0),
@@ -193,23 +195,18 @@ class TestLockstep:
     def test_runs_match_separate_runs(self, family, p, m):
         rng = np.random.default_rng([m, int(p), len(family)])
         f = make_family(family, m, p, rng)
-        seqs = self.sequences(rng, 6, 14, m)
-        labels = np.array([t not in (1, 4, 7, 9) for t in range(14)])
-        traces = run_ocp_many(seqs, f, labels)
+        table, at = self.point_table(rng, 6, 14, m)
+        labels = np.array([t not in self.ADV for t in range(14)])
+        traces = run_ocp_batch(table, at, f, labels).rows()
         assert [tr.run for tr in traces] == list(range(6))
-        for sets, trace in zip(seqs, traces):
+        for row, trace in zip(at, traces):
+            sets = [table[j] for j in row]
             ref = sequential_ocp(sets, f)
             for one in (trace, run_ocp(sets, f, labels)):
                 for key in ("y", "v", "conj_y", "choice", "fake", "load"):
                     assert np.array_equal(getattr(one, key), ref[key]), key
                 assert one.cost == f.eval(ref["load"])
                 assert np.array_equal(one.labels, labels)
-
-    def test_sequences_must_share_their_length(self):
-        sets = [FeasibleSet(np.eye(2))] * 8
-        with pytest.raises(ValueError):
-            run_ocp_many([sets, sets[:-1]], square2())
-        assert run_ocp_many([], square2()) == []
 
 
 class TestOracleHook:

@@ -14,7 +14,7 @@ from robustpd.welfare import (
     mixture_wrapper,
     PLAY_SCALE,
     run_welfare,
-    run_welfare_many,
+    run_welfare_batch,
     virtual_best_response,
 )
 
@@ -155,18 +155,18 @@ class TestLockstep:
     def test_runs_match_separate_runs(self, family, p, m):
         rng = np.random.default_rng([m, int(p), len(family)])
         f = make_family(family, m, p, rng)
-        support = [(float(rng.uniform(-1, 25)), rng.uniform(0, 1, m)) for _ in range(3)]
-        support.append(Request(0.0, np.zeros(m)))  # a tie: always declined
-        adv = {0: (2.0, rng.uniform(0, 1, m)), 5: Request(4.0, rng.uniform(0, 1, m))}
+        # Adversarial requests at steps 0 and 5, then the stochastic support.
+        table = [(2.0, rng.uniform(0, 1, m)), Request(4.0, rng.uniform(0, 1, m))]
+        table += [(float(rng.uniform(-1, 25)), rng.uniform(0, 1, m)) for _ in range(3)]
+        table.append(Request(0.0, np.zeros(m)))  # a tie: always declined
         n = 16
-        seqs = [
-            [adv.get(t, support[int(rng.integers(len(support)))]) for t in range(n)]
-            for _ in range(7)
-        ]
-        labels = np.array([t not in adv for t in range(n)])
-        traces = run_welfare_many(seqs, f, labels)
+        at = rng.integers(2, len(table), (7, n))
+        at[:, [0, 5]] = [0, 1]
+        labels = np.array([t not in (0, 5) for t in range(n)])
+        traces = run_welfare_batch(table, at, f, labels).rows()
         assert [tr.run for tr in traces] == list(range(7))
-        for requests, trace in zip(seqs, traces):
+        for row, trace in zip(at, traces):
+            requests = [table[j] for j in row]
             ref = sequential_welfare(requests, f)
             for one in (trace, run_welfare(requests, f, labels)):
                 for key in ("y", "virtual_loads", "conj_y", "x_virtual", "c_reduced", "a"):
@@ -175,11 +175,6 @@ class TestLockstep:
                 assert one.profit == ref["reward_total"] - ref["cost_total"]
         plays = np.array([tr.x_virtual for tr in traces])
         assert plays.any() and not plays.all()
-
-    def test_sequences_must_share_their_length(self):
-        reqs, f = single_request_instance()
-        with pytest.raises(ValueError):
-            run_welfare_many([reqs, reqs[:-1]], f)
 
 
 class TestProfitChain:
