@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from robustpd.costs import cost_from_config
+from robustpd.oco import ConfigError
 from robustpd.ocp import FeasibleSet
 
 __all__ = [
@@ -75,6 +76,7 @@ class MixedInstance:
 
     def __post_init__(self):
         _check_problem(self.problem)
+        self.seed = _integer(self.seed, "seed", 0)
         p = _numbers(self.cost.get("p"), "cost.p")
         if p.ndim or p < 2.0:
             raise SchemaError(
@@ -135,10 +137,64 @@ class MixedInstance:
         return adv + list(self.support), at
 
 
-def _stream(seed, *key):
-    # Counter-based generator; one stream per (seed, replication).
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+# numpy's SeedSequence hash and mix constants, and the Philox4x64-10
+# multipliers and key increments (Salmon et al., SC 2011).
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+
+
+def _hashmix(value, init, mult, calls):
+    """SeedSequence's ``hashmix`` by four successive calls of a hash chain.
+
+    Row i of the ``(4, K)`` result is hashed by call ``calls + i`` of the
+    chain ``init * mult**call``.  Words are uint32 values held in uint64.
+    """
+    h = np.array([init * pow(mult, calls + i, 1 << 32) & _M32 for i in range(5)], dtype=np.uint64)
+    value = (value ^ h[:4, None]) * h[1:, None] & _M32
+    return value ^ value >> 16
+
+
+def _uniforms(seed, replications, n):
+    """The first n uniforms of each replication's stream: ``(K, n)`` float64.
+
+    Row i equals ``Generator(Philox(SeedSequence(seed,
+    spawn_key=(replications[i],)))).random(n)`` bit for bit.  The seed's
+    pool is numpy's own; the spawn-key word is mixed into it, the Philox
+    key drawn from it (``generate_state(2, uint64)``) and Philox4x64-10 run
+    on the counters 1, 2, ... as array arithmetic over all K keys at once,
+    with uniforms ``(raw >> 11) * 2**-53``.  Keys are one spawn-key word
+    each, in ``[0, 2**32)``.
+    """
+    keys = np.asarray(replications).reshape(-1)
+    if keys.size and not (keys.dtype.kind in "iu" and keys.min() >= 0 and keys.max() <= _M32):
+        bad = [r for r in replications if not (isinstance(r, numbers.Integral) and 0 <= r <= _M32)]
+        raise ConfigError(f"replication keys must lie in [0, 2**32), got {(bad or [keys])[0]!r}")
+    # Pooling the seed's words took 16 hash calls, plus 4 per word past the fourth.
+    calls = 16 + 4 * max(0, -(-seed.bit_length() // 32) - 4)
+    mixed = _hashmix(keys.astype(np.uint64), _INIT_A, _MULT_A, calls)
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    pool = (_MIX_L * pool - _MIX_R * mixed) & _M32  # SeedSequence's mix
+    state = _hashmix(pool ^ pool >> 16, _INIT_B, _MULT_B, 0)
+    key = (state[0::2] | state[1::2] << 32)[:, :, None]
+    # Philox4x64-10 on words (c0, c1, c2, c3), held as even = (c0, c2) and
+    # odd = (c1, c3); the 64x64 -> 128-bit products are built from 32-bit halves.
+    even = np.zeros((2, 1, -(-n // 4)), dtype=np.uint64)
+    even[0] = np.arange(1, even.shape[-1] + 1)
+    odd = np.zeros_like(even)
+    m0, m1 = _PHILOX_M & _M32, _PHILOX_M >> 32
+    for _ in range(10):
+        b0, b1 = even & _M32, even >> 32
+        p01, p10 = m0 * b1, m1 * b0
+        mid = (m0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+        hi = m1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+        even, odd = hi[::-1] ^ odd ^ key, (even * _PHILOX_M)[::-1]
+        key = key + _PHILOX_W
+    raw = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
+    raw = raw.reshape(len(keys), 4 * even.shape[-1])
+    return (raw[:, :n] >> 11) * 2.0**-53
 
 
 def draw_matrix(inst, replications) -> np.ndarray:
@@ -157,7 +213,7 @@ def draw_matrix(inst, replications) -> np.ndarray:
         return np.full((len(replications), inst.n), -1, dtype=np.int64)
     cdf = np.cumsum(inst.probs)
     cdf /= cdf[-1]
-    uniforms = np.array([_stream(inst.seed, r).random(inst.n) for r in replications])
+    uniforms = _uniforms(inst.seed, replications, inst.n)
     return np.where(mask, cdf.searchsorted(uniforms, side="right"), -1)
 
 
@@ -265,7 +321,6 @@ def instance_from_dict(obj) -> MixedInstance:
     problem = obj["problem"]
     _check_problem(problem)
     n, m = _integer(obj["n"], "n", 1), _integer(obj["m"], "m", 1)
-    seed = _integer(obj["seed"], "seed", 0)
     cost = obj["cost"]
     if not isinstance(cost, dict):
         raise SchemaError("cost", "expected an object")
@@ -309,7 +364,7 @@ def instance_from_dict(obj) -> MixedInstance:
         timeline=timeline,
         support=support,
         probs=probs,
-        seed=seed,
+        seed=obj["seed"],
     )
 
 
@@ -399,7 +454,8 @@ def _random_point(params, rng):
 
 def generate(params, seed) -> MixedInstance:
     """Deterministically generate an instance from ``(params, seed)``."""
-    rng = _stream(seed)
+    seed = _integer(seed, "seed", 0)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     adv_at = set(_adv_positions(params, rng))
     timeline = []
     for t in range(params.n):
@@ -423,5 +479,5 @@ def generate(params, seed) -> MixedInstance:
         timeline=timeline,
         support=support,
         probs=probs,
-        seed=int(seed),
+        seed=seed,
     )

@@ -206,7 +206,7 @@ class OcoState:
             raise ValueError(
                 f"load has shape {v.shape}, expected ({m},) or (K, {m}) at every step"
             )
-        if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
+        if v.size and not (v.min() >= -1e-12 and v.max() <= 1.0 + 1e-12):
             raise ValueError("load coordinates must lie in [0, 1]")
         if not (gamma == 0.0 or abs(gamma - self.gamma_bar) <= 1e-15 * self.gamma_bar):
             raise ValueError(f"gamma={gamma} must be 0 or gamma_bar={self.gamma_bar}")
@@ -214,12 +214,11 @@ class OcoState:
             raise ValueError("multipliers would exceed their total budget of 1")
 
         y = self.next_iterate()
-        ys, vs, gammas, conjs = self._steps
-        # Before the first step every run posts the same iterate.
-        ys.append(np.broadcast_to(y, v.shape))
-        vs.append(v)
-        gammas.append(gamma)
-        conjs.append(np.broadcast_to(self.f.conj_many(y), v.shape[:-1]))
+        conj_y = self.f.conj_many(y)
+        if y.shape != v.shape:  # before the first step every run posts the same iterate
+            y, conj_y = np.broadcast_to(y, v.shape), np.broadcast_to(conj_y, v.shape[:-1])
+        for steps, value in zip(self._steps, (y, v, gamma, conj_y)):
+            steps.append(value)
         self.cum_v = self.cum_v + v
         self.cum_gamma += gamma
         self._cached_y = None

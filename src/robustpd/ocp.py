@@ -72,34 +72,50 @@ class FeasibleSet:
 
 
 def _menu(feasible):
-    """The ``(k, m)`` option rows of a :class:`FeasibleSet` or a raw menu."""
-    if isinstance(feasible, FeasibleSet):
-        return feasible.options
-    return np.asarray(feasible, dtype=np.float64)
+    """The ``(k, m)`` option rows of a :class:`FeasibleSet`, or of a raw menu checked as one."""
+    return (feasible if isinstance(feasible, FeasibleSet) else FeasibleSet(feasible)).options
 
 
-def _best_rows(feasible, Y):
+def _menu_table(sets, m):
+    """The menus of ``sets`` padded with zero rows into one ``(S, kmax, m)`` table.
+
+    Also returns the ``(S, kmax)`` mask ``scored`` of the real options; a
+    set with a ``minimize`` hook has none.
+    """
+    menus = [np.zeros((0, m)) if hasattr(s, "minimize") else _menu(s) for s in sets]
+    table = np.zeros((len(menus), max([1, *map(len, menus)]), m))
+    scored = np.zeros(table.shape[:2], dtype=bool)
+    for j, options in enumerate(menus):
+        table[j, : len(options)] = options
+        scored[j, : len(options)] = True
+    return table, scored
+
+
+def _best_rows(options, Y, scored):
     """Minimizers of ``<y, .>`` for each row ``y`` of the ``(R, m)`` duals ``Y``.
 
-    Returns the indices ``(R,)`` and the points ``(R, m)``.  A menu (a
-    :class:`FeasibleSet` or a raw ``(k, m)`` array) scores all rows with one
-    stacked matmul, which reduces each row as ``options @ y`` does, and
-    breaks ties at the lowest index.  Any other object needs a
-    ``minimize(y)`` hook (e.g. an exact polytope oracle), called once per
-    row, that returns ``(index, point)`` or the point alone (index -1).
+    Row r picks from the menu ``options[r]`` of the ``(R, k, m)`` stack,
+    among the options that ``scored[r]`` marks.  Each option scores
+    ``np.dot(option, y)`` wherever it sits, so equal options tie exactly;
+    padded slots score ``+inf``, and ties break at the lowest real index.
+    Returns the indices ``(R,)`` and the points ``(R, m)``.
     """
-    if not hasattr(feasible, "minimize"):
-        options = _menu(feasible)
-        idx = np.argmin(np.matmul(options, Y[:, :, None])[:, :, 0], axis=1)
-        return idx, options[idx]
-    picks = [feasible.minimize(y) for y in Y]
-    picks = [p if isinstance(p, tuple) else (-1, np.asarray(p, dtype=np.float64)) for p in picks]
-    return [idx for idx, _ in picks], [v for _, v in picks]
+    scores = np.where(scored, np.vecdot(options, Y[:, None, :]), np.inf)
+    idx = np.argmin(scores, axis=1)
+    return idx, options[np.arange(len(idx)), idx]
 
 
 def _minimize_over(feasible, y):
-    """``(index, point)`` minimizing ``<y, .>``: :func:`_best_rows` for one dual."""
-    idx, v = _best_rows(feasible, y[None])
+    """``(index, point)`` minimizing ``<y, .>`` over one set, for one dual.
+
+    A set with a ``minimize(y)`` hook answers with ``(index, point)`` or the
+    point alone (index -1); a menu is scored by :func:`_best_rows`.
+    """
+    if hasattr(feasible, "minimize"):
+        pick = feasible.minimize(y)
+        return pick if isinstance(pick, tuple) else (-1, np.asarray(pick, dtype=np.float64))
+    table, scored = _menu_table([feasible], len(y))
+    idx, v = _best_rows(table, y[None], scored)
     return int(idx[0]), v[0]
 
 
@@ -192,8 +208,9 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
 
     Run k faces the feasible set ``sets[at[k, t]]`` at step t.  Each run is
     equal bit for bit to a separate run: the runs share one dual state
-    whose iterates and record carry one row per run, and at each step the
-    rows that face the same set are answered together.
+    whose iterates and record carry one row per run, and at each step one
+    gather from the padded menu table stacks every run's menu for one call
+    of the scorer.  Sets with a ``minimize`` hook are asked once per run.
     """
     at = np.ascontiguousarray(at, dtype=np.int64)
     runs, n = at.shape
@@ -208,20 +225,15 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
         f, gamma, disable_shift=disable_shift, disable_regularizer=disable_regularizer
     )
     choice = np.empty((runs, n), dtype=np.int64)
-    # Column t of ``order`` lists the runs by the set they face at step t,
-    # each group in run order; ``cuts`` marks where a group ends.
-    order = np.argsort(at, axis=0, kind="stable")
-    grouped = np.take_along_axis(at, order, axis=0)
-    cuts = np.diff(grouped, axis=0, append=-1) != 0
+    table, scored = _menu_table(sets, f.m)
+    hooked = ~scored.any(axis=1)
     for t in range(n):
         y = state.next_iterate()
         y = y if y.ndim == 2 else np.broadcast_to(y, (runs, f.m))
-        v = np.empty((runs, f.m))
-        start = 0
-        for end in np.flatnonzero(cuts[:, t]).tolist():
-            rows = order[start : end + 1, t]
-            choice[rows, t], v[rows] = _best_rows(sets[grouped[end, t]], y[rows])
-            start = end + 1
+        j = at[:, t]
+        choice[:, t], v = _best_rows(table[j], y, scored[j])
+        for k in np.flatnonzero(hooked[j]).tolist():
+            choice[k, t], v[k] = _minimize_over(sets[j[k]], y[k])
         state.observe(v, gamma)
     y, v, _, conj_y = state.record()
     return OcpRunTrace(
@@ -324,17 +336,9 @@ def check_best_response(trace) -> Verdict:
     """
     if any(hasattr(s, "minimize") for s in trace.sets):
         raise ValueError("the best-response certificate needs finite menus")
-    menus = [_menu(s) for s in trace.sets]
-    width = max(len(options) for options in menus)
-    padded = np.zeros((len(menus), width, trace.state.f.m))
-    scored = np.zeros((len(menus), width), dtype=bool)
-    first = np.zeros((len(menus), width), dtype=bool)
-    for j, options in enumerate(menus):
-        k = len(options)
-        padded[j, :k] = options
-        scored[j, :k] = True
-        same = (options[:, None, :] == options[None, :, :]).all(axis=-1)
-        first[j, :k] = ~np.tril(same, -1).any(axis=1)
+    padded, scored = _menu_table(trace.sets, trace.state.f.m)
+    same = (padded[:, :, None, :] == padded[:, None, :, :]).all(axis=-1)
+    first = scored & ~np.tril(same, -1).any(axis=-1)
     y = trace.y
     scores = np.einsum("...km,...m->...k", padded[trace.at], y)
     best = np.where(scored[trace.at], scores, np.inf).min(axis=-1)

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from robustpd.oco import ConfigError
 from robustpd.instances import (
     GeneratorParams,
+    MixedInstance,
     SchemaError,
+    _uniforms,
     draw_matrix,
     generate,
     instance_from_dict,
@@ -160,6 +163,43 @@ class TestDrawMatrix:
     def test_rows_follow_the_replication_numbers(self, ocp_params):
         inst = generate(ocp_params, 6)
         assert np.array_equal(draw_matrix(inst, [7, 3]), draw_matrix(inst, range(8))[[7, 3]])
+
+
+class TestUniforms:
+    """``_uniforms`` is numpy's ``SeedSequence``/``Philox`` stream, bit for bit."""
+
+    # 2**32 and above take two entropy words, 2**64 + 3 three.
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**33 + 5, 2**64 + 3])
+    @pytest.mark.parametrize("n", [1, 4, 5, 23, 28])
+    @pytest.mark.parametrize("keys", [[2**32 - 1], range(300)], ids=["K=1", "K=300"])
+    def test_matches_numpy(self, seed, n, keys):
+        ref = [
+            np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(r,))))
+            .random(n)
+            for r in keys
+        ]
+        assert np.array_equal(_uniforms(seed, keys, n), np.array(ref))
+
+    @pytest.mark.parametrize("key", [-1, 2**32, 2**64 + 3, 1.5])
+    def test_keys_outside_one_word_are_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"got {key!r}$"):
+            _uniforms(3, [0, key], 4)
+
+
+class TestSeedBoundary:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_instance(self, seed):
+        inst = generate(GeneratorParams(n=8, n_adv=2), 4)
+        with pytest.raises(SchemaError) as err:
+            MixedInstance(inst.problem, inst.n, inst.m, inst.cost, inst.timeline,
+                          inst.support, inst.probs, seed=seed)
+        assert err.value.path == "seed"
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_generate(self, seed):
+        with pytest.raises(SchemaError) as err:
+            generate(GeneratorParams(n=8, n_adv=2), seed)
+        assert err.value.path == "seed"
 
 
 class TestRoundTrip:

@@ -6,7 +6,7 @@ import pytest
 from robustpd import ocp
 from robustpd.costs import SumOfPowers
 from robustpd.harness import evaluate_ocp_instance
-from robustpd.instances import load_instance
+from robustpd.instances import draw_matrix, load_instance
 from robustpd.oco import ConfigError
 from robustpd.ocp import (
     FeasibleSet,
@@ -42,6 +42,12 @@ class TestFeasibleSet:
         with pytest.raises(ValueError):
             FeasibleSet([[1.5, 0.0]])
         assert len(FeasibleSet([[0.0, 1.0]])) == 1
+
+    @pytest.mark.parametrize("menu", [np.empty((0, 2)), [[1.5, 0.0]], [0.0, 1.0]])
+    def test_raw_menus_are_checked_as_sets(self, menu):
+        # An empty raw menu would leave only padded slots in the engine's table.
+        with pytest.raises(ValueError):
+            run_ocp([menu] * 8, square2())
 
 
 class TestBestResponse:
@@ -151,7 +157,7 @@ def sequential_ocp(sets, f):
         y = f.grad((shift + cum_v) / (4.0 * (1.0 + cum_gamma + gamma)))
         if not hasattr(V, "minimize"):
             options = V.options if isinstance(V, FeasibleSet) else V
-            idx = int(np.argmin(options @ y))
+            idx = int(np.argmin([np.dot(option, y) for option in options]))
             v = options[idx]
         else:
             idx, v = -1, V.minimize(y)
@@ -207,6 +213,39 @@ class TestLockstep:
                     assert np.array_equal(getattr(one, key), ref[key]), key
                 assert one.cost == f.eval(ref["load"])
                 assert np.array_equal(one.labels, labels)
+
+    def test_tied_menus_of_different_sizes(self):
+        # At every step some runs face one option and the others four
+        # copies of it: every run must take index 0, as a separate run does.
+        rng = np.random.default_rng(33)
+        f = make_family("linear_plus_power", 2, 2.0, rng)
+        option = rng.uniform(0, 1, (1, 2))
+        sets = [FeasibleSet(option), FeasibleSet(np.repeat(option, 4, axis=0))]
+        at = np.array([[0, 1] * 5, [1, 0] * 5, [1, 1, 0] * 3 + [0]])
+        trace = run_ocp_batch(sets, at, f)
+        assert np.all(trace.choice == 0)
+        assert check_best_response(trace).passed.all()
+        for row, one in zip(at, trace.rows()):
+            ref = sequential_ocp([sets[j] for j in row], f)
+            for key in ("y", "v", "conj_y", "choice", "fake", "load"):
+                assert np.array_equal(getattr(one, key), ref[key]), key
+
+    def test_equal_options_tie_at_the_lowest_index(self):
+        # Each option scores np.dot(option, y), wherever it sits in its menu
+        # and however wide the padded table is, so copies of the best option
+        # tie exactly.  (A stacked matmul scores copies differently.)
+        rng = np.random.default_rng(34)
+        m = 16
+        f = make_family("sum_of_powers", m, 2.0, rng)
+        best = rng.uniform(0.0, 0.1, (1, m))
+        sets = [
+            FeasibleSet(np.vstack([best, rng.uniform(0.5, 1, (k, m)), best]))
+            for k in (3, 7, 1)
+        ]
+        at = rng.integers(0, len(sets), (40, 12))
+        trace = run_ocp_batch(sets, at, f)
+        assert np.all(trace.choice == 0)
+        assert np.all(check_best_response(trace).detail["ties_first"])
 
 
 class TestOracleHook:
@@ -285,24 +324,39 @@ class TestAdversarialCharging:
 
 
 def wrong_best_rows(pick):
-    """A menu scorer that picks ``pick(scores)`` instead of the lowest-index minimizer."""
+    """A menu scorer that picks ``pick(scores)`` instead of the lowest-index minimizer.
 
-    def best_rows(feasible, Y):
-        options = ocp._menu(feasible)
-        idx = pick(Y @ options.T)
-        return idx, options[idx]
+    It takes the engine's stacked menus; padded slots score ``+inf``.
+    """
+
+    def best_rows(options, Y, scored):
+        scores = np.where(scored, np.einsum("rkm,rm->rk", options, Y), np.inf)
+        idx = pick(scores)
+        return idx, options[np.arange(len(idx)), idx]
 
     return best_rows
 
 
 WRONG_PRIMALS = {
-    "argmax": lambda scores: scores.argmax(axis=1),
+    "argmax": lambda scores: np.where(np.isinf(scores), -np.inf, scores).argmax(axis=1),
     "option_0": lambda scores: np.zeros(len(scores), dtype=np.int64),
 }
 
 
 def last_tie(scores):
     return scores.shape[1] - 1 - scores[:, ::-1].argmin(axis=1)
+
+
+def golden_with_repeats():
+    """The golden instance with option 0 of each support menu repeated at its end.
+
+    The golden menus repeat no option, so a late tie-break cannot show on
+    them.  Here the support menus have 3 options and the adversarial ones
+    2, so the engine's menu table also has padded slots.
+    """
+    inst = load_instance("tests/data/ocp_small.json")
+    inst.support = [FeasibleSet(np.vstack([s.options, s.options[:1]])) for s in inst.support]
+    return inst
 
 
 class TestBestResponseCertificate:
@@ -325,6 +379,17 @@ class TestBestResponseCertificate:
         report = evaluate_ocp_instance(load_instance("tests/data/ocp_small.json"), 3)
         assert not report.all_pass
         assert all("best_response" in row.failed for row in report.rows)
+
+    def test_late_tie_fails_on_golden_instance_with_repeats(self, monkeypatch):
+        inst = golden_with_repeats()
+        assert evaluate_ocp_instance(inst, 3).all_pass
+        monkeypatch.setattr(ocp, "_best_rows", wrong_best_rows(last_tie))
+        report = evaluate_ocp_instance(inst, 3)
+        assert all("best_response" in row.failed for row in report.rows)
+        sets, at = inst.point_table(draw_matrix(inst, range(3)))
+        trace = run_ocp_batch(sets, at, inst.cost_function())
+        sizes = np.array([len(s) for s in sets])[at]
+        assert np.any(trace.choice == 2) and np.all(trace.choice < sizes)
 
     def test_late_tie_fails_where_a_menu_repeats_an_option(self, monkeypatch):
         # Options 0 and 2 are equal and beat option 1 for every positive dual.
