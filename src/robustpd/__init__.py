@@ -24,14 +24,9 @@ from robustpd.instances import (
     save_instance,
 )
 from robustpd.oco import OcoState
-from robustpd.ocp import FeasibleSet, best_response, run_loadbalance, run_ocp
-from robustpd.oracles import (
-    opt_adv_ocp,
-    opt_stoch_ocp,
-    opt_stoch_welfare,
-    opt_welfare,
-)
-from robustpd.welfare import Request, mixture_wrapper, run_welfare
+from robustpd.ocp import FeasibleSet, run_loadbalance, run_ocp
+from robustpd.oracles import opt_adv_ocp, opt_stoch_ocp, opt_stoch_welfare
+from robustpd.welfare import Request, run_welfare
 
 __version__ = "0.1.0"
 
@@ -43,12 +38,10 @@ __all__ = [
     "cost_from_config",
     "OcoState",
     "FeasibleSet",
-    "best_response",
     "run_ocp",
     "run_loadbalance",
     "Request",
     "run_welfare",
-    "mixture_wrapper",
     "MixedInstance",
     "GeneratorParams",
     "generate",
@@ -57,7 +50,6 @@ __all__ = [
     "sample_realization",
     "opt_adv_ocp",
     "opt_stoch_ocp",
-    "opt_welfare",
     "opt_stoch_welfare",
     "__version__",
 ]

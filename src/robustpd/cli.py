@@ -9,8 +9,9 @@ Subcommands::
 
 The run commands replay an instance file K >= 1 times, check every
 per-realization and in-expectation inequality, and write one CSV or JSON
-report into ``--out-dir``; a configuration outside the guarantee regime,
-such as K < 1, is an error (exit status 2) and writes nothing.
+report into ``--out-dir``; an instance file that violates the schema, an
+invalid ``--seed``, or a configuration outside the guarantee regime, such
+as K < 1, is an error (exit status 2) and writes nothing.
 ``verify`` runs the randomized property suite and prints a
 check-by-outcome matrix.  Exit status is 0 exactly when no check failed.
 """
@@ -18,6 +19,7 @@ check-by-outcome matrix.  Exit status is 0 exactly when no check failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -31,7 +33,7 @@ from robustpd.harness import (
     report_to_json,
     run_verify_suite,
 )
-from robustpd.instances import load_instance
+from robustpd.instances import SchemaError, load_instance
 from robustpd.oco import ConfigError
 
 
@@ -72,7 +74,13 @@ _EVALUATORS = {
 
 def _cmd_run(args):
     kind, evaluate = _EVALUATORS[args.command]
-    inst = load_instance(args.instance)
+    try:
+        inst = load_instance(args.instance)
+        if args.seed is not None:
+            inst = dataclasses.replace(inst, seed=args.seed)
+    except SchemaError as err:
+        print(f"error: {args.instance}: {err}", file=sys.stderr)
+        return 2
     if inst.problem != ("welfare" if kind == "welfare" else "ocp"):
         print(
             f"error: {args.instance} is a {inst.problem!r} instance, "
@@ -80,8 +88,6 @@ def _cmd_run(args):
             file=sys.stderr,
         )
         return 2
-    if args.seed is not None:
-        inst.seed = args.seed
     stem = os.path.splitext(os.path.basename(args.instance))[0]
     try:
         report = evaluate(inst, args.replications, label=stem)

@@ -10,17 +10,18 @@ families are supported:
 * :class:`SeparableGeneric` -- user-supplied 1-d components.
 
 Every family exposes an exact evaluation, a closed-form gradient, and the
-convex conjugate ``conj(y) = sup_{u>=0} (<y,u> - cost(u))`` restricted to
-nonnegative duals.  The module also carries the numeric sup oracle used to
-cross-check the closed forms, and report-style checks for the structural
-inequalities (growth, conjugate shrinking, superadditivity) that the online
-engines rely on.
+value of the convex conjugate ``conj(y) = sup_{u>=0} (<y,u> - cost(u))``
+at nonnegative duals (``conjugate_value``, batched as ``conj_many``):
+closed-form for the power families, by a 1-d search per coordinate for
+:class:`SeparableGeneric`.  The module also carries the numeric sup oracle
+used to cross-check the closed forms, and report-style checks for the
+structural inequalities (growth, conjugate shrinking, superadditivity) that
+the online engines rely on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +32,8 @@ __all__ = [
     "SumOfPowers",
     "LinearPlusPower",
     "SeparableGeneric",
-    "ConjugateValue",
     "fenchel_gap",
     "conjugate_numeric",
-    "biconjugate_numeric",
     "check_growth",
     "check_superadditivity",
     "cost_from_config",
@@ -50,14 +49,6 @@ def _as_point(x, m, name="u"):
     if np.any(x < -_NEG_TOL):
         raise ValueError(f"{name} has a negative coordinate: {x.min()}")
     return np.maximum(x, 0.0)
-
-
-@dataclass
-class ConjugateValue:
-    """Value of the convex conjugate, with the maximizer when known."""
-
-    value: float
-    argmax: np.ndarray | None = None
 
 
 class CostFunction:
@@ -95,10 +86,7 @@ class CostFunction:
         raise NotImplementedError
 
     def conjugate_value(self, y) -> float:
-        """Fast path for ``conjugate(y).value``."""
-        return self.conjugate(y).value
-
-    def conjugate(self, y) -> ConjugateValue:
+        """``conj(y) = sup_{u>=0} (<y,u> - cost(u))`` at a nonnegative dual."""
         raise NotImplementedError
 
     def component_value(self, i, x) -> float:
@@ -244,17 +232,6 @@ class SumOfPowers(CostFunction):
             return np.vecdot(self._conj_scale, Y * Y)
         return np.vecdot(self._conj_scale, Y**self._q)
 
-    def conjugate(self, y):
-        value = self.conjugate_value(y)
-        y = _as_point(y, self.m, "y")
-        argmax = np.zeros(self.m)
-        pos = self.coeffs > 0
-        if self.p > 1:
-            argmax[pos] = (y[pos] / (self.coeffs[pos] * self.p)) ** (
-                1.0 / (self.p - 1.0)
-            )
-        return ConjugateValue(value, argmax)
-
     def component_value(self, i, x):
         return self.coeffs[i] * x**self.p
 
@@ -330,17 +307,6 @@ class LinearPlusPower(CostFunction):
             raise ValueError("conjugate is infinite above a purely linear slope")
         return np.vecdot(self._conj_scale, Z**self._q)
 
-    def conjugate(self, y):
-        value = self.conjugate_value(y)
-        y = _as_point(y, self.m, "y")
-        z = np.maximum(y - self.slopes, 0.0)
-        argmax = np.zeros(self.m)
-        pos = self._weights > 0
-        argmax[pos] = (z[pos] / (self._weights[pos] * self.p)) ** (
-            1.0 / (self.p - 1.0)
-        )
-        return ConjugateValue(value, argmax)
-
     def component_value(self, i, x):
         return (self.scales[i] * x) ** self.p + self.slopes[i] * x
 
@@ -391,7 +357,7 @@ class SeparableGeneric(CostFunction):
         # scalars, without their per-operation overhead.
         y = float(y)
         if y <= 0.0:
-            return 0.0, 0.0
+            return 0.0
         hi = 1.0
         for _ in range(200):
             if deriv(hi) > y:
@@ -408,17 +374,14 @@ class SeparableGeneric(CostFunction):
             else:
                 hi = b
         u = 0.5 * (lo + hi)
-        return max(y * u - fn(u), 0.0), u
+        return max(y * u - fn(u), 0.0)
 
-    def conjugate(self, y):
+    def conjugate_value(self, y):
         y = _as_point(y, self.m, "y")
         total = 0.0
-        argmax = np.zeros(self.m)
         for i in range(self.m):
-            val, u = self._conj_1d(i, y[i])
-            total += val
-            argmax[i] = u
-        return ConjugateValue(total, argmax)
+            total += self._conj_1d(i, y[i])
+        return total
 
     def component_value(self, i, x):
         return self.components[i][0](x)
@@ -432,8 +395,12 @@ def cost_from_config(config) -> CostFunction:
     if family == "sum_of_powers":
         f = SumOfPowers(coeffs, p)
     elif family == "linear_plus_power":
-        scales = [pair[0] for pair in coeffs]
-        slopes = [pair[1] for pair in coeffs]
+        pairs = np.asarray(coeffs, dtype=np.float64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(
+                f"linear_plus_power coeffs must be [scale, slope] pairs, got shape {pairs.shape}"
+            )
+        scales, slopes = pairs.T.copy()
         f = LinearPlusPower(scales, slopes, p)
     else:
         raise ValueError(f"unknown cost family: {family!r}")
@@ -470,8 +437,7 @@ def _sup_concave(h, tol=1e-12):
             lo = a
         else:
             hi = b
-    u = 0.5 * (lo + hi)
-    return max(h(u), h(0.0)), u
+    return max(h(0.5 * (lo + hi)), h(0.0))
 
 
 def conjugate_numeric(f, y) -> float:
@@ -486,23 +452,7 @@ def conjugate_numeric(f, y) -> float:
     for i in range(f.m):
         if y[i] <= 0.0:
             continue
-        val, _ = _sup_concave(lambda u, i=i: y[i] * u - f.component_value(i, u))
-        total += max(val, 0.0)
-    return total
-
-
-def biconjugate_numeric(f, u) -> float:
-    """Numeric ``sup_y (<y,u> - conj(y))`` per coordinate; recovers cost(u)."""
-    u = _as_point(u, f.m)
-    total = 0.0
-    for i in range(f.m):
-        ei = np.zeros(f.m)
-
-        def h(y, i=i, ei=ei):
-            ei[i] = y
-            return y * u[i] - f.conjugate_value(ei)
-
-        val, _ = _sup_concave(h)
+        val = _sup_concave(lambda u, i=i: y[i] * u - f.component_value(i, u))
         total += max(val, 0.0)
     return total
 

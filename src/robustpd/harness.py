@@ -20,6 +20,7 @@ to 1 for homogeneous costs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -150,8 +151,6 @@ def _evaluate(inst, replications, label, problem, f, adv_report, stoch_report, e
     reported value's mean and standard error and those extras, and returns
     ``(bound_rhs, checks, details)``.
     """
-    if replications < 1:
-        raise ConfigError(f"need at least 1 replication, got {replications}")
     drawn = draw_matrix(inst, range(replications))
     runs = engine(*inst.point_table(drawn), f, inst.stoch_mask)
     columns, verdicts, extras = replicate(runs, drawn)
@@ -186,6 +185,37 @@ def _evaluate(inst, replications, label, problem, f, adv_report, stoch_report, e
     )
 
 
+def _in_float64(evaluate):
+    """Refuse, as a :class:`ConfigError`, an evaluation that overflows float64.
+
+    Costs whose values or duals leave the float64 range along the run have
+    no meaningful report; the first overflow or invalid operation of the
+    evaluation stops it.
+    """
+
+    @functools.wraps(evaluate)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return evaluate(*args, **kwargs)
+        except (FloatingPointError, OverflowError) as err:
+            raise ConfigError(f"the evaluation leaves the float64 range: {err}") from err
+
+    return checked
+
+
+def _check_regime(inst, replications, f):
+    """Refuse, before any oracle runs, a run outside the guarantee regime.
+
+    The engines need ``n >= 4p`` for the run cost ``f``; the oracles would
+    otherwise enumerate a cost that can overflow far outside it.
+    """
+    if replications < 1:
+        raise ConfigError(f"need at least 1 replication, got {replications}")
+    if inst.n < 4.0 * f.p:
+        raise ConfigError(f"need n >= 4p, got n={inst.n} with p={f.p}")
+
+
 def _ocp_oracles(inst, f):
     """The adversarial sets and the adversarial and stochastic offline optima."""
     adv_sets = [e.data for e in inst.timeline if e.kind == "adv"]
@@ -195,9 +225,11 @@ def _ocp_oracles(inst, f):
     return adv_sets, adv_report, stoch_report
 
 
+@_in_float64
 def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
     """Replicated run of one mixed instance with the full check battery."""
     f = inst.cost_function()
+    _check_regime(inst, replications, f)
     labels = inst.stoch_mask
     n_stoch = inst.n_stoch
     beta = inst.n / n_stoch if n_stoch else None
@@ -255,8 +287,10 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
     )
 
 
+@_in_float64
 def evaluate_welfare_instance(inst, replications, label="welfare") -> InstanceReport:
     f = inst.cost_function()
+    _check_regime(inst, replications, f)
     n_stoch = inst.n_stoch
     beta = inst.n / n_stoch if n_stoch else None
     stoch_report = opt_stoch_welfare(inst.support, inst.probs, n_stoch, f) if n_stoch else None
@@ -283,6 +317,7 @@ def evaluate_welfare_instance(inst, replications, label="welfare") -> InstanceRe
     )
 
 
+@_in_float64
 def evaluate_loadbalance_instance(inst, replications, label="loadbalance") -> InstanceReport:
     """Norm-space bound on the machine loads.
 
@@ -294,6 +329,7 @@ def evaluate_loadbalance_instance(inst, replications, label="loadbalance") -> In
     """
     m = inst.m
     f = _loadbalance_cost(inst.cost["p"], m)
+    _check_regime(inst, replications, f)
     p_eff = f.p
     adv_sets, adv_report, stoch_report = _ocp_oracles(inst, f)
 

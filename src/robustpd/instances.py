@@ -83,8 +83,9 @@ class MixedInstance:
                 "cost.p", f"the guarantees need one number p >= 2, got {self.cost['p']!r}"
             )
         try:
-            cost_from_config(self.cost)
-        except (ValueError, TypeError) as exc:
+            with np.errstate(over="raise"):
+                cost_from_config(self.cost)
+        except (ValueError, TypeError, FloatingPointError) as exc:
             raise SchemaError("cost", str(exc)) from exc
         if len(self.timeline) != self.n:
             raise SchemaError("timeline", f"length {len(self.timeline)} != n={self.n}")

@@ -37,7 +37,6 @@ from robustpd.oco import (
 __all__ = [
     "FeasibleSet",
     "OcpRunTrace",
-    "best_response",
     "run_ocp",
     "run_ocp_batch",
     "check_cost_bound",
@@ -117,21 +116,6 @@ def _minimize_over(feasible, y):
     table, scored = _menu_table([feasible], len(y))
     idx, v = _best_rows(table, y[None], scored)
     return int(idx[0]), v[0]
-
-
-def best_response(y, feasible, gamma, f):
-    """Feasible point minimizing the fake cost: ``(index, point, fake_cost)``.
-
-    ``feasible`` is a :class:`FeasibleSet`, a raw ``(k, m)`` menu array, or
-    any object exposing ``minimize(y)`` (an exact linear-minimization
-    oracle over, say, a polytope; the index is then -1).  The conjugate
-    term is constant in the decision, so this is plain linear
-    minimization; menu ties break at the lowest index.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    idx, v = _minimize_over(feasible, y)
-    fake = float(np.dot(y, v)) - gamma * f.conjugate_value(y)
-    return idx, v, fake
 
 
 @dataclass

@@ -5,9 +5,9 @@ menus.  Stochastic parts are solved in selector form: a selector fixes one
 choice per support element, and its exact expected cost over the i.i.d.
 draws is computed by enumerating draw-count multisets with multinomial
 weights (the cost of a sum depends only on how often each support element
-appears, not on the order).  Welfare optima over the box use projected
-gradient ascent on the concave profit, cross-checked by grid search at
-small sizes.
+appears, not on the order).  The welfare optimum of the stochastic part
+is a fractional selector ``support -> [0,1]``, found by coordinate ascent
+on a grid with a ternary refinement of the concave expected profit.
 
 The enumerations run as array passes.  The multiset table is built by
 stars and bars; the selectors of ``opt_stoch_ocp`` and the candidate
@@ -37,16 +37,13 @@ __all__ = [
     "OptReport",
     "opt_adv_ocp",
     "opt_stoch_ocp",
-    "opt_welfare",
     "opt_stoch_welfare",
-    "grid_search_welfare",
     "count_multisets",
 ]
 
 MAX_ADV_COMBOS = 10**7
 MAX_SELECTORS = 10**5
 MAX_MULTISETS = 10**6
-MAX_GRID_POINTS = 4 * 10**6
 
 
 class GuardError(RuntimeError):
@@ -58,7 +55,7 @@ class OptReport:
     """Offline optimum plus everything needed to reproduce and reuse it."""
 
     value: float
-    choices: list | None = None  # per adversarial step (ocp/welfare-adv)
+    choices: list | None = None  # per adversarial step (opt_adv_ocp)
     selector: list | None = None  # per support element (stochastic oracles)
     load: np.ndarray | None = None  # vOPT (adv) or expected vOPT (stoch)
     method: str = "enumeration"
@@ -244,91 +241,6 @@ def _opt_stoch_ocp_mc(menus, probs, n_stoch, f, mc_samples, seed):
         method="monte-carlo",
         exact=False,
         stderr=float(costs.std(ddof=1) / math.sqrt(mc_samples)),
-    )
-
-
-# -- welfare, deterministic ----------------------------------------------------
-
-
-def _welfare_value(x, c, A, f):
-    return float(np.dot(c, x)) - f.eval(A.T @ x if A.ndim == 2 else A * x)
-
-
-def opt_welfare(requests, f, *, max_iters=10**5, tol=1e-8) -> OptReport:
-    """Maximize ``sum_t c_t x_t - cost(sum_t a_t x_t)`` over the box.
-
-    Projected gradient ascent with a backtracked step; the objective is
-    concave so the fixed point is the optimum.  Stops when the unit-step
-    projected gradient shrinks below ``tol``.  Flags (rather than raises)
-    non-convergence.
-    """
-    n = len(requests)
-    if n == 0:
-        return OptReport(value=0.0, choices=[], load=np.zeros(f.m), method="projected-gradient")
-    if n > 64:
-        raise GuardError(f"welfare oracle guard: n={n} > 64")
-    c, A = _split_requests(requests)  # A is (n, m)
-    x = np.full(n, 0.5)
-    step = 1.0
-    val = _welfare_value(x, c, A, f)
-    converged = False
-    for _ in range(max_iters):
-        g = c - A @ f.grad(A.T @ x)
-        pg = np.clip(x + g, 0.0, 1.0) - x
-        if float(np.linalg.norm(pg)) <= tol:
-            converged = True
-            break
-        # Backtrack the step until the move does not decrease, then regrow.
-        moved = False
-        for _ in range(60):
-            x_new = np.clip(x + step * g, 0.0, 1.0)
-            val_new = _welfare_value(x_new, c, A, f)
-            if val_new >= val - 1e-15 and not np.array_equal(x_new, x):
-                x, val = x_new, val_new
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-        step = min(step * 1.3, 1e6)
-    if not converged:
-        # Stalled at float resolution; accept if the optimality measure is
-        # small on a looser scale.
-        g = c - A @ f.grad(A.T @ x)
-        pg = np.clip(x + g, 0.0, 1.0) - x
-        converged = float(np.linalg.norm(pg)) <= 1e-7
-    return OptReport(
-        value=_welfare_value(x, c, A, f),
-        choices=x.tolist(),
-        load=A.T @ x,
-        method="projected-gradient",
-        exact=converged,
-        extra={"converged": converged},
-    )
-
-
-def grid_search_welfare(requests, f, resolution=200) -> OptReport:
-    """Exhaustive box grid at spacing ``1/resolution``; cross-check oracle."""
-    n = len(requests)
-    pts = resolution + 1
-    if pts**n > MAX_GRID_POINTS:
-        raise GuardError(f"grid of {pts}^{n} points exceeds the guard")
-    c, A = _split_requests(requests)
-    axis = np.linspace(0.0, 1.0, pts)
-    best_val = -math.inf
-    best_x = None
-    chunk = 200_000
-    # Flat index i is grid point i in itertools.product order (C order).
-    for start in range(0, pts**n, chunk):
-        flat = np.arange(start, min(start + chunk, pts**n))
-        block = axis[np.stack(np.unravel_index(flat, (pts,) * n), axis=1)]
-        vals = block @ c - f.eval_many(block @ A)
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_x = block[j]
-    return OptReport(
-        value=best_val, choices=best_x.tolist(), load=A.T @ best_x, method="grid"
     )
 
 

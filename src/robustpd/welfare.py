@@ -17,6 +17,8 @@ the original instance equals the reduced run's profit.
 :func:`run_welfare_batch` plays K realized request sequences in lockstep,
 which is how the harness replicates an instance, and returns one trace of
 all K runs; :func:`run_welfare` is its single-sequence case.
+:func:`check_accept_rule` and :func:`check_profit_chain_step` certify each
+run of a trace from its record.
 """
 
 from __future__ import annotations
@@ -37,13 +39,10 @@ __all__ = [
     "PLAY_SCALE",
     "Request",
     "WelfareTrace",
-    "virtual_best_response",
     "run_welfare",
     "run_welfare_batch",
     "check_accept_rule",
     "check_profit_chain_step",
-    "greedy_marginal_profit",
-    "mixture_wrapper",
 ]
 
 # Committed fraction of an accepted request: 1/8**2, load-bearing in the
@@ -82,16 +81,6 @@ def _accept(c, y, a):
     Rows of ``y`` and ``a`` broadcast against each other and against ``c``.
     """
     return np.where(c - np.vecdot(y, a) > 0.0, 1.0, 0.0)
-
-
-def virtual_best_response(y, req, gamma, f):
-    """Maximizer of ``c*x - L(y, a*x)`` over ``x in [0,1]``: 0 or 1.
-
-    The objective is ``(c - <y,a>)*x + gamma*conj(y)``; accept iff the
-    linear coefficient is strictly positive.
-    """
-    (c,), (a,) = _split_requests([req])
-    return float(_accept(c, np.asarray(y, dtype=np.float64), a))
 
 
 @dataclass
@@ -281,50 +270,3 @@ def check_profit_chain_step(trace, beta=None, opt_selector=None, drawn=None) -> 
     rhs_scaled = PLAY_SCALE * (virtual_profit - trace.state.f.cost_at_p_ones())
     parts["scaled_profit"] = normalized_slack(trace.profit, rhs_scaled)
     return Verdict.of_parts("profit_chain", parts)
-
-
-def greedy_marginal_profit(requests, f):
-    """Baseline full-acceptance strategy: take a request whenever its
-    reward beats the marginal cost ``<grad(load + a), a>`` at the current
-    load.  Returns the play vector in ``{0,1}^n``.
-    """
-    c, A = _split_requests(requests)
-    load = np.zeros(f.m)
-    x = np.zeros(len(c))
-    for t, a in enumerate(A):
-        if c[t] > float(np.dot(f.grad(load + a), a)):
-            x[t] = 1.0
-            load += a
-    return x
-
-
-@dataclass
-class MixtureOutcome:
-    arm: str  # "primal_dual" | "plugin"
-    profit: float
-    plays: np.ndarray
-    trace: WelfareTrace | None
-
-
-def mixture_wrapper(requests, f, adversarial_strategy=None, coin_seed=0, force_arm=None):
-    """Fair-coin mixture of the scaled primal-dual run and a plug-in.
-
-    The plug-in receives the whole request sequence and the cost function
-    and returns plays in ``[0,1]^n``; the shipped default is
-    :func:`greedy_marginal_profit`, a naive baseline rather than a
-    guaranteed adversarial algorithm.  ``force_arm`` pins the coin for
-    tests ("primal_dual" or "plugin").
-    """
-    strategy = adversarial_strategy or greedy_marginal_profit
-    if force_arm is None:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(coin_seed))))
-        arm = "primal_dual" if rng.integers(2) == 0 else "plugin"
-    else:
-        arm = force_arm
-    if arm == "primal_dual":
-        trace = run_welfare(requests, f)
-        return MixtureOutcome(arm, trace.profit, trace.x_played, trace)
-    x = np.clip(np.asarray(strategy(requests, f), dtype=np.float64), 0.0, 1.0)
-    c, A = _split_requests(requests)
-    profit = float(np.dot(c, x)) - f.eval(A.T @ x)
-    return MixtureOutcome(arm, profit, x, None)

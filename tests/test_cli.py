@@ -109,6 +109,25 @@ class TestRunCommands:
         assert capsys.readouterr().err.startswith("error:")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("bad", ["negative_seed", "short_timeline"])
+    def test_schema_errors_are_usage_errors(self, tmp_path, capsys, bad):
+        instance, extra = OCP_INSTANCE, ["--seed", "-1"]
+        if bad == "short_timeline":
+            with open(OCP_INSTANCE) as fh:
+                obj = json.load(fh)
+            obj["timeline"].pop()
+            instance, extra = str(tmp_path / "short.json"), []
+            (tmp_path / "short.json").write_text(json.dumps(obj))
+        out_dir = tmp_path / "out"
+        code = run_cli(
+            "run-ocp", "--instance", instance, "--replications", "2",
+            "--out-dir", str(out_dir), *extra,
+        )
+        assert code == 2
+        path = "seed" if bad == "negative_seed" else "timeline"
+        assert capsys.readouterr().err.startswith(f"error: {instance}: {path}: ")
+        assert not out_dir.exists()
+
     def test_seed_override_changes_draws(self, tmp_path):
         outs = []
         for seed in ("1", "2"):

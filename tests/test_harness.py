@@ -1,3 +1,5 @@
+import copy
+import functools
 import importlib
 import importlib.util
 import json
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustpd.harness import (
     evaluate_loadbalance_instance,
@@ -14,7 +18,14 @@ from robustpd.harness import (
     run_core_suite,
     run_verify_suite,
 )
-from robustpd.instances import GeneratorParams, generate, load_instance, sample_realization
+from robustpd.instances import (
+    GeneratorParams,
+    SchemaError,
+    generate,
+    instance_from_dict,
+    load_instance,
+    sample_realization,
+)
 from robustpd.oco import ConfigError, Verdict
 from robustpd.ocp import check_adversarial_charging, check_cost_bound, run_ocp
 from robustpd.welfare import check_profit_chain_step, run_welfare
@@ -126,6 +137,105 @@ def test_needs_at_least_one_replication(evaluate, path, replications):
         evaluate(load_instance(path), replications)
 
 
+@pytest.mark.parametrize(
+    "evaluate,path",
+    [
+        (evaluate_ocp_instance, "tests/data/ocp_small.json"),
+        (evaluate_welfare_instance, "tests/data/welfare_small.json"),
+    ],
+    ids=["ocp", "welfare"],
+)
+def test_regime_is_checked_before_the_oracles(evaluate, path):
+    # At p = 973472 every adversarial combination costs inf: the oracle
+    # used to find no minimum and fail with a TypeError.
+    with open(path) as fh:
+        obj = json.load(fh)
+    obj["cost"]["p"] = 973472
+    with pytest.raises(ConfigError, match="n >= 4p"):
+        evaluate(instance_from_dict(obj), 2)
+
+
+@functools.cache
+def _golden(name):
+    with open(f"tests/data/{name}_small.json") as fh:
+        return json.load(fh)
+
+
+@st.composite
+def golden_fields(draw):
+    """A golden instance and the key path of one of its fields.
+
+    The path descends one level at a time and stops at each container with
+    probability 1/2, so the few top-level fields are not swamped by the
+    many option coordinates.
+    """
+    name = draw(st.sampled_from(["ocp", "welfare"]))
+    node, path = _golden(name), ()
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        path, node = path + (key,), node[key]
+        if not (isinstance(node, (dict, list)) and node and draw(st.booleans())):
+            return name, path
+
+
+def _flip(value):
+    if isinstance(value, list):
+        return [_flip(v) for v in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return -value
+    return value
+
+
+MUTATIONS = st.one_of(
+    st.sampled_from(["drop", "flip", "wrap", "unwrap"]),
+    st.tuples(
+        st.just("set"),
+        st.one_of(
+            st.none(), st.booleans(), st.integers(-3, 40), st.integers(), st.floats(),
+            st.text(max_size=3), st.just([]), st.just({}),
+            st.lists(st.floats(-2.0, 3.0), max_size=3),
+        ),
+    ),
+)
+
+
+def _mutate(obj, path, mutation):
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "flip":
+        parent[key] = _flip(parent[key])
+    elif mutation == "wrap":
+        parent[key] = [parent[key]]
+    elif mutation == "unwrap":
+        if isinstance(parent[key], list) and parent[key]:
+            parent[key] = parent[key][0]
+    else:
+        parent[key] = mutation[1]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(field=golden_fields(), mutation=MUTATIONS)
+def test_mutated_golden_instance_reports_or_refuses(field, mutation):
+    # One field of a golden instance replaced: the boundary either refuses
+    # it with a typed error or the evaluation reports a finite mean.
+    name, path = field
+    obj = copy.deepcopy(_golden(name))
+    _mutate(obj, path, mutation)
+    try:
+        inst = instance_from_dict(obj)
+        if inst.problem == "ocp":
+            reports = [evaluate_ocp_instance(inst, 2), evaluate_loadbalance_instance(inst, 2)]
+        else:
+            reports = [evaluate_welfare_instance(inst, 2)]
+    except (SchemaError, ConfigError):
+        return
+    assert all(math.isfinite(report.mean) for report in reports)
+
+
 VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_golden.txt"
 
 
@@ -171,7 +281,18 @@ def test_traced_benchmark_names_resolve():
     spec.loader.exec_module(tracer)
     for module, attr in tracer.FUNCTIONS:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+    defined = set()
     for (module, cls), methods in tracer.METHODS.items():
         owner = getattr(importlib.import_module(module), cls)
         for attr in methods:
             assert callable(getattr(owner, attr)), (cls, attr)
+        defined.update(attr for attr in methods if attr in vars(owner))
+    # A method that no listed class defines itself is never wrapped, and its
+    # per-layer metrics would read 0.
+    assert defined == {attr for methods in tracer.METHODS.values() for attr in methods}
+    # The traced run wraps and restores every name with bare lookups.
+    before = {key: getattr(importlib.import_module(key[0]), key[1]) for key in tracer.FUNCTIONS}
+    with tracer.Tracer().installed():
+        pass
+    for (module, attr), original in before.items():
+        assert getattr(importlib.import_module(module), attr) is original, (module, attr)

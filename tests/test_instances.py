@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from robustpd.costs import cost_from_config
 from robustpd.oco import ConfigError
 from robustpd.instances import (
     GeneratorParams,
@@ -252,6 +253,7 @@ BAD_VALUES = [
     ("ocp", ("distribution", "support"), 5, "distribution.support"),
     ("ocp", ("distribution", "probs"), "ab", "distribution.probs"),
     ("ocp", ("problem",), "x", "problem"),
+    ("welfare", ("cost", "coeffs", 1, 0), 1e189, "cost"),  # scale**p overflows
 ]
 
 
@@ -345,6 +347,17 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as err:
             instance_from_dict(obj)
         assert err.value.path == path
+
+    @pytest.mark.parametrize("pair", [[0.5], [0.5, 0.1, 0.2]], ids=["short", "long"])
+    def test_linear_plus_power_pairs_need_two_numbers(self, pair):
+        with open("tests/data/welfare_small.json") as fh:
+            obj = json.load(fh)
+        obj["cost"]["coeffs"] = [pair] * obj["m"]
+        with pytest.raises(ValueError, match=r"\[scale, slope\] pairs"):
+            cost_from_config(obj["cost"])
+        with pytest.raises(SchemaError) as err:
+            instance_from_dict(obj)
+        assert err.value.path == "cost"
 
     def test_welfare_consumption_out_of_range(self):
         inst = generate(GeneratorParams(problem="welfare", n=8, n_adv=2), 6)

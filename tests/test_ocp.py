@@ -10,7 +10,6 @@ from robustpd.instances import draw_matrix, load_instance
 from robustpd.oco import ConfigError
 from robustpd.ocp import (
     FeasibleSet,
-    best_response,
     check_adversarial_charging,
     check_best_response,
     check_cost_bound,
@@ -51,20 +50,21 @@ class TestFeasibleSet:
 
 
 class TestBestResponse:
+    """The engine's primal pick: ``_minimize_over`` scores a menu with ``_best_rows``."""
+
     def test_linear_minimization(self):
-        idx, v, fake = best_response(
-            np.array([1.0, 2.0]), FeasibleSet([[1, 0], [0, 1], [0.5, 0.5]]), 0.0, square2()
-        )
-        assert idx == 0 and np.array_equal(v, [1.0, 0.0]) and fake == 1.0
+        y = np.array([1.0, 2.0])
+        idx, v = ocp._minimize_over(FeasibleSet([[1, 0], [0, 1], [0.5, 0.5]]), y)
+        assert idx == 0 and np.array_equal(v, [1.0, 0.0]) and np.dot(y, v) == 1.0
 
     def test_zero_dual_tie_breaks_low(self):
-        idx, _, _ = best_response(np.zeros(2), FeasibleSet([[1, 0], [0, 1]]), 0.0, square2())
+        idx, _ = ocp._minimize_over(FeasibleSet([[1, 0], [0, 1]]), np.zeros(2))
         assert idx == 0
+        trace = run_ocp([FeasibleSet([[1, 0], [0, 1]])] * 8, square2())
+        assert trace.choice[0] == 0  # the first dual prices both machines equally
 
     def test_smaller_inner_product_wins(self):
-        idx, _, _ = best_response(
-            np.ones(2), FeasibleSet([[0.3, 0.3], [0.2, 0.5]]), 0.0, square2()
-        )
+        idx, _ = ocp._minimize_over(FeasibleSet([[0.3, 0.3], [0.2, 0.5]]), np.ones(2))
         assert idx == 0
 
     def test_scale_invariance(self):
@@ -73,9 +73,9 @@ class TestBestResponse:
         for _ in range(50):
             y = f.grad(rng.uniform(0.1, 3.0, 2))
             V = FeasibleSet(rng.uniform(0, 1, (4, 2)))
-            base = best_response(y, V, 0.1, f)[0]
+            base = ocp._minimize_over(V, y)[0]
             for lam in (0.01, 0.5, 7.0, 1234.0):
-                assert best_response(lam * y, V, 0.1, f)[0] == base
+                assert ocp._minimize_over(V, lam * y)[0] == base
 
 
 class TestRunOcp:
@@ -269,10 +269,8 @@ class TestOracleHook:
         assert np.all(oracle_run.choice == -1)
 
     def test_best_response_accepts_oracle(self):
-        idx, v, fake = best_response(
-            np.array([2.0, 1.0]), self.SimplexOracle(2), 0.0, square2()
-        )
-        assert idx == -1 and np.array_equal(v, [0.0, 1.0]) and fake == 1.0
+        idx, v = ocp._minimize_over(self.SimplexOracle(2), np.array([2.0, 1.0]))
+        assert idx == -1 and np.array_equal(v, [0.0, 1.0])
 
 
 class TestCostBound:

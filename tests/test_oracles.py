@@ -11,11 +11,9 @@ from robustpd.ocp import _menu
 from robustpd.oracles import (
     GuardError,
     count_multisets,
-    grid_search_welfare,
     opt_adv_ocp,
     opt_stoch_ocp,
     opt_stoch_welfare,
-    opt_welfare,
 )
 from robustpd.welfare import _split_requests
 
@@ -192,41 +190,22 @@ class TestMultisetTable:
         assert pmf.sum() == pytest.approx(1.0)
 
 
-class TestOptWelfare:
-    def test_boundary_optimum(self):
-        report = opt_welfare([(4.0, np.array([1.0]))], SumOfPowers([1.0], 2))
-        assert report.value == pytest.approx(3.0, abs=1e-7)
-        assert report.choices == pytest.approx([1.0], abs=1e-7)
+def grid_search_welfare(counts, pmf, c, A, f, resolution):
+    """Best point of the box grid at spacing ``1/resolution``: ``(value, x)``.
 
-    def test_interior_optimum(self):
-        report = opt_welfare([(1.0, np.array([1.0]))], SumOfPowers([1.0], 2))
-        assert report.value == pytest.approx(0.25, abs=1e-8)
-        assert report.choices == pytest.approx([0.5], abs=1e-6)
-
-    def test_all_rejected(self):
-        reqs = [(-1.0, np.array([0.5, 0.5]))] * 3
-        report = opt_welfare(reqs, square2())
-        assert report.value == pytest.approx(0.0, abs=1e-12)
-
-    def test_empty(self):
-        assert opt_welfare([], square2()).value == 0.0
-
-    def test_guard(self):
-        reqs = [(1.0, np.array([1.0]))] * 65
-        with pytest.raises(GuardError):
-            opt_welfare(reqs, SumOfPowers([1.0], 2))
-
-    @pytest.mark.parametrize("n,resolution", [(1, 200), (2, 200), (3, 100), (4, 40)])
-    def test_matches_grid_search(self, n, resolution):
-        rng = np.random.default_rng(46 + n)
-        for _ in range(3):
-            m = int(rng.integers(1, 3))
-            f = make_family("sum_of_powers", m, 2.0, rng)
-            reqs = [(float(rng.uniform(-1, 4)), rng.uniform(0, 1, m)) for _ in range(n)]
-            pga = opt_welfare(reqs, f)
-            grid = grid_search_welfare(reqs, f, resolution=resolution)
-            assert pga.value >= grid.value - 1e-9
-            assert abs(pga.value - grid.value) <= 1e-3
+    Scores the expected profit ``sum_j E[counts_j]*c_j*x_j - E[cost(counts @ (A*x))]``
+    over the draw-count table ``(counts, pmf)``, all grid points in one pass.
+    The one-row table ``ones((1, n))``, ``[1.0]`` is the deterministic problem
+    over the n requests ``(c, A)``.
+    """
+    pts = resolution + 1
+    axis = np.linspace(0.0, 1.0, pts)
+    grid = axis[np.stack(np.unravel_index(np.arange(pts ** len(c)), (pts,) * len(c)), axis=1)]
+    reward = grid @ (c * (pmf @ counts))
+    costs = f.eval_many(counts @ (A * grid[:, :, None]))
+    vals = reward - costs @ pmf
+    best = int(np.argmax(vals))
+    return float(vals[best]), grid[best]
 
 
 class TestOptStochWelfare:
@@ -235,6 +214,11 @@ class TestOptStochWelfare:
         report = opt_stoch_welfare([(4.0, np.array([1.0]))], [1.0], 1, f)
         assert report.value == pytest.approx(3.0, abs=1e-6)
         assert report.selector == pytest.approx([1.0], abs=1e-4)
+        # One draw of one request is the deterministic one-row table.
+        value, x = grid_search_welfare(
+            np.ones((1, 1)), np.array([1.0]), np.array([4.0]), np.array([[1.0]]), f, 200
+        )
+        assert value == 3.0 and x.tolist() == [1.0]
 
     def test_nonpositive_rewards(self):
         f = SumOfPowers([1.0], 2)
@@ -262,14 +246,7 @@ class TestOptStochWelfare:
         counts, pmf = _table(5, probs)
         c = np.array([s[0] for s in support])
         A = np.stack([s[1] for s in support])
-        best = -math.inf
-        for x0 in np.linspace(0, 1, 41):
-            for x1 in np.linspace(0, 1, 41):
-                x = np.array([x0, x1])
-                val = float((5 * np.asarray(probs)) @ (c * x)) - float(
-                    pmf @ f.eval_many(counts @ (A * x[:, None]))
-                )
-                best = max(best, val)
+        best, _ = grid_search_welfare(counts, pmf, c, A, f, 40)
         assert report.value >= best - 1e-6
 
 

@@ -10,12 +10,9 @@ from robustpd.welfare import (
     Request,
     check_accept_rule,
     check_profit_chain_step,
-    greedy_marginal_profit,
-    mixture_wrapper,
     PLAY_SCALE,
     run_welfare,
     run_welfare_batch,
-    virtual_best_response,
 )
 
 from test_costs import make_family
@@ -26,21 +23,20 @@ def single_request_instance(c=100.0, n=8):
 
 
 class TestVirtualBestResponse:
+    """The virtual play maximizes ``c*x - L(y, a*x)`` over ``[0, 1]``: ``welfare._accept``."""
+
     def test_accepts_positive_margin(self):
-        f = SumOfPowers([1.0, 1.0], 2)
-        assert virtual_best_response(np.array([1.0, 2.0]), (5.0, np.array([1.0, 1.0])), 0.1, f) == 1.0
+        assert welfare._accept(5.0, np.array([1.0, 2.0]), np.array([1.0, 1.0])) == 1.0
 
     def test_declines_nonpositive_reward(self):
-        f = SumOfPowers([1.0, 1.0], 2)
-        assert virtual_best_response(np.array([1.0, 2.0]), (0.0, np.array([1.0, 1.0])), 0.1, f) == 0.0
+        assert welfare._accept(0.0, np.array([1.0, 2.0]), np.array([1.0, 1.0])) == 0.0
 
     def test_tie_declines(self):
-        f = SumOfPowers([1.0, 1.0], 2)
-        assert virtual_best_response(np.array([1.0, 2.0]), (3.0, np.array([1.0, 1.0])), 0.1, f) == 0.0
+        assert welfare._accept(3.0, np.array([1.0, 2.0]), np.array([1.0, 1.0])) == 0.0
 
     def test_request_dataclass(self):
-        r = Request(2.0, [0.5, 0.5])
-        assert virtual_best_response(np.zeros(2), r, 0.0, SumOfPowers([1.0, 1.0], 2)) == 1.0
+        trace = run_welfare([Request(10.0, [0.5, 0.5])] * 8, SumOfPowers([1.0, 1.0], 2))
+        assert np.all(trace.x_virtual == 1.0) and check_accept_rule(trace).passed
         with pytest.raises(ValueError):
             Request(1.0, [1.5])
 
@@ -254,54 +250,3 @@ class TestAcceptRuleCertificate:
         rep = check_accept_rule(batch)
         assert rep.passed.tolist() == [True, True, True, False, True]
         assert rep.detail["wrong_steps"].tolist() == [0, 0, 0, 1, 0]
-
-
-class TestMixture:
-    def test_forced_primal_dual_arm(self):
-        reqs, f = single_request_instance()
-        out = mixture_wrapper(reqs, f, force_arm="primal_dual")
-        assert out.arm == "primal_dual" and out.profit == 12.484375
-
-    def test_plugin_on_dead_instance(self):
-        reqs = [(-1.0, np.array([1.0]))] * 8
-        out = mixture_wrapper(reqs, SumOfPowers([1.0], 2), force_arm="plugin")
-        assert out.profit == 0.0 and np.all(out.plays == 0.0)
-
-    def test_coin_is_seeded(self):
-        reqs, f = single_request_instance()
-        arms = {mixture_wrapper(reqs, f, coin_seed=s).arm for s in range(16)}
-        assert arms == {"primal_dual", "plugin"}
-        assert mixture_wrapper(reqs, f, coin_seed=3).arm == mixture_wrapper(reqs, f, coin_seed=3).arm
-
-    def test_expected_profit_is_average_of_arms(self):
-        reqs, f = single_request_instance()
-        a = mixture_wrapper(reqs, f, force_arm="primal_dual").profit
-        b = mixture_wrapper(reqs, f, force_arm="plugin").profit
-        profits = [mixture_wrapper(reqs, f, coin_seed=s).profit for s in range(64)]
-        assert set(profits) == {a, b}
-        # a fair coin: both arms appear, mean between the two
-        assert min(a, b) <= float(np.mean(profits)) <= max(a, b)
-
-    def test_custom_strategy(self):
-        reqs, f = single_request_instance()
-        out = mixture_wrapper(
-            reqs, f, adversarial_strategy=lambda rs, f: np.full(len(rs), 0.5),
-            force_arm="plugin",
-        )
-        assert np.all(out.plays == 0.5)
-        assert out.profit == pytest.approx(100 * 4 - 16.0)
-
-
-class TestGreedy:
-    def test_accepts_while_marginal_profit_positive(self):
-        f = SumOfPowers([1.0], 2)
-        reqs = [(3.0, np.array([1.0]))] * 8
-        x = greedy_marginal_profit(reqs, f)
-        # marginal cost at load L is grad(L+1) = 2(L+1): accepts while
-        # 3 > 2(L+1), i.e. only the first request
-        assert x.tolist() == [1.0] + [0.0] * 7
-
-    def test_never_accepts_nonpositive(self):
-        f = SumOfPowers([1.0, 1.0], 2)
-        reqs = [(0.0, np.array([0.5, 0.5]))] * 4
-        assert np.all(greedy_marginal_profit(reqs, f) == 0.0)
