@@ -9,9 +9,10 @@ Subcommands::
 
 The run commands replay an instance file K >= 1 times, check every
 per-realization and in-expectation inequality, and write one CSV or JSON
-report into ``--out-dir``; an instance file that violates the schema, an
-invalid ``--seed``, or a configuration outside the guarantee regime, such
-as K < 1, is an error (exit status 2) and writes nothing.
+report into ``--out-dir``; an instance file that cannot be read, is not
+JSON or violates the schema, an invalid ``--seed``, or a configuration
+outside the guarantee regime, such as K < 1, is an error (exit status 2)
+and writes nothing.
 ``verify`` runs the randomized property suite and prints a
 check-by-outcome matrix.  Exit status is 0 exactly when no check failed.
 """
@@ -80,6 +81,9 @@ def _cmd_run(args):
             inst = dataclasses.replace(inst, seed=args.seed)
     except SchemaError as err:
         print(f"error: {args.instance}: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     if inst.problem != ("welfare" if kind == "welfare" else "ocp"):
         print(

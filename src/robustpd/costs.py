@@ -78,16 +78,19 @@ class CostFunction:
         self.p = float(p)
 
     # -- core surface -----------------------------------------------------
+    #
+    # The single-point methods validate their point and call the batch form,
+    # so a row of a batch and the same point give the same bits.
 
     def eval(self, u) -> float:
-        raise NotImplementedError
+        return float(self.eval_rows(_as_point(u, self.m)))
 
     def grad(self, u) -> np.ndarray:
-        raise NotImplementedError
+        return self.grad_many(_as_point(u, self.m))
 
     def conjugate_value(self, y) -> float:
         """``conj(y) = sup_{u>=0} (<y,u> - cost(u))`` at a nonnegative dual."""
-        raise NotImplementedError
+        return float(self.conj_many(_as_point(y, self.m, "y")))
 
     def component_value(self, i, x) -> float:
         """Value of the i-th 1-d component at scalar ``x >= 0``."""
@@ -109,9 +112,7 @@ class CostFunction:
         Each value equals :meth:`eval` of its row bit for bit; unlike
         :meth:`eval`, the rows are not validated.
         """
-        U = np.asarray(U, dtype=np.float64)
-        values = [self.eval(u) for u in U.reshape(-1, self.m)]
-        return np.array(values, dtype=np.float64).reshape(U.shape[:-1])
+        raise NotImplementedError
 
     def grad_many(self, U) -> np.ndarray:
         """Gradients of a ``(..., m)`` batch of points, one row per point.
@@ -119,18 +120,14 @@ class CostFunction:
         Unlike :meth:`grad`, the rows are not validated: they must lie in
         the nonnegative orthant already.
         """
-        U = np.asarray(U, dtype=np.float64)
-        rows = [self.grad(u) for u in U.reshape(-1, self.m)]
-        return np.array(rows, dtype=np.float64).reshape(U.shape)
+        raise NotImplementedError
 
     def conj_many(self, Y) -> np.ndarray:
         """Conjugate values of a ``(..., m)`` batch of duals, shape ``(...)``.
 
         Unlike :meth:`conjugate_value`, the rows are not validated.
         """
-        Y = np.asarray(Y, dtype=np.float64)
-        values = [self.conjugate_value(y) for y in Y.reshape(-1, self.m)]
-        return np.array(values, dtype=np.float64).reshape(Y.shape[:-1])
+        raise NotImplementedError
 
     # -- decomposition hooks ----------------------------------------------
 
@@ -193,9 +190,6 @@ class SumOfPowers(CostFunction):
         if self.p > 1:
             self._conj_scale = _power_conj_scale(coeffs, self.p)
 
-    def eval(self, u):
-        return float(self.eval_rows(_as_point(u, self.m)))
-
     def eval_rows(self, U):
         # vecdot reduces each row with the same kernel as np.dot.
         if self.p == 2.0:
@@ -208,16 +202,10 @@ class SumOfPowers(CostFunction):
             return (U * U) @ self.coeffs
         return (U**self.p) @ self.coeffs
 
-    def grad(self, u):
-        return self.grad_many(_as_point(u, self.m))
-
     def grad_many(self, U):
         if self.p == 2.0:
             return 2.0 * self.coeffs * U
         return self.p * self.coeffs * U ** (self.p - 1.0)
-
-    def conjugate_value(self, y):
-        return float(self.conj_many(_as_point(y, self.m, "y")))
 
     def conj_many(self, Y):
         if self.p == 1.0:
@@ -282,9 +270,6 @@ class LinearPlusPower(CostFunction):
         self._q = self.p / (self.p - 1.0)
         self._conj_scale = _power_conj_scale(self._weights, self.p)
 
-    def eval(self, u):
-        return float(self.eval_rows(_as_point(u, self.m)))
-
     def eval_rows(self, U):
         return np.vecdot(self._weights, U**self.p) + np.vecdot(self.slopes, U)
 
@@ -292,14 +277,8 @@ class LinearPlusPower(CostFunction):
         U = np.asarray(U, dtype=np.float64)
         return (U**self.p) @ self._weights + U @ self.slopes
 
-    def grad(self, u):
-        return self.grad_many(_as_point(u, self.m))
-
     def grad_many(self, U):
         return self.p * self._weights * U ** (self.p - 1.0) + self.slopes
-
-    def conjugate_value(self, y):
-        return float(self.conj_many(_as_point(y, self.m, "y")))
 
     def conj_many(self, Y):
         Z = np.maximum(Y - self.slopes, 0.0)
@@ -329,27 +308,56 @@ class LinearPlusPower(CostFunction):
 class SeparableGeneric(CostFunction):
     """Separable cost from user-supplied 1-d components.
 
-    ``components`` is a list of ``(value, derivative)`` callable pairs, one
-    per coordinate.  The conjugate has no closed form and is computed by
+    ``components`` is a sequence of ``(value, derivative)`` callable pairs,
+    one per coordinate, fixed at construction; each must be a pure function
+    of its argument.  The conjugate has no closed form and is computed by
     ternary search on the concave map ``u -> y*u - component(u)`` over
     ``[0, U]``, where ``U`` doubles from 1 until the derivative exceeds
-    ``y``.
+    ``y``.  Each instance keeps every search result, keyed by coordinate
+    and dual, for its lifetime: the dual learner and its checks price the
+    same duals again and again.  An infinite conjugate is not kept.
+
+    The batch methods clamp the whole batch at 0 once and then call the
+    components one coordinate at a time, with numpy scalars in
+    :meth:`eval_rows` and :meth:`grad_many` and Python floats in the
+    search, never with arrays: numpy's array ``x**p`` can round
+    differently from the scalar one.
     """
 
     family = "separable_generic"
 
     def __init__(self, components, p, homogeneous=False):
-        super().__init__(len(components), p)
-        self.components = list(components)
+        self.components = tuple(components)
+        super().__init__(len(self.components), p)
         self.homogeneous = bool(homogeneous)
+        self._conj_memo = {}
 
-    def eval(self, u):
-        u = _as_point(u, self.m)
-        return float(sum(fn(x) for (fn, _), x in zip(self.components, u)))
+    def eval_rows(self, U):
+        U = np.maximum(np.asarray(U, dtype=np.float64), 0.0)
+        values = [
+            sum(fn(x) for (fn, _), x in zip(self.components, u)) for u in U.reshape(-1, self.m)
+        ]
+        return np.array(values, dtype=np.float64).reshape(U.shape[:-1])
 
-    def grad(self, u):
-        u = _as_point(u, self.m)
-        return np.array([d(x) for (_, d), x in zip(self.components, u)])
+    def grad_many(self, U):
+        U = np.maximum(np.asarray(U, dtype=np.float64), 0.0)
+        rows = [[d(x) for (_, d), x in zip(self.components, u)] for u in U.reshape(-1, self.m)]
+        return np.array(rows, dtype=np.float64).reshape(U.shape)
+
+    def conj_many(self, Y):
+        Y = np.maximum(np.asarray(Y, dtype=np.float64), 0.0)
+        values = [self._conj_row(y) for y in Y.reshape(-1, self.m).tolist()]
+        return np.array(values, dtype=np.float64).reshape(Y.shape[:-1])
+
+    def _conj_row(self, y):
+        # The coordinate conjugates of one dual, summed in order from 0.0.
+        memo, total = self._conj_memo, 0.0
+        for key in enumerate(y):
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = self._conj_1d(*key)
+            total += value
+        return total
 
     def _conj_1d(self, i, y):
         fn, deriv = self.components[i]
@@ -366,7 +374,8 @@ class SeparableGeneric(CostFunction):
         else:
             raise ValueError("conjugate is infinite: derivative never exceeds dual")
         lo = 0.0
-        while hi - lo > 1e-10 * max(1.0, hi):
+        # The stopping width is 1e-10 * max(1.0, hi), without a call.
+        while hi - lo > 1e-10 * (hi if hi > 1.0 else 1.0):
             d = (hi - lo) / 3.0
             a, b = lo + d, hi - d
             if y * a - fn(a) < y * b - fn(b):
@@ -375,13 +384,6 @@ class SeparableGeneric(CostFunction):
                 hi = b
         u = 0.5 * (lo + hi)
         return max(y * u - fn(u), 0.0)
-
-    def conjugate_value(self, y):
-        y = _as_point(y, self.m, "y")
-        total = 0.0
-        for i in range(self.m):
-            total += self._conj_1d(i, y[i])
-        return total
 
     def component_value(self, i, x):
         return self.components[i][0](x)

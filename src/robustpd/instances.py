@@ -376,8 +376,17 @@ def save_instance(inst, path):
 
 
 def load_instance(path) -> MixedInstance:
+    """Read and validate an instance file.
+
+    A file that is not JSON text raises :class:`SchemaError` at path ``$``;
+    a file that cannot be opened raises ``OSError``.
+    """
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError("$", f"not a JSON document: {exc}") from exc
+    return instance_from_dict(data)
 
 
 # -- generation ---------------------------------------------------------------

@@ -128,6 +128,18 @@ class TestRunCommands:
         assert capsys.readouterr().err.startswith(f"error: {instance}: {path}: ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("bad", ["not_json", "missing"])
+    def test_unreadable_instance_is_a_usage_error(self, tmp_path, capsys, bad):
+        instance = "README.md" if bad == "not_json" else str(tmp_path / "absent.json")
+        out_dir = tmp_path / "out"
+        code = run_cli("run-ocp", "--instance", instance, "--out-dir", str(out_dir))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert (f"{instance}: $: not a JSON document" in err) == (bad == "not_json")
+        assert (f"No such file or directory: '{instance}'" in err) == (bad == "missing")
+        assert not out_dir.exists()
+
     def test_seed_override_changes_draws(self, tmp_path):
         outs = []
         for seed in ("1", "2"):

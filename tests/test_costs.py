@@ -3,16 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustpd import harness
 from robustpd.costs import (
     LinearPlusPower,
     SeparableGeneric,
     SumOfPowers,
+    _as_point,
     check_growth,
     check_superadditivity,
     conjugate_numeric,
     cost_from_config,
     fenchel_gap,
 )
+from robustpd.oco import check_oco_guarantees
 
 
 def make_family(name, m, p, rng):
@@ -347,3 +350,145 @@ class TestDecomposition:
         assert SumOfPowers([1.0], 2).grows_at_least_quadratically()
         slow = SeparableGeneric([(lambda x: x**1.5, lambda x: 1.5 * x**0.5)], 2)
         assert not slow.grows_at_least_quadratically()
+
+
+def reference_conj_1d(component, y):
+    """The unmemoized per-coordinate search of ``SeparableGeneric``."""
+    fn, deriv = component
+    y = float(y)
+    if y <= 0.0:
+        return 0.0
+    hi = 1.0
+    for _ in range(200):
+        if deriv(hi) > y:
+            break
+        hi *= 2.0
+    else:
+        raise ValueError("conjugate is infinite: derivative never exceeds dual")
+    lo = 0.0
+    while hi - lo > 1e-10 * max(1.0, hi):
+        d = (hi - lo) / 3.0
+        a, b = lo + d, hi - d
+        if y * a - fn(a) < y * b - fn(b):
+            lo = a
+        else:
+            hi = b
+    u = 0.5 * (lo + hi)
+    return max(y * u - fn(u), 0.0)
+
+
+def reference_conjugate(f, y):
+    """The reference searches of a validated dual, summed in coordinate order."""
+    y = _as_point(y, f.m, "y")
+    total = 0.0
+    for i in range(f.m):
+        total += reference_conj_1d(f.components[i], y[i])
+    return total
+
+
+def counting_components(calls):
+    """Two ``w*x**2`` components whose value and derivative bump ``calls[0]``."""
+
+    def component(w):
+        def fn(x):
+            calls[0] += 1
+            return w * x * x
+
+        def deriv(x):
+            calls[0] += 1
+            return 2.0 * w * x
+
+        return fn, deriv
+
+    return [component(1.0), component(1.5)]
+
+
+class TestSeparableConjugate:
+    """The memoized conjugate of ``SeparableGeneric`` against the plain search."""
+
+    @pytest.mark.parametrize("mutation", [None, "shift", "regularizer"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_loop_reference_on_suite_states(self, monkeypatch, seed, mutation):
+        states = []
+        monkeypatch.setattr(
+            harness,
+            "check_oco_guarantees",
+            lambda st: states.append(st) or check_oco_guarantees(st),
+        )
+        harness.run_oco_suite(count=40, seed=seed, mutation=mutation)
+        generic = [st for st in states if isinstance(st.f, SeparableGeneric)]
+        assert len(generic) >= 13
+        for state in generic:
+            f = state.f
+            y = state.record()[0]
+            special = np.array([[0.0] * f.m, [-0.0] * f.m, [-1e-13] * f.m])
+            mixed = y[:3].copy()
+            mixed[:, 0] = [0.0, -0.0, -1e-13]
+            duals = np.concatenate([y, state.leaders()[1], y.max(axis=0)[None], special, mixed])
+            expected = [reference_conjugate(f, dual) for dual in duals]
+            # The run filled f's memo: these are its stored searches.
+            assert repr(f.conj_many(duals).tolist()) == repr(expected)
+            assert repr([f.conjugate_value(dual) for dual in duals]) == repr(expected)
+
+    def test_repeated_dual_calls_no_component(self):
+        calls = [0]
+        f = SeparableGeneric(counting_components(calls), 2.0)
+        first = f.conjugate_value([1.5, 2.5])
+        searched = calls[0]
+        assert searched > 0
+        assert f.conjugate_value([1.5, 2.5]) == first
+        assert np.array_equal(f.conj_many([[1.5, 2.5], [1.5, 2.5]]), [first, first])
+        assert calls[0] == searched
+        # Coordinate 0 has not seen 2.5 yet, and its search is its own.
+        assert f.conjugate_value([2.5, 2.5]) == reference_conjugate(f, [2.5, 2.5])
+        assert calls[0] > searched
+
+    def test_infinite_conjugate_raises_every_time(self):
+        calls = [0]
+
+        def fn(x):
+            calls[0] += 1
+            return x
+
+        def deriv(x):
+            calls[0] += 1
+            return 1.0
+
+        f = SeparableGeneric([(fn, deriv)], 2.0)
+        for _ in range(2):
+            before = calls[0]
+            with pytest.raises(ValueError, match="infinite"):
+                f.conjugate_value([2.0])
+            assert calls[0] == before + 200
+        with pytest.raises(ValueError, match="infinite"):
+            f.conj_many([[0.5], [2.0]])
+
+    def test_instances_share_no_entries(self):
+        calls = [0]
+        components = counting_components(calls)
+        a, b = SeparableGeneric(components, 2.0), SeparableGeneric(components, 2.0)
+        value = a.conjugate_value([1.5, 2.5])
+        searched = calls[0]
+        assert b.conjugate_value([1.5, 2.5]) == value
+        assert calls[0] == 2 * searched
+
+    def test_components_are_fixed(self):
+        components = counting_components([0])
+        f = SeparableGeneric(components, 2.0)
+        components.pop()
+        assert isinstance(f.components, tuple) and f.m == len(f.components) == 2
+
+    def test_stack_matches_single_points(self):
+        """A ``(K, n, m)`` stack, with coordinates in ``[-1e-12, 0)``, row by row."""
+        rng = np.random.default_rng(11)
+        f = make_family("separable_generic", 3, 3.0, rng)
+        U = rng.uniform(0.0, 2.0, (2, 5, 3))
+        U[0, 0] = [-1e-12, -1e-13, -0.0]
+        U[1, 2, 1] = -5e-13
+        rows = U.reshape(-1, 3)
+        values = np.array([f.eval(u) for u in rows]).reshape(2, 5)
+        grads = np.array([f.grad(u) for u in rows]).reshape(2, 5, 3)
+        conjs = np.array([f.conjugate_value(u) for u in rows]).reshape(2, 5)
+        assert np.array_equal(f.eval_rows(U), values)
+        assert np.array_equal(f.grad_many(U), grads)
+        assert np.array_equal(f.conj_many(U), conjs)
