@@ -447,8 +447,7 @@ def run_oco_suite(count=200, seed=42, mutation=None):
             disable_shift=(mutation == "shift"),
             disable_regularizer=(mutation == "regularizer"),
         )
-        for t in range(n):
-            state.observe(loads[t], gamma_bar if active[t] else 0.0)
+        state.observe_steps(loads, np.where(active, gamma_bar, 0.0))
         config = f"{fam},m={m},p={p:g},n={n},gamma={gp},load={vp}"
         for verdict in (
             check_oco_guarantees(state),

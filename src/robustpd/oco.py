@@ -16,9 +16,15 @@ In closed form::
 
 Each observed step appends ``(y_t, v_t, gamma_t, conj(y_t))`` to the
 state's run record, :meth:`OcoState.record`, and advances the running sums
-that the next iterate needs.  The engines' traces and every post-run check
-read that record, and :meth:`OcoState.leaders` derives from it, once per
-state, the unregularized leader iterates
+that the next iterate needs.  :meth:`OcoState.observe` takes one step, as
+the engines need, since their loads answer the posted dual.
+:meth:`OcoState.observe_steps` takes a whole run whose loads are known up
+front (the dual-learner suite, the homogeneous re-derivation) and records
+the same bits in one pass: ``np.cumsum`` prefix sums, one ``grad_many`` for
+the n iterates and one ``conj_many`` for their conjugates.  The engines'
+traces and every post-run check read the record, and
+:meth:`OcoState.leaders` derives from it, once per state and with one
+``grad_many``, the unregularized leader iterates
 ``grad( (4p*ones + v_{1:t}) / (4*(1 + gamma_{1:t})) )`` that the
 gain-accounting checks compare against.  Each post-run check is one array
 formula over the record, its prefix sums and the leaders, with no loop
@@ -147,6 +153,9 @@ class _LockstepTrace:
 class OcoState:
     """Single-owner mutable state of one dual-learning run, or of K runs.
 
+    Steps are recorded one at a time by :meth:`observe`, or a single run's
+    steps all at once by :meth:`observe_steps`; both give the same bits.
+
     Parameters
     ----------
     f : CostFunction
@@ -174,10 +183,24 @@ class OcoState:
         # Takes the shape of the observed loads at the first step.
         self.cum_v = np.zeros(f.m)
         self.cum_gamma = 0.0
-        self._steps = ([], [], [], [])  # y, v, gamma, conj(y), one entry per step
+        self._count = 0  # steps observed
+        # y, v, gamma, conj(y): one chunk per observe call, with a step axis.
+        self._chunks = ([], [], [], [])
         self._arrays = None
         self._leader_cache = None
         self._cached_y = None
+
+    def _iterates(self, cum_v, cum_gamma):
+        """The iterates posted after the loads ``cum_v`` and multipliers ``cum_gamma``.
+
+        The one home of the iterate formula.  One step passes its running
+        sums: ``(m,)`` or ``(K, m)`` loads and a float.  A block of n steps
+        passes the sums before each step: ``(n, m)`` loads and ``(n, 1)``
+        multipliers, for ``(n, m)`` iterates.
+        """
+        return self.f.grad_many(
+            (self.shift + cum_v) / (4.0 * (1.0 + cum_gamma + self._regularizer))
+        )
 
     def next_iterate(self) -> np.ndarray:
         """The dual to post at the current step.  Does not mutate state.
@@ -186,44 +209,92 @@ class OcoState:
         ``(K, m)``: one row per run.
         """
         if self._cached_y is None:
-            self._cached_y = self.f.grad_many(
-                (self.shift + self.cum_v)
-                / (4.0 * (1.0 + self.cum_gamma + self._regularizer))
-            )
+            self._cached_y = self._iterates(self.cum_v, self.cum_gamma)
         return self._cached_y
+
+    def _refuse_bad_steps(self, v, gamma, totals):
+        """Raise ``ValueError`` naming the first step with an input out of range.
+
+        ``v`` holds the loads of the steps about to be recorded, with a
+        leading step axis; ``gamma`` lists their multipliers and ``totals``
+        the multiplier totals after each of them.  Loads must lie
+        in ``[0, 1]``, multipliers in ``{0, gamma_bar}`` and totals within
+        the budget of 1.  Steps are counted from 1 over the whole run.
+        """
+        gb = self.gamma_bar
+        # Rows are tested one by one only when the block as a whole fails.
+        loads_ok = v.min(initial=0.0) >= -1e-12 and v.max(initial=0.0) <= 1.0 + 1e-12
+        for t, (g, total) in enumerate(zip(gamma, totals)):
+            if not (loads_ok or ((v[t] >= -1e-12) & (v[t] <= 1.0 + 1e-12)).all()):
+                reason = "load coordinates must lie in [0, 1]"
+            elif not (g == 0.0 or abs(g - gb) <= 1e-15 * gb):
+                reason = f"gamma={g} must be 0 or gamma_bar={gb}"
+            elif total > 1.0 + gb + 1e-9:
+                reason = "multipliers would exceed their total budget of 1"
+            else:
+                continue
+            raise ValueError(f"step {self._count + t + 1}: {reason}")
+
+    def _append(self, y, v, gamma, conj_y):
+        # Record a chunk of steps (step axis -2 of y and v, -1 of gamma and conj_y).
+        for chunks, value in zip(self._chunks, (y, v, gamma, conj_y)):
+            chunks.append(value)
+        self._count += len(gamma)
+        self._cached_y = None
+        self._arrays = None
+        self._leader_cache = None
 
     def observe(self, v, gamma):
         """Reveal ``(v_t, gamma_t)``, record the step, advance to step t+1.
 
         ``v`` is one load ``(m,)`` or one per run ``(K, m)``, in the same
-        shape at every step; ``gamma`` is shared by all runs.
+        shape at every step; ``gamma`` is shared by all runs.  The engines
+        observe step by step, since their loads answer the posted dual.
         """
         v = np.asarray(v, dtype=np.float64)
         m = self.f.m
         if v.ndim not in (1, 2) or v.shape[-1] != m or (
-            self._steps[2] and v.shape != self.cum_v.shape
+            self._count and v.shape != self.cum_v.shape
         ):
             raise ValueError(
                 f"load has shape {v.shape}, expected ({m},) or (K, {m}) at every step"
             )
-        if v.size and not (v.min() >= -1e-12 and v.max() <= 1.0 + 1e-12):
-            raise ValueError("load coordinates must lie in [0, 1]")
-        if not (gamma == 0.0 or abs(gamma - self.gamma_bar) <= 1e-15 * self.gamma_bar):
-            raise ValueError(f"gamma={gamma} must be 0 or gamma_bar={self.gamma_bar}")
-        if self.cum_gamma + gamma > 1.0 + self.gamma_bar + 1e-9:
-            raise ValueError("multipliers would exceed their total budget of 1")
+        self._refuse_bad_steps(v[None], [gamma], [self.cum_gamma + gamma])
 
         y = self.next_iterate()
         conj_y = self.f.conj_many(y)
         if y.shape != v.shape:  # before the first step every run posts the same iterate
             y, conj_y = np.broadcast_to(y, v.shape), np.broadcast_to(conj_y, v.shape[:-1])
-        for steps, value in zip(self._steps, (y, v, gamma, conj_y)):
-            steps.append(value)
+        self._append(y[..., None, :], v[..., None, :], [gamma], conj_y[..., None])
         self.cum_v = self.cum_v + v
         self.cum_gamma += gamma
-        self._cached_y = None
-        self._arrays = None
-        self._leader_cache = None
+
+    def observe_steps(self, v, gamma):
+        """Observe n steps at once: loads ``(n, m)`` and multipliers ``(n,)``.
+
+        For a single run whose loads do not depend on the posted duals.  It
+        records what n calls of :meth:`observe` would, bit for bit: the
+        running sums are ``np.cumsum`` prefix sums, which add in step order
+        as :meth:`observe` does, and the iterates and their conjugates come
+        from one ``grad_many`` and one ``conj_many`` over the n rows.  The
+        whole block is checked before any of it is recorded.
+        """
+        v = np.asarray(v, dtype=np.float64)
+        gamma = np.asarray(gamma, dtype=np.float64)
+        m = self.f.m
+        if v.ndim != 2 or v.shape[1] != m or gamma.shape != v.shape[:1] or self.cum_v.ndim != 1:
+            raise ValueError(
+                f"loads have shape {v.shape} and multipliers {gamma.shape}, "
+                f"expected (n, {m}) and (n,) for a single run"
+            )
+        cum_v = np.cumsum(np.concatenate([self.cum_v[None], v]), axis=0)
+        cum_gamma = np.cumsum(np.concatenate([[self.cum_gamma], gamma]))
+        self._refuse_bad_steps(v, gamma.tolist(), cum_gamma[1:].tolist())
+
+        y = self._iterates(cum_v[:-1], cum_gamma[:-1, None])
+        self._append(y, v, gamma, self.f.conj_many(y))
+        self.cum_v = cum_v[-1]
+        self.cum_gamma = float(cum_gamma[-1])
 
     def record(self):
         """The run so far as arrays ``(y, v, gamma, conj_y)``, one row per step.
@@ -234,16 +305,16 @@ class OcoState:
         ``(n, m)`` record of run k.  The arrays are shared between callers:
         read only.
         """
+        if not self._count:
+            m = self.f.m
+            return np.zeros((0, m)), np.zeros((0, m)), np.zeros(0), np.zeros(0)
         if self._arrays is None:
-            ys, vs, gammas, conjs = self._steps
-            if not gammas:
-                m = self.f.m
-                return np.zeros((0, m)), np.zeros((0, m)), np.zeros(0), np.zeros(0)
+            ys, vs, gammas, conjs = self._chunks
             self._arrays = (
-                np.stack(ys, axis=-2),
-                np.stack(vs, axis=-2),
-                np.array(gammas, dtype=np.float64),
-                np.stack(conjs, axis=-1),
+                np.concatenate(ys, axis=-2),
+                np.concatenate(vs, axis=-2),
+                np.concatenate(gammas, dtype=np.float64),
+                np.concatenate(conjs, axis=-1),
             )
         return self._arrays
 
@@ -251,15 +322,19 @@ class OcoState:
         """Leader arguments and iterates after each step, one row per step.
 
         Row t-1 holds ``w_t = (shift + v_{1:t}) / (4*(1 + gamma_{1:t}))`` and
-        ``grad(w_t)``, the iterate of the leader that has seen step t.  Both
-        arrays have shape ``(n, m)`` and are shared between callers: read only.
+        ``grad(w_t)``, the iterate of the leader that has seen step t: one
+        ``grad_many`` over the clamped rows, after the check ``grad`` makes
+        of each point.  Both arrays have shape ``(n, m)`` and are shared
+        between callers: read only.
         """
         if self._leader_cache is None:
             _, v, gamma, _ = self.record()
             scale = 4.0 * (1.0 + _prefix_sums(gamma)[1:, None])
             w = (self.shift + _prefix_sums(v)[1:]) / scale
-            y = np.array([self.f.grad(row) for row in w], dtype=np.float64)
-            self._leader_cache = (w, y.reshape(w.shape))
+            negative = (w < -1e-12).any(axis=1)
+            if negative.any():
+                raise ValueError(f"u has a negative coordinate: {w[negative.argmax()].min()}")
+            self._leader_cache = (w, self.f.grad_many(np.maximum(w, 0.0)))
         return self._leader_cache
 
     @property

@@ -385,17 +385,15 @@ def check_homogeneous_equivalence(trace, stoch_mask, sets) -> Verdict:
     if not f.homogeneous:
         raise ValueError("equivalence check requires a homogeneous cost")
     stoch_mask = np.asarray(stoch_mask, dtype=bool)
-    n = trace.n
     n_stoch = int(stoch_mask.sum())
     if n_stoch < 4.0 * f.p:
         raise ConfigError(f"need |Stoch| >= 4p, got {n_stoch} with p={f.p}")
     gamma_mod = 1.0 / n_stoch
     state = OcoState(f, gamma_mod)
+    state.observe_steps(trace.v, np.where(stoch_mask, gamma_mod, 0.0))
     worst = math.inf
     mismatches = 0
-    for t in range(n):
-        y_mod = state.next_iterate()
-        y_std = trace.y[t]
+    for t, (y_mod, y_std) in enumerate(zip(state.record()[0], trace.y)):
         pos = y_std > 1e-300
         if np.any(pos):
             ratios = y_mod[pos] / y_std[pos]
@@ -408,7 +406,6 @@ def check_homogeneous_equivalence(trace, stoch_mask, sets) -> Verdict:
         idx_mod, _ = _minimize_over(sets[t], y_mod)
         if idx_mod != int(trace.choice[t]):
             mismatches += 1
-        state.observe(trace.v[t], gamma_mod if stoch_mask[t] else 0.0)
     if mismatches:
         worst = -1.0
     return Verdict.of("homogeneous_equivalence", worst, {"choice_mismatches": mismatches})

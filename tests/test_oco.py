@@ -30,6 +30,27 @@ def square_state(gamma_bar=1 / 8):
     return OcoState(SumOfPowers([1.0], 2), gamma_bar)
 
 
+def post_one_step_late(monkeypatch):
+    """Mutation: step t posts the iterate of step t-1 (step 1 posts its own).
+
+    It sits on the iterate path that both forms of ``observe`` share: a
+    single step posts the iterate computed at the step before, and a block
+    of steps shifts its iterate rows down by one.
+    """
+    iterates = OcoState._iterates
+
+    def late(self, cum_v, cum_gamma):
+        current = iterates(self, cum_v, cum_gamma)
+        if np.ndim(cum_gamma) == 0:
+            posted, self._late_y = getattr(self, "_late_y", current), current
+            return posted
+        first = getattr(self, "_late_y", current[0])
+        self._late_y = current[-1]
+        return np.concatenate([[first], current[:-1]])
+
+    monkeypatch.setattr(OcoState, "_iterates", late)
+
+
 class TestIterates:
     def test_first_iterate(self):
         # grad((4p + 0) / (4 * (1 + 0 + 1/8))) = 2 * 16/9 for the unit square
@@ -112,12 +133,132 @@ class TestObserve:
 
     def test_rejects_bad_inputs(self):
         st = square_state()
-        with pytest.raises(ValueError):
+        st.observe(np.array([0.5]), 1 / 8)
+        with pytest.raises(ValueError, match=r"^step 2: load coordinates"):
             st.observe(np.array([1.2]), 1 / 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^step 2: gamma=0.05 must be 0"):
             st.observe(np.array([0.5]), 0.05)  # neither 0 nor gamma_bar
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shape"):
             st.observe(np.array([0.5, 0.5]), 0.0)
+        assert len(st.record()[2]) == 1
+
+
+def unit_steps(n):
+    return np.full((n, 1), 0.5), np.full(n, 1 / 8)
+
+
+class TestObserveSteps:
+    """The block form of ``observe``: n steps whose loads are known up front."""
+
+    @pytest.mark.parametrize("mutation", [None, "shift", "regularizer", "late"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_step_observe_on_suite_runs(self, monkeypatch, seed, mutation):
+        # Every run of run_oco_suite, replayed one step at a time on a twin
+        # state, must leave the same record, leaders and running sums.
+        if mutation == "late":
+            post_one_step_late(monkeypatch)
+        pairs = []
+        observe_steps = OcoState.observe_steps
+
+        def observe_both(self, v, gamma):
+            twin = OcoState(
+                self.f,
+                self.gamma_bar,
+                disable_shift=not self.shift.any(),
+                disable_regularizer=not self._regularizer,
+            )
+            pairs.append((self, drive(twin, v, gamma)))
+            observe_steps(self, v, gamma)
+
+        monkeypatch.setattr(OcoState, "observe_steps", observe_both)
+        run_oco_suite(count=40, seed=seed, mutation=None if mutation == "late" else mutation)
+        assert len(pairs) == 40
+        families = {block.f.family for block, _ in pairs}
+        assert families == {"sum_of_powers", "linear_plus_power", "separable_generic"}
+        for block, steps in pairs:
+            for a, b in zip(block.record() + block.leaders(), steps.record() + steps.leaders()):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            assert np.array_equal(block.cum_v, steps.cum_v)
+            assert block.cum_gamma == steps.cum_gamma
+            assert block.complete == steps.complete
+            assert np.array_equal(block.next_iterate(), steps.next_iterate())
+
+    def test_continues_a_per_step_run(self):
+        rng = np.random.default_rng(18)
+        loads, gammas = rng.uniform(0, 1, (16, 2)), [1 / 8, 0.0] * 8
+        f = SumOfPowers([1.0, 2.0], 2)
+        mixed = drive(OcoState(f, 1 / 8), loads[:5], gammas[:5])
+        mixed.observe_steps(loads[5:], gammas[5:])
+        steps = drive(OcoState(f, 1 / 8), loads, gammas)
+        for a, b in zip(mixed.record() + mixed.leaders(), steps.record() + steps.leaders()):
+            assert np.array_equal(a, b) and a.flags.c_contiguous
+
+    def test_empty_block_records_nothing(self):
+        st = square_state()
+        st.observe_steps(np.zeros((0, 1)), np.zeros(0))
+        assert st.record()[0].shape == (0, 1) and st.cum_gamma == 0.0
+
+    @pytest.mark.parametrize(
+        "step, bad, message",
+        [
+            (4, lambda v, g: v.__setitem__(3, 1.5), "load coordinates must lie in [0, 1]"),
+            (2, lambda v, g: v.__setitem__(1, -0.25), "load coordinates must lie in [0, 1]"),
+            (3, lambda v, g: v.__setitem__(2, np.nan), "load coordinates must lie in [0, 1]"),
+            (6, lambda v, g: g.__setitem__(5, 0.05), "gamma=0.05 must be 0 or gamma_bar=0.125"),
+        ],
+    )
+    def test_refuses_out_of_range_inputs_before_recording(self, step, bad, message):
+        st = square_state()
+        loads, gammas = unit_steps(8)
+        bad(loads, gammas)
+        with pytest.raises(ValueError) as refused:
+            st.observe_steps(loads, gammas)
+        assert str(refused.value) == f"step {step}: {message}"
+        self.assert_untouched(st)
+
+    def test_refuses_a_budget_overflow_at_its_step(self):
+        # The budget admits one gamma_bar of slack, so the tenth 1/8 is the first
+        # that overflows it.
+        st = square_state()
+        with pytest.raises(ValueError, match=r"^step 10: multipliers would exceed"):
+            st.observe_steps(*unit_steps(12))
+        self.assert_untouched(st)
+
+    def test_names_the_first_offending_step(self):
+        st = square_state()
+        st.observe(np.array([0.5]), 1 / 8)
+        loads, gammas = unit_steps(8)
+        loads[5], gammas[2] = 2.0, 0.5
+        with pytest.raises(ValueError, match=r"^step 4: gamma=0.5 must be"):
+            st.observe_steps(loads, gammas)
+        assert len(st.record()[2]) == 1
+
+    @pytest.mark.parametrize(
+        "loads, gammas",
+        [
+            (np.full(8, 0.5), np.full(8, 1 / 8)),  # loads without a coordinate axis
+            (np.full((8, 2), 0.5), np.full(8, 1 / 8)),  # m = 2 for a cost on m = 1
+            (np.full((8, 1), 0.5), np.full(7, 1 / 8)),  # one multiplier short
+            (np.full((2, 8, 1), 0.5), np.full(8, 1 / 8)),  # K runs
+        ],
+    )
+    def test_refuses_a_wrong_shape(self, loads, gammas):
+        st = square_state()
+        with pytest.raises(ValueError, match="expected"):
+            st.observe_steps(loads, gammas)
+        self.assert_untouched(st)
+
+    def test_refuses_a_lockstep_state(self):
+        st = square_state()
+        st.observe(np.full((3, 1), 0.5), 1 / 8)
+        with pytest.raises(ValueError, match="single run"):
+            st.observe_steps(*unit_steps(4))
+
+    @staticmethod
+    def assert_untouched(st):
+        assert st.record()[0].shape == (0, 1)
+        assert st.cum_v.tolist() == [0.0] and st.cum_gamma == 0.0
+        assert st.next_iterate() == pytest.approx([32.0 / 9.0])
 
 
 class TestStability:
@@ -141,16 +282,27 @@ class TestStability:
         assert check_stability(st).passed
 
     def test_leader_iterates_computed_once(self):
-        # Both checks read the state's leader cache: one grad per step plus
-        # the time-0 iterate of be-the-leader, not one per step per check.
+        # Both checks read the state's leader cache: one grad_many over all
+        # leader rows plus the time-0 iterate of be-the-leader, not one per
+        # step per check.
         f = SumOfPowers([1.0, 2.0], 2)
         st = drive(OcoState(f, 1 / 8), np.full((8, 2), 0.5), [1 / 8] * 8)
-        grad, calls = f.grad, []
-        f.grad = lambda w: calls.append(w) or grad(w)
+        grad_many, calls = f.grad_many, []
+        f.grad_many = lambda U: calls.append(np.shape(U)) or grad_many(U)
         assert check_be_the_leader(st).passed and check_stability(st).passed
-        assert len(calls) == 8 + 1
-        st.observe(np.array([1.0, 0.0]), 0.0)
+        assert sorted(calls) == [(2,), (8, 2)]
+        st.observe(np.array([1.0, 0.0]), 0.0)  # drops the cache
         assert st.leaders()[1].shape == (9, 2)
+        assert st.leaders()[1].shape == (9, 2)
+        assert calls[-2:] == [(2,), (9, 2)]  # the step's iterate, then the leaders once
+
+    def test_leaders_refuse_a_negative_argument(self):
+        # A load just inside the tolerance, with no shift, can leave a leader
+        # argument below -1e-12; leaders() refuses it as grad does.
+        st = OcoState(SumOfPowers([1.0], 2), 1 / 8, disable_shift=True)
+        st.observe_steps(np.full((40, 1), -1e-12), [1 / 8] * 8 + [0.0] * 32)
+        with pytest.raises(ValueError, match="u has a negative coordinate"):
+            st.leaders()
 
 
 class TestBeTheLeader:
@@ -308,15 +460,21 @@ class TestMutations:
         assert not check_stability(st).passed
 
     def test_dual_one_step_late_breaks_stability(self, monkeypatch):
-        # Post the previous step's iterate (the first step posts its own).
-        observe = OcoState.observe
-
-        def observe_late(self, v, gamma):
-            current = self.next_iterate()
-            self._cached_y = getattr(self, "_late_y", current)
-            self._late_y = current
-            observe(self, v, gamma)
-
-        monkeypatch.setattr(OcoState, "observe", observe_late)
+        post_one_step_late(monkeypatch)
         results = run_oco_suite(count=40)
         assert any(r.check == "stability" and not r.passed for r in results)
+
+
+def test_suite_observes_each_run_as_one_block(monkeypatch):
+    # run_oco_suite knows every load and multiplier up front, so each
+    # configuration is one block call, with no per-step observe.
+    calls = {"observe": 0, "observe_steps": 0}
+    for name in calls:
+
+        def counted(self, *args, _name=name, _method=getattr(OcoState, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(OcoState, name, counted)
+    run_oco_suite(count=12, seed=3)
+    assert calls == {"observe": 0, "observe_steps": 12}
