@@ -26,7 +26,7 @@ from robustpd.instances import (
 from robustpd.oco import OcoState
 from robustpd.ocp import FeasibleSet, run_loadbalance, run_ocp
 from robustpd.oracles import opt_adv_ocp, opt_stoch_ocp, opt_stoch_welfare
-from robustpd.welfare import Request, run_welfare
+from robustpd.welfare import run_welfare
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "FeasibleSet",
     "run_ocp",
     "run_loadbalance",
-    "Request",
     "run_welfare",
     "MixedInstance",
     "GeneratorParams",

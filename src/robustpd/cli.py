@@ -10,9 +10,9 @@ Subcommands::
 The run commands replay an instance file K >= 1 times, check every
 per-realization and in-expectation inequality, and write one CSV or JSON
 report into ``--out-dir``; an instance file that cannot be read, is not
-JSON or violates the schema, an invalid ``--seed``, or a configuration
-outside the guarantee regime, such as K < 1, is an error (exit status 2)
-and writes nothing.
+JSON or violates the schema, an invalid ``--seed``, a configuration
+outside the guarantee regime, such as K < 1, or an instance past an exact
+oracle's size guard is an error (exit status 2) and writes nothing.
 ``verify`` runs the randomized property suite and prints a
 check-by-outcome matrix.  Exit status is 0 exactly when no check failed.
 """

@@ -156,9 +156,6 @@ class CostFunction:
         """Evaluation at ``p * (1,...,1)``, the additive loss unit."""
         return self.eval(np.full(self.m, self.p))
 
-    def to_config(self) -> dict:
-        raise TypeError(f"{self.family} cost functions do not serialize")
-
     def __repr__(self):
         return f"{type(self).__name__}(m={self.m}, p={self.p})"
 
@@ -232,14 +229,6 @@ class SumOfPowers(CostFunction):
     def power_part(self):
         return self if self.p > 1 else None
 
-    def to_config(self):
-        return {
-            "family": self.family,
-            "m": self.m,
-            "p": self.p,
-            "coeffs": self.coeffs.tolist(),
-        }
-
 
 class LinearPlusPower(CostFunction):
     """``cost(u) = sum_i (l_i*u_i)**p + sum_i c_i*u_i``.
@@ -295,14 +284,6 @@ class LinearPlusPower(CostFunction):
 
     def power_part(self):
         return SumOfPowers(self._weights, self.p)
-
-    def to_config(self):
-        return {
-            "family": self.family,
-            "m": self.m,
-            "p": self.p,
-            "coeffs": [[float(l), float(c)] for l, c in zip(self.scales, self.slopes)],
-        }
 
 
 class SeparableGeneric(CostFunction):

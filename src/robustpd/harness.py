@@ -529,7 +529,7 @@ def run_engine_suite(count=10, seed=42, replications=20, mutation=None, problems
                 trace = run_ocp(real.points, f, inst.stoch_mask,
                                 disable_shift=(mutation == "shift"),
                                 disable_regularizer=(mutation == "regularizer"))
-                verdict = check_homogeneous_equivalence(trace, inst.stoch_mask, real.points)
+                verdict = check_homogeneous_equivalence(trace)
                 results.append(replace(verdict, config=f"ocp-{i},seed={inst.seed}"))
         if "welfare" in problems:
             wparams = GeneratorParams(problem="welfare", adv_placement="random", **shape)

@@ -217,15 +217,17 @@ class OcoState:
 
         ``v`` holds the loads of the steps about to be recorded, with a
         leading step axis; ``gamma`` lists their multipliers and ``totals``
-        the multiplier totals after each of them.  Loads must lie
-        in ``[0, 1]``, multipliers in ``{0, gamma_bar}`` and totals within
-        the budget of 1.  Steps are counted from 1 over the whole run.
+        the multiplier totals after each of them.  Loads must lie in
+        ``[0, 1 + 1e-12]``, with no tolerance below 0 so that every leader
+        argument is nonnegative too; multipliers must lie in
+        ``{0, gamma_bar}`` and totals within the budget of 1.  Steps are
+        counted from 1 over the whole run.
         """
         gb = self.gamma_bar
         # Rows are tested one by one only when the block as a whole fails.
-        loads_ok = v.min(initial=0.0) >= -1e-12 and v.max(initial=0.0) <= 1.0 + 1e-12
+        loads_ok = v.min(initial=0.0) >= 0.0 and v.max(initial=0.0) <= 1.0 + 1e-12
         for t, (g, total) in enumerate(zip(gamma, totals)):
-            if not (loads_ok or ((v[t] >= -1e-12) & (v[t] <= 1.0 + 1e-12)).all()):
+            if not (loads_ok or ((v[t] >= 0.0) & (v[t] <= 1.0 + 1e-12)).all()):
                 reason = "load coordinates must lie in [0, 1]"
             elif not (g == 0.0 or abs(g - gb) <= 1e-15 * gb):
                 reason = f"gamma={g} must be 0 or gamma_bar={gb}"
@@ -323,18 +325,15 @@ class OcoState:
 
         Row t-1 holds ``w_t = (shift + v_{1:t}) / (4*(1 + gamma_{1:t}))`` and
         ``grad(w_t)``, the iterate of the leader that has seen step t: one
-        ``grad_many`` over the clamped rows, after the check ``grad`` makes
-        of each point.  Both arrays have shape ``(n, m)`` and are shared
+        ``grad_many`` over the rows, which are nonnegative since every
+        recorded load is.  Both arrays have shape ``(n, m)`` and are shared
         between callers: read only.
         """
         if self._leader_cache is None:
             _, v, gamma, _ = self.record()
             scale = 4.0 * (1.0 + _prefix_sums(gamma)[1:, None])
             w = (self.shift + _prefix_sums(v)[1:]) / scale
-            negative = (w < -1e-12).any(axis=1)
-            if negative.any():
-                raise ValueError(f"u has a negative coordinate: {w[negative.argmax()].min()}")
-            self._leader_cache = (w, self.f.grad_many(np.maximum(w, 0.0)))
+            self._leader_cache = (w, self.f.grad_many(w))
         return self._leader_cache
 
     @property

@@ -1,11 +1,12 @@
 """Primal-dual loop for online convex programming over finite menus.
 
 At each step a finite menu of load vectors in ``[0,1]^m`` arrives, the
-dual learner posts ``y_t``, and the primal picks the menu option that
-minimizes the fake cost ``L(y, v) = <y, v> - (1/n) * conj(y)``; the term
-in ``conj`` is constant in ``v``, so this is plain linear minimization
-with ties broken by lowest option index.  The real cost of a run is
-``cost(sum_t v_t)``.
+dual learner posts ``y_t``, and the primal picks the menu option of least
+fake cost ``L(y, v) = <y, v> - (1/n) * conj(y)``; the term in ``conj`` is
+constant in ``v``, so this is the option of least ``<y, v>``, with ties
+broken by lowest option index.  The real cost of a run is
+``cost(sum_t v_t)``.  A menu is a :class:`FeasibleSet` or a raw option
+array, the only form an instance file holds.
 
 The engine never sees which steps are adversarial and which are
 stochastic; origin labels travel through the trace for the post-run
@@ -13,9 +14,12 @@ accounting only.
 
 :func:`run_ocp_batch` plays K realized sequences of one instance in
 lockstep, which is how the harness replicates an instance, and returns one
-trace of all K runs; :func:`run_ocp` is its single-sequence case.  Every
-check takes either kind of trace: on all K runs it computes one result per
-run with the same formula it applies to one run.
+trace of all K runs; :func:`run_ocp` is its single-sequence case.  The
+trace carries the engine's padded menu table, so the checks read the
+menus, the record and the origin labels from the trace alone.  Every
+check except :func:`check_homogeneous_equivalence`, which re-runs the
+dual learner of one run, takes either kind of trace: on all K runs it
+computes one result per run with the same formula it applies to one run.
 """
 
 from __future__ import annotations
@@ -78,10 +82,9 @@ def _menu(feasible):
 def _menu_table(sets, m):
     """The menus of ``sets`` padded with zero rows into one ``(S, kmax, m)`` table.
 
-    Also returns the ``(S, kmax)`` mask ``scored`` of the real options; a
-    set with a ``minimize`` hook has none.
+    Also returns the ``(S, kmax)`` mask ``scored`` of the real options.
     """
-    menus = [np.zeros((0, m)) if hasattr(s, "minimize") else _menu(s) for s in sets]
+    menus = [_menu(s) for s in sets]
     table = np.zeros((len(menus), max([1, *map(len, menus)]), m))
     scored = np.zeros(table.shape[:2], dtype=bool)
     for j, options in enumerate(menus):
@@ -104,20 +107,6 @@ def _best_rows(options, Y, scored):
     return idx, options[np.arange(len(idx)), idx]
 
 
-def _minimize_over(feasible, y):
-    """``(index, point)`` minimizing ``<y, .>`` over one set, for one dual.
-
-    A set with a ``minimize(y)`` hook answers with ``(index, point)`` or the
-    point alone (index -1); a menu is scored by :func:`_best_rows`.
-    """
-    if hasattr(feasible, "minimize"):
-        pick = feasible.minimize(y)
-        return pick if isinstance(pick, tuple) else (-1, np.asarray(pick, dtype=np.float64))
-    table, scored = _menu_table([feasible], len(y))
-    idx, v = _best_rows(table, y[None], scored)
-    return int(idx[0]), v[0]
-
-
 @dataclass
 class OcpRunTrace(_LockstepTrace):
     """Everything a post-run inequality check needs, per step and in total.
@@ -125,8 +114,9 @@ class OcpRunTrace(_LockstepTrace):
     A trace holds one run (``run = k``, row k of the shared record), or all
     K runs of a lockstep batch (``run = None``): ``choice``, ``fake``,
     ``load``, ``cost`` and ``at`` then gain a leading axis of length K and
-    every check computes one result per run.  ``sets[at[t]]`` is the
-    feasible set faced at step t.
+    each batch check computes one result per run.  ``table[at[t]]`` holds
+    the menu faced at step t, padded with zero rows that ``scored[at[t]]``
+    leaves unmarked.
     """
 
     _PER_RUN = ("choice", "fake", "load", "cost", "at")
@@ -138,8 +128,9 @@ class OcpRunTrace(_LockstepTrace):
     gamma: float  # the per-step multiplier, 1/n
     labels: np.ndarray | None  # True at stochastic steps (accounting only)
     state: OcoState
-    sets: list  # the feasible sets that ``at`` indexes
-    at: np.ndarray  # (n,) index into ``sets`` of the set faced at each step
+    table: np.ndarray  # (S, kmax, m) the menus that ``at`` indexes, padded
+    scored: np.ndarray  # (S, kmax) True at the real options of each menu
+    at: np.ndarray  # (n,) index into ``table`` of the menu faced at each step
     run: int | None = 0  # this run's row in the state's record; None: all runs
 
     @property
@@ -149,29 +140,6 @@ class OcpRunTrace(_LockstepTrace):
     @property
     def n(self):
         return self.choice.shape[-1]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "ocp_trace",
-            "gamma": self.gamma,
-            "steps": [
-                {
-                    "t": t + 1,
-                    "y": self.y[t].tolist(),
-                    "v": self.v[t].tolist(),
-                    "choice": int(self.choice[t]),
-                    "fake": float(self.fake[t]),
-                    "origin": (
-                        None
-                        if self.labels is None
-                        else ("stoch" if self.labels[t] else "adv")
-                    ),
-                }
-                for t in range(self.n)
-            ],
-            "load": self.load.tolist(),
-            "cost": self.cost,
-        }
 
 
 def run_ocp(sets, f, labels=None, *, disable_shift=False, disable_regularizer=False):
@@ -194,7 +162,8 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
     equal bit for bit to a separate run: the runs share one dual state
     whose iterates and record carry one row per run, and at each step one
     gather from the padded menu table stacks every run's menu for one call
-    of the scorer.  Sets with a ``minimize`` hook are asked once per run.
+    of the scorer.  Each set is a :class:`FeasibleSet` or a raw option
+    array, checked as one.
     """
     at = np.ascontiguousarray(at, dtype=np.int64)
     runs, n = at.shape
@@ -210,14 +179,11 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
     )
     choice = np.empty((runs, n), dtype=np.int64)
     table, scored = _menu_table(sets, f.m)
-    hooked = ~scored.any(axis=1)
     for t in range(n):
         y = state.next_iterate()
         y = y if y.ndim == 2 else np.broadcast_to(y, (runs, f.m))
         j = at[:, t]
         choice[:, t], v = _best_rows(table[j], y, scored[j])
-        for k in np.flatnonzero(hooked[j]).tolist():
-            choice[k, t], v[k] = _minimize_over(sets[j[k]], y[k])
         state.observe(v, gamma)
     y, v, _, conj_y = state.record()
     return OcpRunTrace(
@@ -228,7 +194,8 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
         gamma=gamma,
         labels=labels,
         state=state,
-        sets=list(sets),
+        table=table,
+        scored=scored,
         at=at,
         run=None,
     )
@@ -313,14 +280,11 @@ def check_best_response(trace) -> Verdict:
 
     and where the menu repeats the chosen option row exactly, the choice
     must be its first occurrence (the lowest-index tie-break).  Computed
-    from the record and the menus, without the engine's scorer.  The slack
-    is the worst normalized margin over the steps, or -1 where a tie went
-    to a later index.  Every set faced must be a menu: a
-    :class:`FeasibleSet` or a raw option array.
+    from the record and the trace's menus, without the engine's scorer.
+    The slack is the worst normalized margin over the steps, or -1 where a
+    tie went to a later index.
     """
-    if any(hasattr(s, "minimize") for s in trace.sets):
-        raise ValueError("the best-response certificate needs finite menus")
-    padded, scored = _menu_table(trace.sets, trace.state.f.m)
+    padded, scored = trace.table, trace.scored
     same = (padded[:, :, None, :] == padded[:, None, :, :]).all(axis=-1)
     first = scored & ~np.tril(same, -1).any(axis=-1)
     y = trace.y
@@ -372,40 +336,41 @@ def run_loadbalance(sets, p, m, labels=None):
     return trace, _p_norm(trace.load, p), float(trace.cost ** (1.0 / f.p))
 
 
-def check_homogeneous_equivalence(trace, stoch_mask, sets) -> Verdict:
+def check_homogeneous_equivalence(trace) -> Verdict:
     """Invariance of the choices under the oracle-informed multipliers.
 
     Re-derives the duals that the run would have produced had it known the
-    stochastic steps (multiplier ``1/|Stoch|`` there, 0 elsewhere).  For a
-    homogeneous cost each re-derived dual must be a positive scalar
-    multiple of the original and must select the same option index under
-    the shared lowest-index tie-break.
+    stochastic steps (multiplier ``1/|Stoch|`` there, 0 elsewhere), which
+    the trace's origin labels mark.  For a homogeneous cost each re-derived
+    dual must be a positive scalar multiple of the original and must select
+    the same option index under the shared lowest-index tie-break.  The
+    slack is the worst ``1e-9 - spread`` of the coordinate ratios over the
+    steps, or -1 where a ratio is not positive, a re-derived dual is
+    positive where the original is not, or a choice differs.  Takes a
+    one-run trace.
     """
     f = trace.state.f
     if not f.homogeneous:
         raise ValueError("equivalence check requires a homogeneous cost")
-    stoch_mask = np.asarray(stoch_mask, dtype=bool)
-    n_stoch = int(stoch_mask.sum())
+    if trace.labels is None:
+        raise ValueError("the equivalence check needs origin labels")
+    n_stoch = int(trace.labels.sum())
     if n_stoch < 4.0 * f.p:
         raise ConfigError(f"need |Stoch| >= 4p, got {n_stoch} with p={f.p}")
     gamma_mod = 1.0 / n_stoch
     state = OcoState(f, gamma_mod)
-    state.observe_steps(trace.v, np.where(stoch_mask, gamma_mod, 0.0))
-    worst = math.inf
-    mismatches = 0
-    for t, (y_mod, y_std) in enumerate(zip(state.record()[0], trace.y)):
-        pos = y_std > 1e-300
-        if np.any(pos):
-            ratios = y_mod[pos] / y_std[pos]
-            spread = float(ratios.max() - ratios.min()) / max(1.0, float(ratios.max()))
-            worst = min(worst, 1e-9 - spread)
-            if ratios.max() <= 0.0:
-                worst = -1.0
-        if np.any(y_mod[~pos] > 1e-12):
-            worst = -1.0
-        idx_mod, _ = _minimize_over(sets[t], y_mod)
-        if idx_mod != int(trace.choice[t]):
-            mismatches += 1
-    if mismatches:
+    state.observe_steps(trace.v, np.where(trace.labels, gamma_mod, 0.0))
+    y_mod, y_std = state.record()[0], trace.y
+    pos = y_std > 1e-300
+    ratios = y_mod / np.where(pos, y_std, 1.0)
+    hi = np.where(pos, ratios, -np.inf).max(axis=1)
+    lo = np.where(pos, ratios, np.inf).min(axis=1)
+    some = pos.any(axis=1)
+    # The ratios are nonnegative, so spread lies in [0, 1] and -1 is the least slack.
+    spread = (hi - lo) / np.maximum(1.0, hi)
+    worst = np.where(some, 1e-9 - spread, np.inf).min()
+    idx_mod, _ = _best_rows(trace.table[trace.at], y_mod, trace.scored[trace.at])
+    mismatches = int((idx_mod != trace.choice).sum())
+    if mismatches or (some & (hi <= 0.0)).any() or (~pos & (y_mod > 1e-12)).any():
         worst = -1.0
     return Verdict.of("homogeneous_equivalence", worst, {"choice_mismatches": mismatches})

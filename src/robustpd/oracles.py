@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from robustpd.oco import ConfigError
 from robustpd.ocp import _menu
 from robustpd.welfare import _split_requests
 
@@ -46,8 +47,12 @@ MAX_SELECTORS = 10**5
 MAX_MULTISETS = 10**6
 
 
-class GuardError(RuntimeError):
-    """An exact oracle refused: the instance is too large to enumerate."""
+class GuardError(ConfigError):
+    """An exact oracle refused: the instance is too large to enumerate.
+
+    A :class:`ConfigError`, so the command line reports it as a usage
+    error (exit status 2) and writes no report.
+    """
 
 
 @dataclass

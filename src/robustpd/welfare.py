@@ -1,13 +1,14 @@
 """Primal-dual welfare maximization with convex production costs.
 
-Requests ``(c_t, a_t)`` arrive online; the algorithm picks a fulfillment
-level in ``[0,1]`` per request to maximize
-``sum_t c_t*x_t - cost(sum_t a_t*x_t)``.  Against the current dual the
-fake profit ``c*x - L(y, a*x)`` is linear in ``x``, so the virtual play is
-0/1: accept exactly when ``c > <y, a>`` (ties decline).  The committed
-play is the virtual play scaled by 1/64; the scaling is what turns the
-additive regret of the dual learner into a multiplicative profit
-guarantee, via the at-least-quadratic growth of the cost.
+Requests arrive online as ``(c_t, a_t)`` pairs: a reward of any sign and
+a consumption in ``[0,1]^m``.  The algorithm picks a fulfillment level in
+``[0,1]`` per request to maximize ``sum_t c_t*x_t - cost(sum_t a_t*x_t)``.
+Against the current dual the fake profit ``c*x - L(y, a*x)`` is linear in
+``x``, so the virtual play is 0/1: accept exactly when ``c > <y, a>``
+(ties decline).  The committed play is the virtual play scaled by 1/64;
+the scaling is what turns the additive regret of the dual learner into a
+multiplicative profit guarantee, via the at-least-quadratic growth of the
+cost.
 
 Costs with a linear part are reduced up front: rewards become
 ``c_t - <slopes, a_t>`` and the run uses the pure power part.  The linear
@@ -37,7 +38,6 @@ from robustpd.oco import (
 
 __all__ = [
     "PLAY_SCALE",
-    "Request",
     "WelfareTrace",
     "run_welfare",
     "run_welfare_batch",
@@ -50,27 +50,10 @@ __all__ = [
 PLAY_SCALE = 1.0 / 64.0
 
 
-@dataclass
-class Request:
-    """One customer: reward ``c`` (any sign), consumption ``a in [0,1]^m``."""
-
-    c: float
-    a: np.ndarray
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.float64)
-        if np.any(self.a < -1e-12) or np.any(self.a > 1.0 + 1e-12):
-            raise ValueError("consumption coordinates must lie in [0, 1]")
-
-
 def _split_requests(requests):
-    """Float64 rewards ``c`` (n,) and consumptions ``A`` (n, m).
-
-    Accepts :class:`Request` objects and ``(c, a)`` pairs.
-    """
-    pairs = [(r.c, r.a) if isinstance(r, Request) else r for r in requests]
-    c = np.array([pair[0] for pair in pairs], dtype=np.float64)
-    A = np.array([np.asarray(pair[1], dtype=np.float64) for pair in pairs])
+    """Float64 rewards ``c`` (n,) and consumptions ``A`` (n, m) of ``(c, a)`` pairs."""
+    c = np.array([pair[0] for pair in requests], dtype=np.float64)
+    A = np.array([np.asarray(pair[1], dtype=np.float64) for pair in requests])
     return c, A
 
 
@@ -123,31 +106,6 @@ class WelfareTrace(_LockstepTrace):
         """Per-step ``L(y_t, v_t)`` on the virtual loads."""
         inner = np.einsum("...tm,...tm->...t", self.y, self.virtual_loads)
         return inner - self.gamma * self.conj_y
-
-    def to_json(self) -> dict:
-        fake = self.fake_costs()
-        return {
-            "kind": "welfare_trace",
-            "gamma": self.gamma,
-            "steps": [
-                {
-                    "t": t + 1,
-                    "y": self.y[t].tolist(),
-                    "x_virtual": float(self.x_virtual[t]),
-                    "x_played": float(self.x_virtual[t]) * PLAY_SCALE,
-                    "fake": float(fake[t]),
-                    "origin": (
-                        None
-                        if self.labels is None
-                        else ("stoch" if self.labels[t] else "adv")
-                    ),
-                }
-                for t in range(self.n)
-            ],
-            "profit": self.profit,
-            "reward_total": self.reward_total,
-            "cost_total": self.cost_total,
-        }
 
 
 def _reduce(c, a, f):

@@ -153,11 +153,9 @@ def test_criterion_4_ocp_end_to_end():
     )
 
 
-def test_criterion_5_homogeneous_equivalence():
-    started = time.time()
+def homogeneous_instances():
+    """The 50 seeded homogeneous OCP instances of criterion 5, each with its realization."""
     rng = np.random.default_rng(105)
-    worst_spread_slack = math.inf
-    mismatches = 0
     for i in range(50):
         p = float(rng.choice([2.0, 3.0]))
         n = int(rng.integers(math.ceil(8 * p), 33))
@@ -172,10 +170,16 @@ def test_criterion_5_homogeneous_equivalence():
             adv_placement=("prefix", "suffix", "random", "interleaved")[i % 4],
         )
         inst = generate(params, 5000 + i)
-        real = sample_realization(inst, 0)
-        f = inst.cost_function()
-        trace = run_ocp(real.points, f, inst.stoch_mask)
-        rep = check_homogeneous_equivalence(trace, inst.stoch_mask, real.points)
+        yield inst, sample_realization(inst, 0)
+
+
+def test_criterion_5_homogeneous_equivalence():
+    started = time.time()
+    worst_spread_slack = math.inf
+    mismatches = 0
+    for inst, real in homogeneous_instances():
+        trace = run_ocp(real.points, inst.cost_function(), inst.stoch_mask)
+        rep = check_homogeneous_equivalence(trace)
         worst_spread_slack = min(worst_spread_slack, rep.slack)
         mismatches += rep.detail["choice_mismatches"]
     # slack = 1e-9 - spread, so nonnegative slack means spread <= 1e-9

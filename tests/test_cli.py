@@ -140,6 +140,29 @@ class TestRunCommands:
         assert (f"No such file or directory: '{instance}'" in err) == (bad == "missing")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["run-ocp", "run-welfare"])
+    def test_oracle_guard_is_a_usage_error(self, tmp_path, capsys, command):
+        if command == "run-ocp":
+            # 25 two-option adversarial menus: 2**25 combinations to enumerate.
+            menu = {"options": [[0.25, 0.5], [0.5, 0.25]]}
+            obj = json.load(open(OCP_INSTANCE))
+            obj.update(n=25, timeline=[{"kind": "adv", "data": menu}] * 25)
+        else:
+            # 40 stochastic steps over 10 support requests: C(49, 9) multisets.
+            obj = json.load(open(WELFARE_INSTANCE))
+            support = obj["distribution"]["support"][0]
+            obj.update(n=40, timeline=[{"kind": "stoch"}] * 40)
+            obj["distribution"] = {"support": [support] * 10, "probs": [0.1] * 10}
+        instance = tmp_path / "large.json"
+        instance.write_text(json.dumps(obj))
+        out_dir = tmp_path / "out"
+        code = run_cli(command, "--instance", str(instance), "--out-dir", str(out_dir))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {instance}: ") and "guard" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_seed_override_changes_draws(self, tmp_path):
         outs = []
         for seed in ("1", "2"):

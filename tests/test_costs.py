@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,23 +263,35 @@ class TestMonotonicity:
 
 
 class TestSerialization:
+    """``cost_from_config`` on the cost dict an instance file stores."""
+
     def test_round_trip_sum_of_powers(self):
-        f = SumOfPowers([0.5, 1.25], 3)
-        g = cost_from_config(f.to_config())
+        config = {"family": "sum_of_powers", "m": 2, "p": 3, "coeffs": [0.5, 1.25]}
+        g = cost_from_config(json.loads(json.dumps(config)))
         assert isinstance(g, SumOfPowers)
-        assert g.p == f.p and np.array_equal(g.coeffs, f.coeffs)
+        assert g.p == 3.0 and np.array_equal(g.coeffs, [0.5, 1.25])
 
     def test_round_trip_linear_plus_power(self):
+        # linear_plus_power coeffs are [scale, slope] pairs, one per coordinate.
+        config = {"family": "linear_plus_power", "m": 2, "p": 2,
+                  "coeffs": [[1.5, 0.25], [0.5, 0.0]]}
+        g = cost_from_config(json.loads(json.dumps(config)))
         f = LinearPlusPower([1.5, 0.5], [0.25, 0.0], 2)
-        g = cost_from_config(f.to_config())
+        assert isinstance(g, LinearPlusPower)
+        assert np.array_equal(g.scales, f.scales) and np.array_equal(g.slopes, f.slopes)
         u = np.array([0.7, 1.3])
         assert g.eval(u) == f.eval(u)
         assert np.array_equal(g.grad(u), f.grad(u))
 
     def test_generic_does_not_serialize(self):
-        f = SeparableGeneric([(lambda x: x * x, lambda x: 2 * x)], 2)
-        with pytest.raises(TypeError):
-            f.to_config()
+        # Its components are Python callables, which no config dict holds.
+        config = {"family": "separable_generic", "m": 1, "p": 2, "coeffs": [1.0]}
+        with pytest.raises(ValueError, match="unknown cost family: 'separable_generic'"):
+            cost_from_config(config)
+
+    def test_dimension_must_match(self):
+        with pytest.raises(ValueError, match="config says 3"):
+            cost_from_config({"family": "sum_of_powers", "m": 3, "p": 2, "coeffs": [1.0, 2.0]})
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

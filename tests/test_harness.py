@@ -58,34 +58,6 @@ def test_welfare_without_stochastic_steps():
     assert report.opt_stoch is None
 
 
-def test_ocp_trace_json_round_trips_through_json():
-    inst = generate(GeneratorParams(problem="ocp", n=12, m=2, p=2.0, n_adv=3), 74)
-    real = sample_realization(inst, 0)
-    trace = run_ocp(real.points, inst.cost_function(), inst.stoch_mask)
-    blob = json.dumps(trace.to_json())
-    obj = json.loads(blob)
-    assert obj["kind"] == "ocp_trace"
-    assert len(obj["steps"]) == 12
-    origins = {s["origin"] for s in obj["steps"]}
-    assert origins == {"adv", "stoch"}
-    assert obj["cost"] == trace.cost
-    t0 = obj["steps"][0]
-    assert t0["fake"] == pytest.approx(
-        float(np.dot(t0["y"], t0["v"])) - trace.gamma * trace.conj_y[0], abs=1e-10
-    )
-
-
-def test_welfare_trace_json():
-    inst = generate(GeneratorParams(problem="welfare", n=12, m=2, p=2.0, n_adv=3), 75)
-    real = sample_realization(inst, 0)
-    trace = run_welfare(real.points, inst.cost_function(), inst.stoch_mask)
-    obj = json.loads(json.dumps(trace.to_json()))
-    assert obj["kind"] == "welfare_trace"
-    assert all(s["x_virtual"] in (0.0, 1.0) for s in obj["steps"])
-    assert all(s["x_played"] == s["x_virtual"] / 64.0 for s in obj["steps"])
-    assert obj["profit"] == trace.profit
-
-
 def test_gamma_schedules_sum_to_one():
     from robustpd.harness import _gamma_schedule
 

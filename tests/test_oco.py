@@ -296,13 +296,21 @@ class TestStability:
         assert st.leaders()[1].shape == (9, 2)
         assert calls[-2:] == [(2,), (9, 2)]  # the step's iterate, then the leaders once
 
-    def test_leaders_refuse_a_negative_argument(self):
-        # A load just inside the tolerance, with no shift, can leave a leader
-        # argument below -1e-12; leaders() refuses it as grad does.
+    def test_negative_load_refused_before_recording(self):
+        # A load below 0 by any amount is refused, so that no leader
+        # argument, a sum of loads, can fall below 0 without the shift.
         st = OcoState(SumOfPowers([1.0], 2), 1 / 8, disable_shift=True)
-        st.observe_steps(np.full((40, 1), -1e-12), [1 / 8] * 8 + [0.0] * 32)
-        with pytest.raises(ValueError, match="u has a negative coordinate"):
-            st.leaders()
+        with pytest.raises(ValueError, match="^step 1: load coordinates must lie in"):
+            st.observe_steps(np.full((40, 1), -1e-12), [1 / 8] * 8 + [0.0] * 32)
+        assert st.record()[0].shape == (0, 1) and st.cum_gamma == 0.0
+        assert np.array_equal(st.cum_v, [0.0])
+
+    def test_zero_loads_without_shift_get_verdicts(self):
+        st = OcoState(SumOfPowers([1.0], 2), 1 / 8, disable_shift=True)
+        st.observe_steps(np.zeros((40, 1)), [1 / 8] * 8 + [0.0] * 32)
+        assert np.array_equal(st.leaders()[0], np.zeros((40, 1)))
+        for verdict in (check_be_the_leader(st), check_stability(st)):
+            assert type(verdict.passed) is bool and math.isfinite(verdict.slack)
 
 
 class TestBeTheLeader:

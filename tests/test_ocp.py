@@ -7,7 +7,7 @@ from robustpd import ocp
 from robustpd.costs import SumOfPowers
 from robustpd.harness import evaluate_ocp_instance
 from robustpd.instances import draw_matrix, load_instance
-from robustpd.oco import ConfigError
+from robustpd.oco import ConfigError, OcoState, Verdict
 from robustpd.ocp import (
     FeasibleSet,
     check_adversarial_charging,
@@ -20,6 +20,7 @@ from robustpd.ocp import (
     run_ocp_batch,
 )
 
+from test_acceptance import homogeneous_instances
 from test_costs import make_family
 
 
@@ -49,22 +50,29 @@ class TestFeasibleSet:
             run_ocp([menu] * 8, square2())
 
 
+def best_of(options, y):
+    """``_best_rows`` over one menu for one dual: ``(index, point)``."""
+    options = np.asarray(options, dtype=np.float64)
+    idx, v = ocp._best_rows(options[None], y[None], np.ones((1, len(options)), dtype=bool))
+    return int(idx[0]), v[0]
+
+
 class TestBestResponse:
-    """The engine's primal pick: ``_minimize_over`` scores a menu with ``_best_rows``."""
+    """The engine's primal pick: ``_best_rows`` scores the stacked menus."""
 
     def test_linear_minimization(self):
         y = np.array([1.0, 2.0])
-        idx, v = ocp._minimize_over(FeasibleSet([[1, 0], [0, 1], [0.5, 0.5]]), y)
+        idx, v = best_of([[1, 0], [0, 1], [0.5, 0.5]], y)
         assert idx == 0 and np.array_equal(v, [1.0, 0.0]) and np.dot(y, v) == 1.0
 
     def test_zero_dual_tie_breaks_low(self):
-        idx, _ = ocp._minimize_over(FeasibleSet([[1, 0], [0, 1]]), np.zeros(2))
+        idx, _ = best_of([[1, 0], [0, 1]], np.zeros(2))
         assert idx == 0
         trace = run_ocp([FeasibleSet([[1, 0], [0, 1]])] * 8, square2())
         assert trace.choice[0] == 0  # the first dual prices both machines equally
 
     def test_smaller_inner_product_wins(self):
-        idx, _ = ocp._minimize_over(FeasibleSet([[0.3, 0.3], [0.2, 0.5]]), np.ones(2))
+        idx, _ = best_of([[0.3, 0.3], [0.2, 0.5]], np.ones(2))
         assert idx == 0
 
     def test_scale_invariance(self):
@@ -72,10 +80,10 @@ class TestBestResponse:
         f = square2()
         for _ in range(50):
             y = f.grad(rng.uniform(0.1, 3.0, 2))
-            V = FeasibleSet(rng.uniform(0, 1, (4, 2)))
-            base = ocp._minimize_over(V, y)[0]
+            options = rng.uniform(0, 1, (4, 2))
+            base = best_of(options, y)[0]
             for lam in (0.01, 0.5, 7.0, 1234.0):
-                assert ocp._minimize_over(V, lam * y)[0] == base
+                assert best_of(options, lam * y)[0] == base
 
 
 class TestRunOcp:
@@ -155,12 +163,9 @@ def sequential_ocp(sets, f):
     rec = {"y": [], "v": [], "conj_y": [], "choice": [], "fake": []}
     for V in sets:
         y = f.grad((shift + cum_v) / (4.0 * (1.0 + cum_gamma + gamma)))
-        if not hasattr(V, "minimize"):
-            options = V.options if isinstance(V, FeasibleSet) else V
-            idx = int(np.argmin([np.dot(option, y) for option in options]))
-            v = options[idx]
-        else:
-            idx, v = -1, V.minimize(y)
+        options = V.options if isinstance(V, FeasibleSet) else V
+        idx = int(np.argmin([np.dot(option, y) for option in options]))
+        v = options[idx]
         conj = f.conjugate_value(y)
         for key, value in zip(rec, (y, v, conj, idx, float(np.dot(y, v)) - gamma * conj)):
             rec[key].append(value)
@@ -179,16 +184,16 @@ class TestLockstep:
 
         Returns the feasible sets and the ``(runs, n)`` index into them of
         the set each run faces at each step.  The sets are menus of 1 to 4
-        options, raw option arrays and an object with a ``minimize`` hook.
+        options, as a :class:`FeasibleSet` or as a raw option array.
         """
-        oracle = TestOracleHook.SimplexOracle(m)
         sets = [
             FeasibleSet(rng.uniform(0, 1, (1, m))),
             rng.uniform(0, 1, (3, m)),
-            oracle,
+            rng.uniform(0, 1, (2, m)),
             FeasibleSet(rng.uniform(0, 1, (4, m))),
         ]
-        sets += [FeasibleSet(rng.uniform(0, 1, (k, m))) for k in (2, 3, 4)] + [oracle]
+        sets += [FeasibleSet(rng.uniform(0, 1, (k, m))) for k in (2, 3, 4)]
+        sets.append(rng.uniform(0, 1, (2, m)))
         at = rng.integers(len(self.ADV), len(sets), (runs, n))
         at[:, list(self.ADV)] = np.arange(len(self.ADV))
         return sets, at
@@ -246,31 +251,6 @@ class TestLockstep:
         trace = run_ocp_batch(sets, at, f)
         assert np.all(trace.choice == 0)
         assert np.all(check_best_response(trace).detail["ties_first"])
-
-
-class TestOracleHook:
-    class SimplexOracle:
-        """Exact minimizer of <y, .> over the unit simplex in [0,1]^m."""
-
-        def __init__(self, m):
-            self.m = m
-
-        def minimize(self, y):
-            v = np.zeros(self.m)
-            v[int(np.argmin(y))] = 1.0
-            return v
-
-    def test_oracle_set_matches_unit_vector_menu(self):
-        f = square2()
-        menu_run = run_ocp([FeasibleSet(np.eye(2))] * 8, f)
-        oracle_run = run_ocp([self.SimplexOracle(2)] * 8, f)
-        assert np.array_equal(menu_run.v, oracle_run.v)
-        assert oracle_run.cost == menu_run.cost == 32.0
-        assert np.all(oracle_run.choice == -1)
-
-    def test_best_response_accepts_oracle(self):
-        idx, v = ocp._minimize_over(self.SimplexOracle(2), np.array([2.0, 1.0]))
-        assert idx == -1 and np.array_equal(v, [0.0, 1.0])
 
 
 class TestCostBound:
@@ -401,11 +381,6 @@ class TestBestResponseCertificate:
         assert not rep.passed and rep.slack == -1.0
         assert rep.detail["margin"] >= -1e-12 and rep.detail["ties_first"] is False
 
-    def test_needs_menus(self):
-        trace = run_ocp([TestOracleHook.SimplexOracle(2)] * 8, square2())
-        with pytest.raises(ValueError):
-            check_best_response(trace)
-
 
 class TestLoadBalance:
     def test_identical_unit_jobs(self):
@@ -451,12 +426,40 @@ class TestLoadBalance:
         assert norm_eff <= m ** (1.0 / p_eff - 1.0 / p) * norm_req + 1e-9
 
 
+def loop_homogeneous_equivalence(trace, stoch_mask, sets):
+    """The step-by-step form of ``check_homogeneous_equivalence``: its reference."""
+    f = trace.state.f
+    stoch_mask = np.asarray(stoch_mask, dtype=bool)
+    gamma_mod = 1.0 / int(stoch_mask.sum())
+    state = OcoState(f, gamma_mod)
+    state.observe_steps(trace.v, np.where(stoch_mask, gamma_mod, 0.0))
+    worst = math.inf
+    mismatches = 0
+    for t, (y_mod, y_std) in enumerate(zip(state.record()[0], trace.y)):
+        pos = y_std > 1e-300
+        if np.any(pos):
+            ratios = y_mod[pos] / y_std[pos]
+            spread = float(ratios.max() - ratios.min()) / max(1.0, float(ratios.max()))
+            worst = min(worst, 1e-9 - spread)
+            if ratios.max() <= 0.0:
+                worst = -1.0
+        if np.any(y_mod[~pos] > 1e-12):
+            worst = -1.0
+        table, scored = ocp._menu_table([sets[t]], f.m)
+        idx_mod, _ = ocp._best_rows(table, y_mod[None], scored)
+        if int(idx_mod[0]) != int(trace.choice[t]):
+            mismatches += 1
+    if mismatches:
+        worst = -1.0
+    return Verdict.of("homogeneous_equivalence", worst, {"choice_mismatches": mismatches})
+
+
 class TestHomogeneousEquivalence:
     def test_all_stochastic_is_identity(self):
         f = square2()
         sets = [FeasibleSet([[1.0, 0.0], [0.0, 1.0]])] * 8
-        trace = run_ocp(sets, f)
-        rep = check_homogeneous_equivalence(trace, np.ones(8, dtype=bool), sets)
+        trace = run_ocp(sets, f, np.ones(8, dtype=bool))
+        rep = check_homogeneous_equivalence(trace)
         assert rep.passed and rep.detail["choice_mismatches"] == 0
 
     def test_mixed_run(self):
@@ -466,25 +469,57 @@ class TestHomogeneousEquivalence:
         mask = np.zeros(16, dtype=bool)
         mask[rng.choice(16, size=10, replace=False)] = True
         trace = run_ocp(sets, f, mask)
-        rep = check_homogeneous_equivalence(trace, mask, sets)
+        rep = check_homogeneous_equivalence(trace)
         assert rep.passed, rep
 
     def test_rejects_inhomogeneous_cost(self):
         rng = np.random.default_rng(31)
         f = make_family("linear_plus_power", 2, 2.0, rng)
         sets = random_sets(rng, 16, 2)
-        trace = run_ocp(sets, f)
+        trace = run_ocp(sets, f, np.ones(16, dtype=bool))
         with pytest.raises(ValueError):
-            check_homogeneous_equivalence(trace, np.ones(16, dtype=bool), sets)
+            check_homogeneous_equivalence(trace)
 
     def test_requires_enough_stochastic_steps(self):
         f = square2()
         sets = [FeasibleSet([[1.0, 0.0]])] * 10
-        trace = run_ocp(sets, f)
         mask = np.zeros(10, dtype=bool)
         mask[:4] = True  # 4 < 4p = 8
+        trace = run_ocp(sets, f, mask)
         with pytest.raises(ConfigError):
-            check_homogeneous_equivalence(trace, mask, sets)
+            check_homogeneous_equivalence(trace)
+
+    def test_requires_labels(self):
+        trace = run_ocp([FeasibleSet(np.eye(2))] * 8, square2())
+        with pytest.raises(ValueError, match="origin labels"):
+            check_homogeneous_equivalence(trace)
+
+    def test_wrong_primal_is_a_choice_mismatch(self, monkeypatch):
+        # Replaying the worst options keeps every ratio spread at 0, so the
+        # mismatches alone set the slack to -1.
+        sets = [FeasibleSet([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])] * 8
+        with monkeypatch.context() as patched:
+            patched.setattr(ocp, "_best_rows", wrong_best_rows(WRONG_PRIMALS["argmax"]))
+            trace = run_ocp(sets, square2(), np.ones(8, dtype=bool))
+        rep = check_homogeneous_equivalence(trace)
+        assert rep.slack == -1.0 and rep.detail["choice_mismatches"] > 0
+        assert repr(rep) == repr(loop_homogeneous_equivalence(trace, trace.labels, sets))
+
+    @pytest.mark.parametrize("mutation", [None, "shift", "regularizer"])
+    def test_matches_loop_reference_on_criterion_5_instances(self, mutation):
+        verdicts = []
+        for inst, real in homogeneous_instances():
+            trace = run_ocp(real.points, inst.cost_function(), inst.stoch_mask,
+                            disable_shift=(mutation == "shift"),
+                            disable_regularizer=(mutation == "regularizer"))
+            verdict = check_homogeneous_equivalence(trace)
+            assert repr(verdict) == repr(
+                loop_homogeneous_equivalence(trace, inst.stoch_mask, real.points)
+            )
+            verdicts.append(verdict)
+        # Without the shift every run fails on a -1 flag, with or without a
+        # choice mismatch; the regularizer only rescales a homogeneous run's duals.
+        assert [v.passed for v in verdicts] == [mutation != "shift"] * 50
 
     def test_duals_never_vanish(self):
         # The shift keeps the gradient argument at least p*ones/2 away from 0.

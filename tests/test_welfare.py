@@ -7,7 +7,6 @@ from robustpd.harness import evaluate_welfare_instance
 from robustpd.instances import load_instance
 from robustpd.oco import ConfigError
 from robustpd.welfare import (
-    Request,
     check_accept_rule,
     check_profit_chain_step,
     PLAY_SCALE,
@@ -33,12 +32,6 @@ class TestVirtualBestResponse:
 
     def test_tie_declines(self):
         assert welfare._accept(3.0, np.array([1.0, 2.0]), np.array([1.0, 1.0])) == 0.0
-
-    def test_request_dataclass(self):
-        trace = run_welfare([Request(10.0, [0.5, 0.5])] * 8, SumOfPowers([1.0, 1.0], 2))
-        assert np.all(trace.x_virtual == 1.0) and check_accept_rule(trace).passed
-        with pytest.raises(ValueError):
-            Request(1.0, [1.5])
 
 
 class TestRunWelfare:
@@ -120,9 +113,8 @@ class TestLinearReduction:
 def sequential_welfare(requests, f):
     """One run at a time, one point per call: the lockstep engine's reference."""
     n = len(requests)
-    pairs = [(r.c, r.a) if isinstance(r, Request) else r for r in requests]
-    c = np.array([pair[0] for pair in pairs], dtype=np.float64)
-    a = np.array([pair[1] for pair in pairs], dtype=np.float64)
+    c = np.array([pair[0] for pair in requests], dtype=np.float64)
+    a = np.array([pair[1] for pair in requests], dtype=np.float64)
     c_red, run_f = c - a @ f.linear_slopes, f.power_part()
     gamma = 1.0 / n
     shift = np.full(f.m, 4.0 * f.p)
@@ -152,9 +144,9 @@ class TestLockstep:
         rng = np.random.default_rng([m, int(p), len(family)])
         f = make_family(family, m, p, rng)
         # Adversarial requests at steps 0 and 5, then the stochastic support.
-        table = [(2.0, rng.uniform(0, 1, m)), Request(4.0, rng.uniform(0, 1, m))]
+        table = [(2.0, rng.uniform(0, 1, m)), (4.0, list(rng.uniform(0, 1, m)))]
         table += [(float(rng.uniform(-1, 25)), rng.uniform(0, 1, m)) for _ in range(3)]
-        table.append(Request(0.0, np.zeros(m)))  # a tie: always declined
+        table.append((0.0, np.zeros(m)))  # a tie: always declined
         n = 16
         at = rng.integers(2, len(table), (7, n))
         at[:, [0, 5]] = [0, 1]
