@@ -21,8 +21,6 @@ the online engines rely on.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from robustpd.oco import Verdict, normalized_slack
@@ -59,21 +57,19 @@ class CostFunction:
     m : int
         Dimension of the domain.
     p : float
-        Growth order (``>= 2`` for the online guarantees, ``>= 1`` accepted
-        for conjugate-only use).
-    separable, homogeneous : bool
-        Structural flags used by the engines to pick the tighter bounds.
+        Growth order, ``>= 2``: the order the online guarantees cover.
+    homogeneous : bool
+        Structural flag used by the engines to pick the tighter bounds.
     """
 
     family = "abstract"
-    separable = True
     homogeneous = False
 
     def __init__(self, m, p):
         if m < 1:
             raise ValueError("dimension must be positive")
-        if p < 1:
-            raise ValueError(f"growth order p={p} must be >= 1")
+        if not p >= 2:
+            raise ValueError(f"growth order p={p} must be >= 2")
         self.m = int(m)
         self.p = float(p)
 
@@ -140,18 +136,6 @@ class CostFunction:
         """The super-linear remainder of the decomposition, if any."""
         return None
 
-    def grows_at_least_quadratically(self, rng=None, samples=64) -> bool:
-        """Sampled check of ``cost(g*u) >= g**2 * cost(u)`` for ``g >= 1``."""
-        rng = rng or np.random.default_rng(0)
-        for _ in range(samples):
-            u = rng.uniform(0.0, 3.0, size=self.m)
-            g = rng.uniform(1.0, 4.0)
-            lhs = self.eval(g * u)
-            rhs = g * g * self.eval(u)
-            if lhs < rhs - 1e-9 * max(1.0, abs(rhs)):
-                return False
-        return True
-
     def cost_at_p_ones(self) -> float:
         """Evaluation at ``p * (1,...,1)``, the additive loss unit."""
         return self.eval(np.full(self.m, self.p))
@@ -183,9 +167,8 @@ class SumOfPowers(CostFunction):
             raise ValueError("weights must be nonnegative")
         super().__init__(coeffs.size, p)
         self.coeffs = coeffs
-        self._q = self.p / (self.p - 1.0) if self.p > 1 else math.inf
-        if self.p > 1:
-            self._conj_scale = _power_conj_scale(coeffs, self.p)
+        self._q = self.p / (self.p - 1.0)
+        self._conj_scale = _power_conj_scale(coeffs, self.p)
 
     def eval_rows(self, U):
         # vecdot reduces each row with the same kernel as np.dot.
@@ -205,11 +188,6 @@ class SumOfPowers(CostFunction):
         return self.p * self.coeffs * U ** (self.p - 1.0)
 
     def conj_many(self, Y):
-        if self.p == 1.0:
-            # Linear function: conjugate is 0 below the slope, +inf above.
-            if np.any(Y > self.coeffs + 1e-12):
-                raise ValueError("conjugate is infinite above a linear slope")
-            return np.zeros(np.shape(Y)[:-1])
         if np.any((self.coeffs == 0) & (Y > 1e-12)):
             raise ValueError("conjugate is infinite on a zero-weight coordinate")
         # vecdot reduces each row with the same kernel as np.dot.
@@ -222,12 +200,10 @@ class SumOfPowers(CostFunction):
 
     @property
     def linear_slopes(self):
-        if self.p == 1.0:
-            return self.coeffs
         return np.zeros(self.m)
 
     def power_part(self):
-        return self if self.p > 1 else None
+        return self
 
 
 class LinearPlusPower(CostFunction):
@@ -249,8 +225,6 @@ class LinearPlusPower(CostFunction):
             raise ValueError("scales and slopes must be 1-d vectors of equal length")
         if np.any(scales < 0) or np.any(slopes < 0):
             raise ValueError("scales and slopes must be nonnegative")
-        if p <= 1:
-            raise ValueError("linear-plus-power requires p > 1")
         super().__init__(scales.size, p)
         self.scales = scales
         self.slopes = slopes
@@ -455,7 +429,7 @@ def check_growth(f, samples) -> Verdict:
     and the slack is minus the largest of them; it passes at ``>= -1e-9``.
     """
     worst = [0.0, 0.0, 0.0, 0.0]
-    q = f.p / (f.p - 1.0) if f.p > 1 else math.inf
+    q = f.p / (f.p - 1.0)
     for u, gamma, delta in samples:
         u = _as_point(u, f.m)
         psi_u = f.eval(u)
@@ -463,10 +437,7 @@ def check_growth(f, samples) -> Verdict:
         # The violation of lhs <= rhs is the slack of the reversed claim.
         worst[0] = max(worst[0], normalized_slack(f.eval(gamma * u), gamma**f.p * psi_u))
         conj_y = f.conjugate_value(y)
-        if f.p > 1:
-            worst[1] = max(
-                worst[1], normalized_slack(f.conjugate_value(delta * y), delta**q * conj_y)
-            )
+        worst[1] = max(worst[1], normalized_slack(f.conjugate_value(delta * y), delta**q * conj_y))
         worst[2] = max(worst[2], normalized_slack(conj_y, f.p * psi_u))
         worst[3] = max(worst[3], normalized_slack(float(np.dot(y, u)), f.p * psi_u))
     names = ("scale_growth", "conjugate_shrink", "conjugate_of_grad", "grad_inner")

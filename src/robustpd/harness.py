@@ -13,9 +13,8 @@ The end-to-end cost bound is checked with explicit constants::
     mean cost(load/8) <= C_adv * cost(vOPT_adv) + C_stoch * cost(E vOPT_stoch)
                          + 1.5 * cost(p*ones) + 3*SE
 
-where ``C_adv`` is ``(2p)**p`` for separable costs and ``e*(2ep^2)**p``
-otherwise, and ``C_stoch`` is ``beta**p`` (``beta = n/|Stoch|``), improving
-to 1 for homogeneous costs.
+where ``C_adv`` is ``(2p)**p`` and ``C_stoch`` is ``beta**p``
+(``beta = n/|Stoch|``), improving to 1 for homogeneous costs.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -71,7 +71,6 @@ from robustpd.welfare import (
 )
 
 __all__ = [
-    "RepRow",
     "InstanceReport",
     "evaluate_ocp_instance",
     "evaluate_welfare_instance",
@@ -84,16 +83,16 @@ __all__ = [
 ]
 
 @dataclass
-class RepRow:
-    replication: int
-    cost: float | None = None
-    profit: float | None = None
-    norm: float | None = None
-    failed: list[str] = field(default_factory=list)
-
-
-@dataclass
 class InstanceReport:
+    """The evaluation of one instance, its replications held as columns.
+
+    ``values`` maps each reported name (``cost``, ``profit`` or ``norm``)
+    to its ``(K,)`` values, one per replication; ``rows`` is the ``(K,
+    len(rep_checks))`` failure matrix of the per-replication checks named
+    in ``rep_checks``, row k for replication k; ``checks`` holds the
+    verdicts on the Monte-Carlo means.
+    """
+
     instance: str
     problem: str
     seed: int
@@ -102,7 +101,9 @@ class InstanceReport:
     p: float
     family: str
     replications: int
-    rows: list[RepRow]
+    values: dict
+    rep_checks: list[str]
+    rows: np.ndarray
     opt_adv: float | None
     opt_stoch: float | None
     mean: float
@@ -113,10 +114,10 @@ class InstanceReport:
 
     @property
     def all_pass(self):
-        return all(c.passed for c in self.checks) and not any(r.failed for r in self.rows)
+        return all(c.passed for c in self.checks) and not self.rows.any()
 
     def failed_names(self):
-        names = {name for r in self.rows for name in r.failed}
+        names = set(compress(self.rep_checks, self.rows.any(axis=0)))
         names.update(c.check for c in self.checks if not c.passed)
         return sorted(names)
 
@@ -133,8 +134,8 @@ def _at_most(name, value, rhs):
     return Verdict.of(name, (rhs - value) / max(1.0, abs(rhs)))
 
 
-# The field of RepRow whose mean and standard error each problem reports, in
-# the order of the cost, profit and norm columns of the CSV.
+# The value whose mean and standard error each problem reports, in the
+# order of the cost, profit and norm columns of the CSV.
 _REPORTED = {"ocp": "cost", "welfare": "profit", "loadbalance": "norm"}
 
 
@@ -145,24 +146,16 @@ def _evaluate(inst, replications, label, problem, f, adv_report, stoch_report, e
     Draws the ``(K, n)`` support indices of all K replications, plays them
     with ``engine(points, at, f, labels)``, which returns the trace of all
     K runs, and checks every replication at once: ``replicate(runs,
-    drawn)`` returns the report columns (``RepRow`` field -> ``(K,)``
-    values), the per-replication verdicts (``(K,)`` pass columns) and the
-    extra values the bound needs; ``bound(mean, se, extras)`` gets the
-    reported value's mean and standard error and those extras, and returns
-    ``(bound_rhs, checks, details)``.
+    drawn)`` returns the report values (name -> ``(K,)`` column), the
+    per-replication verdicts (``(K,)`` pass columns) and the extra values
+    the bound needs; ``bound(mean, se, extras)`` gets the reported value's
+    mean and standard error and those extras, and returns ``(bound_rhs,
+    checks, details)``.
     """
     drawn = draw_matrix(inst, range(replications))
     runs = engine(*inst.point_table(drawn), f, inst.stoch_mask)
     columns, verdicts, extras = replicate(runs, drawn)
-    failed = [[] for _ in range(replications)]
-    for verdict in verdicts:
-        for rep in np.flatnonzero(~verdict.passed):
-            failed[rep].append(verdict.check)
-    values = {name: column.tolist() for name, column in columns.items()}
-    rows = [
-        RepRow(replication=rep, failed=failed[rep], **{name: v[rep] for name, v in values.items()})
-        for rep in range(replications)
-    ]
+    passed = np.array([v.passed for v in verdicts], dtype=bool)
     mean, se = _mean_se(columns[_REPORTED[problem]])
     rhs, checks, details = bound(mean, se, extras)
     return InstanceReport(
@@ -174,7 +167,9 @@ def _evaluate(inst, replications, label, problem, f, adv_report, stoch_report, e
         p=f.p,
         family=f.family,
         replications=replications,
-        rows=rows,
+        values=columns,
+        rep_checks=[v.check for v in verdicts],
+        rows=~passed.reshape(len(verdicts), replications).T,
         opt_adv=adv_report.value if adv_report else None,
         opt_stoch=stoch_report.value if stoch_report else None,
         mean=mean,
@@ -260,10 +255,7 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
             rhs = f.eval(beta * stoch_report.load) / beta + 3.0 * se_fake
             checks.append(_at_most("stoch_mean", mean_fake, rhs))
         if stoch_exact:
-            if f.separable:
-                c_adv = (2.0 * f.p) ** f.p
-            else:
-                c_adv = math.e * (2.0 * math.e * f.p**2) ** f.p
+            c_adv = (2.0 * f.p) ** f.p
             c_stoch = 1.0 if f.homogeneous else (beta**f.p if n_stoch else 0.0)
             rhs = 1.5 * f.cost_at_p_ones() + 3.0 * se_scaled
             if adv_sets:
@@ -575,17 +567,33 @@ def _fmt(x):
     return str(x)
 
 
+def _replication_lines(report):
+    """One tuple per replication: index, cost, profit, norm, failed checks.
+
+    A value the report does not hold is None; the failed checks are named
+    in verdict order.
+    """
+    k = report.replications
+    columns = [
+        report.values[name].tolist() if name in report.values else [None] * k
+        for name in _REPORTED.values()
+    ]
+    failed = [[] for _ in range(k)]
+    for rep in np.flatnonzero(report.rows.any(axis=1)).tolist():
+        failed[rep] = list(compress(report.rep_checks, report.rows[rep]))
+    return zip(range(k), *columns, failed)
+
+
 def report_to_csv(report) -> str:
     """One line per replication, then the summary line; see ``CSV_HEADER``."""
     instance = _fmt(report.instance)
     shape = ",".join(_fmt(x) for x in (report.seed, report.n, report.m, report.p, report.family))
     oracles = f"{_fmt(report.opt_adv)},{_fmt(report.opt_stoch)}"
     lines = [CSV_HEADER]
-    for row in report.rows:
-        values = ",".join(_fmt(x) for x in (row.cost, row.profit, row.norm))
+    for rep, cost, profit, norm, failed in _replication_lines(report):
         lines.append(
-            f"{instance},{row.replication},{shape},{values},{oracles},,"
-            f"{';'.join(row.failed)},{not row.failed}"
+            f"{instance},{rep},{shape},{_fmt(cost)},{_fmt(profit)},{_fmt(norm)},{oracles},,"
+            f"{';'.join(failed)},{not failed}"
         )
     means = [report.mean if report.problem == problem else None for problem in _REPORTED]
     lines.append(
@@ -615,14 +623,8 @@ def report_to_json(report) -> dict:
             {"name": c.check, "passed": c.passed, "slack": c.slack} for c in report.checks
         ],
         "rows": [
-            {
-                "replication": r.replication,
-                "cost": r.cost,
-                "profit": r.profit,
-                "norm": r.norm,
-                "failed": r.failed,
-            }
-            for r in report.rows
+            {"replication": rep, "cost": cost, "profit": profit, "norm": norm, "failed": failed}
+            for rep, cost, profit, norm, failed in _replication_lines(report)
         ],
         "all_pass": report.all_pass,
     }

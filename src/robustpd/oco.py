@@ -416,8 +416,8 @@ def check_oco_guarantees(state) -> Verdict:
        ``... >= cost((4p*ones + v_{1:t}) / (4*(1+gamma_{1:t}))) - cost(p*ones)``
        at every t.
     2. ``max_t conj(y_t) / p <= sum_t <y_t, v_t> + cost(p*ones)``.
-    3. Separable costs: the same with ``conj`` of the coordinate-wise max
-       iterate in place of the max of ``conj``.
+    3. The same with ``conj`` of the coordinate-wise max iterate in place
+       of the max of ``conj``, the tighter form for separable costs.
 
     The right-hand sides use the nominal ``4p`` shift regardless of
     mutations: these are the guarantees being falsified, not internal
@@ -436,10 +436,10 @@ def check_oco_guarantees(state) -> Verdict:
         "regret_prefix": normalized_slack(fake_half, f.eval_rows(leader) - base).min(),
         "regret_final": normalized_slack(fake_half[-1], f.eval(state.cum_v / 8.0) - base),
         "size_control": normalized_slack(inner_sum + base, float(conj_y.max(initial=0.0)) / f.p),
+        "size_control_separable": normalized_slack(
+            inner_sum + base, f.conjugate_value(y.max(axis=0, initial=0.0)) / f.p
+        ),
     }
-    if f.separable:
-        conj_max = f.conjugate_value(y.max(axis=0, initial=0.0))
-        detail["size_control_separable"] = normalized_slack(inner_sum + base, conj_max / f.p)
     return Verdict.of("oco_guarantees", min(detail.values()), detail)
 
 

@@ -74,9 +74,19 @@ class FeasibleSet:
         return f"FeasibleSet({len(self)} options, m={self.m})"
 
 
-def _menu(feasible):
-    """The ``(k, m)`` option rows of a :class:`FeasibleSet`, or of a raw menu checked as one."""
-    return (feasible if isinstance(feasible, FeasibleSet) else FeasibleSet(feasible)).options
+def _menus(sets, m):
+    """The ``(k, m)`` option rows of each of ``sets``.
+
+    A set is a :class:`FeasibleSet` or a raw menu, checked as one; a menu
+    whose options are not m wide is refused.
+    """
+    menus = []
+    for j, feasible in enumerate(sets):
+        options = (feasible if isinstance(feasible, FeasibleSet) else FeasibleSet(feasible)).options
+        if options.shape[1] != m:
+            raise ValueError(f"set {j} has options of width {options.shape[1]}, expected {m}")
+        menus.append(options)
+    return menus
 
 
 def _menu_table(sets, m):
@@ -84,7 +94,7 @@ def _menu_table(sets, m):
 
     Also returns the ``(S, kmax)`` mask ``scored`` of the real options.
     """
-    menus = [_menu(s) for s in sets]
+    menus = _menus(sets, m)
     table = np.zeros((len(menus), max([1, *map(len, menus)]), m))
     scored = np.zeros(table.shape[:2], dtype=bool)
     for j, options in enumerate(menus):
@@ -220,20 +230,20 @@ def _fake_total(trace, steps, choices):
 def check_cost_bound(trace) -> Verdict:
     """Real cost of the run against its fake cost, in the scaled form.
 
-    ``cost(load/8) <= sum_t fake_t - conj_max/(2p) + 1.5*cost(p*ones)``;
-    for separable costs the middle term tightens to the conjugate of the
-    coordinate-wise max dual.
+    ``cost(load/8) <= sum_t fake_t - conj_max/(2p) + 1.5*cost(p*ones)``,
+    and the same with the conjugate of the coordinate-wise max dual in
+    place of ``conj_max``, the tighter form for separable costs.
     """
     f = trace.state.f
     lhs = f.eval_rows(trace.load / 8.0)
     fake_sum = trace.fake.sum(axis=-1)
     base = 1.5 * f.cost_at_p_ones()
     rhs = fake_sum - trace.conj_y.max(axis=-1, initial=0.0) / (2.0 * f.p) + base
-    parts = {"nonseparable": normalized_slack(rhs, lhs)}
-    if f.separable:
-        y_max = trace.y.max(axis=-2, initial=0.0)
-        rhs_sep = fake_sum - f.conj_many(y_max) / (2.0 * f.p) + base
-        parts["separable"] = normalized_slack(rhs_sep, lhs)
+    rhs_sep = fake_sum - f.conj_many(trace.y.max(axis=-2, initial=0.0)) / (2.0 * f.p) + base
+    parts = {
+        "nonseparable": normalized_slack(rhs, lhs),
+        "separable": normalized_slack(rhs_sep, lhs),
+    }
     return Verdict.of_parts("cost_bound", parts)
 
 
@@ -245,8 +255,8 @@ def check_adversarial_charging(trace, alpha, opt_choices) -> Verdict:
         sum_{t in Adv} L(y_t, v*_t) <= e*cost(alpha*vOPT) + (e*p/alpha)*conj_max
         sum_{t in Adv} L(y_t, v*_t) <= cost(alpha*vOPT) + conj(max_t y_t)/alpha
 
-    The second form is why the separable engine can afford the smaller
-    ``alpha``; it is checked whenever the cost is separable.
+    The second form, valid for separable costs, is why the engine can
+    afford the smaller ``alpha``.
     """
     if alpha < 1.0:
         raise ValueError("alpha must be at least 1")
@@ -262,11 +272,11 @@ def check_adversarial_charging(trace, alpha, opt_choices) -> Verdict:
     lhs = _fake_total(trace, adv, opt_choices)
     conj_max = trace.conj_y.max(axis=-1, initial=0.0)
     rhs1 = math.e * cost_opt + (math.e * f.p / alpha) * conj_max
-    parts = {"max_form": normalized_slack(rhs1, lhs)}
-    if f.separable:
-        y_max = trace.y.max(axis=-2, initial=0.0)
-        rhs2 = cost_opt + f.conj_many(y_max) / alpha
-        parts["pointwise_max_form"] = normalized_slack(rhs2, lhs)
+    rhs2 = cost_opt + f.conj_many(trace.y.max(axis=-2, initial=0.0)) / alpha
+    parts = {
+        "max_form": normalized_slack(rhs1, lhs),
+        "pointwise_max_form": normalized_slack(rhs2, lhs),
+    }
     return Verdict.of_parts(f"adversarial_charging(alpha={alpha:g})", parts)
 
 

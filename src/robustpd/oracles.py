@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from robustpd.oco import ConfigError
-from robustpd.ocp import _menu
+from robustpd.ocp import _menus
 from robustpd.welfare import _split_requests
 
 __all__ = [
@@ -88,7 +88,7 @@ def opt_adv_ocp(adv_sets, f) -> OptReport:
     ``eval``.  The answer is the lexicographically first combination of
     least ``eval``.
     """
-    menus = [_menu(s) for s in adv_sets]
+    menus = _menus(adv_sets, f.m)
     if not menus:
         return OptReport(value=0.0, choices=[], load=np.zeros(f.m))
     combos = math.prod(len(o) for o in menus)
@@ -222,7 +222,7 @@ def opt_stoch_ocp(support, probs, n_stoch, f, *, mc_samples=10**5, seed=0) -> Op
     """
     if n_stoch == 0:
         return OptReport(value=0.0, selector=[], load=np.zeros(f.m))
-    menus = [_menu(s) for s in support]
+    menus = _menus(support, f.m)
     probs = np.asarray(probs, dtype=np.float64)
     s = len(menus)
     selector_count = math.prod(len(o) for o in menus)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from robustpd.costs import SumOfPowers
 from robustpd.oco import (
     ConfigError,
     OcoState,
@@ -110,21 +111,18 @@ class WelfareTrace(_LockstepTrace):
 
 def _reduce(c, a, f):
     """Split off the linear part; returns (reduced rewards, run cost)."""
-    high = f.power_part()
     slopes = f.linear_slopes
-    if slopes is None or not np.any(slopes > 0):
-        return c, high if high is not None else f
-    if high is None:
-        raise ConfigError("cost has a linear part but no power remainder to run on")
-    return c - a @ slopes, high
+    if slopes is not None and np.any(slopes > 0):
+        c = c - a @ slopes
+    return c, f.power_part() or f
 
 
 def run_welfare(requests, f, labels=None):
     """Run the scaled primal-dual welfare loop over realized requests.
 
-    Needs ``n >= 4p`` and a cost whose power part grows at least
-    quadratically (checked by sampling when not certain from the family).
-    The one run of :func:`run_welfare_batch`.
+    Needs ``n >= 4p`` and a cost whose power part is a sum of powers, which
+    grows at least quadratically since ``p >= 2``.  The one run of
+    :func:`run_welfare_batch`.
     """
     requests = list(requests)
     return run_welfare_batch(requests, np.arange(len(requests))[None], f, labels).rows()[0]
@@ -150,9 +148,8 @@ def run_welfare_batch(requests, at, f, labels=None):
     c, A = c_table[at], a_table[at]  # (K, n), (K, n, m)
     # A stacked matmul reduces each run's rows as that run's own (n, m) matrix would.
     c_red, run_f = _reduce(c, A, f)
-    certain = run_f.family == "sum_of_powers" and run_f.p >= 2.0
-    if not certain and not run_f.grows_at_least_quadratically():
-        raise ConfigError("cost must grow at least quadratically after reduction")
+    if not isinstance(run_f, SumOfPowers):
+        raise ConfigError(f"the welfare loop runs a sum of powers after reduction, got {run_f!r}")
     gamma = 1.0 / n
     state = OcoState(run_f, gamma)
     x_virtual = np.empty(c_red.shape)

@@ -40,15 +40,10 @@ def old_check_cost_bound(trace):
     fake_total = float(trace.fake.sum())
     base = 1.5 * f.cost_at_p_ones()
     rhs = fake_total - float(trace.conj_y.max(initial=0.0)) / (2.0 * f.p) + base
-    worst = old_slack(rhs, lhs)
-    detail = {"nonseparable": worst}
-    if f.separable:
-        y_max = trace.y.max(axis=0, initial=0.0)
-        rhs_sep = fake_total - f.conjugate_value(y_max) / (2.0 * f.p) + base
-        sep = old_slack(rhs_sep, lhs)
-        detail["separable"] = sep
-        worst = min(worst, sep)
-    return worst, detail
+    y_max = trace.y.max(axis=0, initial=0.0)
+    rhs_sep = fake_total - f.conjugate_value(y_max) / (2.0 * f.p) + base
+    detail = {"nonseparable": old_slack(rhs, lhs), "separable": old_slack(rhs_sep, lhs)}
+    return min(detail.values()), detail
 
 
 def old_check_adversarial_charging(trace, alpha, opt_choices):
@@ -62,15 +57,10 @@ def old_check_adversarial_charging(trace, alpha, opt_choices):
     )
     conj_max = float(trace.conj_y.max(initial=0.0))
     rhs1 = math.e * f.eval(alpha * v_opt) + (math.e * f.p / alpha) * conj_max
-    worst = old_slack(rhs1, lhs)
-    detail = {"max_form": worst}
-    if f.separable:
-        y_max = trace.y.max(axis=0, initial=0.0)
-        rhs2 = f.eval(alpha * v_opt) + f.conjugate_value(y_max) / alpha
-        sep = old_slack(rhs2, lhs)
-        detail["pointwise_max_form"] = sep
-        worst = min(worst, sep)
-    return worst, detail
+    y_max = trace.y.max(axis=0, initial=0.0)
+    rhs2 = f.eval(alpha * v_opt) + f.conjugate_value(y_max) / alpha
+    detail = {"max_form": old_slack(rhs1, lhs), "pointwise_max_form": old_slack(rhs2, lhs)}
+    return min(detail.values()), detail
 
 
 def old_stoch_fake(trace, selector, drawn, labels):

@@ -114,8 +114,6 @@ class TestConjugate:
     def test_infinite_conjugate_raises(self):
         with pytest.raises(ValueError):
             SumOfPowers([0.0, 1.0], 2).conjugate_value([1.0, 1.0])
-        with pytest.raises(ValueError):
-            SumOfPowers([1.0], 1).conjugate_value([2.0])
 
     def test_negative_dual_rejected(self):
         with pytest.raises(ValueError):
@@ -195,6 +193,11 @@ def test_superadditivity_hypothesis(u, v):
 
 
 class TestGrowth:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_order_below_two_refused(self, family):
+        with pytest.raises(ValueError, match="p=1.5 must be >= 2"):
+            make_family(family, 2, 1.5, np.random.default_rng(0))
+
     def test_worked_values(self):
         f = SumOfPowers([1.0], 2)
         # conj(grad(1)) = conj(2) = 1 <= 2 * cost(1) = 2
@@ -301,7 +304,6 @@ class TestSerialization:
         assert SumOfPowers([1.0], 2).homogeneous
         assert not LinearPlusPower([1.0], [0.5], 2).homogeneous
         assert LinearPlusPower([1.0], [0.0], 2).homogeneous
-        assert SumOfPowers([1.0], 2).separable
 
 
 class TestBatched:
@@ -359,11 +361,6 @@ class TestDecomposition:
         high = f.power_part()
         u = np.array([1.5])
         assert high.eval(u) + np.dot(f.linear_slopes, u) == pytest.approx(f.eval(u))
-
-    def test_quadratic_growth_flag(self):
-        assert SumOfPowers([1.0], 2).grows_at_least_quadratically()
-        slow = SeparableGeneric([(lambda x: x**1.5, lambda x: 1.5 * x**0.5)], 2)
-        assert not slow.grows_at_least_quadratically()
 
 
 def reference_conj_1d(component, y):

@@ -15,6 +15,7 @@ from robustpd.harness import (
     evaluate_loadbalance_instance,
     evaluate_ocp_instance,
     evaluate_welfare_instance,
+    report_to_csv,
     run_core_suite,
     run_verify_suite,
 )
@@ -91,6 +92,16 @@ def test_verify_suite_scope_welfare():
     results = run_verify_suite(seed=5, count=40, scope="welfare")
     assert any(r.check == "welfare_instance" for r in results)
     assert all(r.passed for r in results)
+
+
+def test_loadbalance_report_has_no_per_replication_check():
+    report = evaluate_loadbalance_instance(
+        load_instance("tests/data/ocp_small.json"), 3, label="ocp_small"
+    )
+    assert report.rep_checks == [] and report.rows.shape == (3, 0)
+    assert sorted(report.values) == ["cost", "norm"]
+    golden = Path(__file__).parent / "data" / "ocp_small_loadbalance_golden.csv"
+    assert report_to_csv(report).encode() == golden.read_bytes()
 
 
 @pytest.mark.parametrize("replications", [0, -2])

@@ -380,14 +380,6 @@ class TestDominatingSet:
         assert rep.passed
         assert np.all(witness >= np.arange(1, 9))
 
-    def test_p_one_degenerate(self):
-        f = SumOfPowers([1.0], 1)
-        st = OcoState(f, 1 / 4)
-        drive(st, [[1.0]] * 4, [1 / 4] * 4)
-        indices, _, rep = dominating_set(st)
-        assert indices == [4]
-        assert rep.passed
-
     def test_trailing_zero_multipliers_stay_dominated(self):
         # Spend the whole multiplier budget early, then keep loading: the
         # final interval must be anchored at the last step or the tail

@@ -98,12 +98,10 @@ def old_check_oco_guarantees(state):
     detail["regret_final"] = s1
     s2 = normalized_slack(inner_sum + base, float(conj_y.max(initial=0.0)) / f.p)
     detail["size_control"] = s2
-    worst = min(worst, s1, s2)
-    if f.separable:
-        y_max = y.max(axis=0, initial=0.0)
-        s3 = normalized_slack(inner_sum + base, f.conjugate_value(y_max) / f.p)
-        detail["size_control_separable"] = s3
-        worst = min(worst, s3)
+    y_max = y.max(axis=0, initial=0.0)
+    s3 = normalized_slack(inner_sum + base, f.conjugate_value(y_max) / f.p)
+    detail["size_control_separable"] = s3
+    worst = min(worst, s1, s2, s3)
     return worst, detail
 
 

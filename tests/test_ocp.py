@@ -5,9 +5,10 @@ import pytest
 
 from robustpd import ocp
 from robustpd.costs import SumOfPowers
-from robustpd.harness import evaluate_ocp_instance
+from robustpd.harness import CSV_HEADER, evaluate_ocp_instance, report_to_csv, report_to_json
 from robustpd.instances import draw_matrix, load_instance
 from robustpd.oco import ConfigError, OcoState, Verdict
+from robustpd.oracles import opt_adv_ocp, opt_stoch_ocp
 from robustpd.ocp import (
     FeasibleSet,
     check_adversarial_charging,
@@ -48,6 +49,20 @@ class TestFeasibleSet:
         # An empty raw menu would leave only padded slots in the engine's table.
         with pytest.raises(ValueError):
             run_ocp([menu] * 8, square2())
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_menu_width_must_match_the_cost(self, width):
+        # A one-column menu must not be broadcast across the three coordinates.
+        f = SumOfPowers([1.0, 1.0, 1.0], 2)
+        sets = [np.full((2, 3), 0.5)] * 8
+        sets[5] = np.array([[0.5] * width, [0.25] * width])
+        for solve in (
+            lambda: run_ocp(sets, f),
+            lambda: opt_adv_ocp(sets, f),
+            lambda: opt_stoch_ocp(sets, np.full(8, 1 / 8), 3, f),
+        ):
+            with pytest.raises(ValueError, match=f"set 5 has options of width {width}, expected 3"):
+                solve()
 
 
 def best_of(options, y):
@@ -356,14 +371,32 @@ class TestBestResponseCertificate:
         monkeypatch.setattr(ocp, "_best_rows", wrong_best_rows(WRONG_PRIMALS[mutation]))
         report = evaluate_ocp_instance(load_instance("tests/data/ocp_small.json"), 3)
         assert not report.all_pass
-        assert all("best_response" in row.failed for row in report.rows)
+        assert report.rows[:, report.rep_checks.index("best_response")].all()
+
+    def test_report_lines_name_each_replications_failures(self, monkeypatch):
+        monkeypatch.setattr(ocp, "_best_rows", wrong_best_rows(WRONG_PRIMALS["argmax"]))
+        report = evaluate_ocp_instance(load_instance("tests/data/ocp_small.json"), 5)
+        assert report.rows.shape == (5, len(report.rep_checks))
+        column = CSV_HEADER.split(",").index("checks_failed")
+        *lines, summary = [line.split(",") for line in report_to_csv(report).splitlines()[1:]]
+        json_rows = report_to_json(report)["rows"]
+        assert len(lines) == len(json_rows) == 5
+        for rep, (row, fields) in enumerate(zip(report.rows.tolist(), lines)):
+            names = [name for name, failed in zip(report.rep_checks, row) if failed]
+            assert "best_response" in names
+            assert fields[1] == str(rep) and fields[column] == ";".join(names)
+            assert fields[-1] == "False"
+            assert json_rows[rep]["failed"] == names
+        assert summary[1] == "mean"
+        assert summary[column] == ";".join(report.failed_names())
+        assert "best_response" in report.failed_names()
 
     def test_late_tie_fails_on_golden_instance_with_repeats(self, monkeypatch):
         inst = golden_with_repeats()
         assert evaluate_ocp_instance(inst, 3).all_pass
         monkeypatch.setattr(ocp, "_best_rows", wrong_best_rows(last_tie))
         report = evaluate_ocp_instance(inst, 3)
-        assert all("best_response" in row.failed for row in report.rows)
+        assert report.rows[:, report.rep_checks.index("best_response")].all()
         sets, at = inst.point_table(draw_matrix(inst, range(3)))
         trace = run_ocp_batch(sets, at, inst.cost_function())
         sizes = np.array([len(s) for s in sets])[at]

@@ -7,7 +7,7 @@ import pytest
 from robustpd import oracles
 from robustpd.costs import SumOfPowers
 from robustpd.instances import GeneratorParams, generate
-from robustpd.ocp import _menu
+from robustpd.ocp import _menus
 from robustpd.oracles import (
     GuardError,
     count_multisets,
@@ -292,7 +292,7 @@ def loop_multiset_table(n_draws, probs):
 
 def loop_opt_stoch_ocp(support, probs, n_stoch, f):
     """(value, indices, load), one selector at a time."""
-    menus = [_menu(s) for s in support]
+    menus = _menus(support, f.m)
     probs = np.asarray(probs, dtype=np.float64)
     counts, pmf = loop_multiset_table(n_stoch, probs)
     best_val, best_sel = math.inf, None
@@ -307,7 +307,7 @@ def loop_opt_stoch_ocp(support, probs, n_stoch, f):
 
 def loop_opt_stoch_ocp_mc(support, probs, n_stoch, f, mc_samples, seed=0):
     """(value, indices, load, stderr) of the Monte Carlo fallback, one selector at a time."""
-    menus = [_menu(s) for s in support]
+    menus = _menus(support, f.m)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     s = len(menus)
     best_val, best_sel, best_err = math.inf, None, 0.0
@@ -405,7 +405,7 @@ def stochastic_parts(problem, count, seed):
             probs[int(rng.integers(len(probs)))] = 0.0
             probs /= probs.sum()
         if problem == "ocp" and i % 2:
-            menus = [_menu(s) for s in support]
+            menus = _menus(support, inst.m)
             j = int(rng.integers(len(menus)))
             support = menus[:j] + [np.vstack([menus[j], menus[j][:1]])] + menus[j + 1:]
         yield support, probs, inst.n_stoch, inst.cost_function()
