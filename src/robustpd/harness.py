@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -567,34 +567,47 @@ def _fmt(x):
     return str(x)
 
 
+def _failed_checks(report):
+    """The names of the checks each replication failed, in verdict order."""
+    failed = [[] for _ in range(report.replications)]
+    for rep in np.flatnonzero(report.rows.any(axis=1)).tolist():
+        failed[rep] = list(compress(report.rep_checks, report.rows[rep]))
+    return failed
+
+
 def _replication_lines(report):
     """One tuple per replication: index, cost, profit, norm, failed checks.
 
-    A value the report does not hold is None; the failed checks are named
-    in verdict order.
+    A value the report does not hold is None.
     """
     k = report.replications
     columns = [
         report.values[name].tolist() if name in report.values else [None] * k
         for name in _REPORTED.values()
     ]
-    failed = [[] for _ in range(k)]
-    for rep in np.flatnonzero(report.rows.any(axis=1)).tolist():
-        failed[rep] = list(compress(report.rep_checks, report.rows[rep]))
-    return zip(range(k), *columns, failed)
+    return zip(range(k), *columns, _failed_checks(report))
 
 
 def report_to_csv(report) -> str:
-    """One line per replication, then the summary line; see ``CSV_HEADER``."""
+    """One line per replication, then the summary line; see ``CSV_HEADER``.
+
+    Each value column is rendered in one pass, as the ``repr`` of its
+    Python floats, which is the text ``_fmt`` gives each value.
+    """
     instance = _fmt(report.instance)
     shape = ",".join(_fmt(x) for x in (report.seed, report.n, report.m, report.p, report.family))
     oracles = f"{_fmt(report.opt_adv)},{_fmt(report.opt_stoch)}"
+    k = report.replications
+    columns = [
+        map(repr, report.values[name].tolist()) if name in report.values else repeat("", k)
+        for name in _REPORTED.values()
+    ]
     lines = [CSV_HEADER]
-    for rep, cost, profit, norm, failed in _replication_lines(report):
-        lines.append(
-            f"{instance},{rep},{shape},{_fmt(cost)},{_fmt(profit)},{_fmt(norm)},{oracles},,"
-            f"{';'.join(failed)},{not failed}"
-        )
+    lines += [
+        f"{instance},{rep},{shape},{cost},{profit},{norm},{oracles},,"
+        f"{';'.join(failed)},{not failed}"
+        for rep, cost, profit, norm, failed in zip(range(k), *columns, _failed_checks(report))
+    ]
     means = [report.mean if report.problem == problem else None for problem in _REPORTED]
     lines.append(
         f"{instance},mean,{shape},{','.join(_fmt(x) for x in means)},{oracles},"

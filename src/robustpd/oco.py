@@ -16,12 +16,16 @@ In closed form::
 
 Each observed step appends ``(y_t, v_t, gamma_t, conj(y_t))`` to the
 state's run record, :meth:`OcoState.record`, and advances the running sums
-that the next iterate needs.  :meth:`OcoState.observe` takes one step, as
-the engines need, since their loads answer the posted dual.
-:meth:`OcoState.observe_steps` takes a whole run whose loads are known up
-front (the dual-learner suite, the homogeneous re-derivation) and records
-the same bits in one pass: ``np.cumsum`` prefix sums, one ``grad_many`` for
-the n iterates and one ``conj_many`` for their conjugates.  The engines'
+that the next iterate needs.  :meth:`OcoState.play` plays a block of steps
+whose loads answer the posted duals, as the engines need: it posts each
+iterate, takes the loads from the engine's response, writes both into a
+preallocated record, and after the block checks the loads once and prices
+the conjugates with one ``conj_many``.  :meth:`OcoState.observe` is its
+one-step case.  :meth:`OcoState.observe_steps` takes a whole run whose
+loads are known up front (the dual-learner suite, the homogeneous
+re-derivation) and records the same bits in one pass: ``np.cumsum`` prefix
+sums, one ``grad_many`` for the n iterates and one ``conj_many`` for their
+conjugates.  The engines'
 traces and every post-run check read the record, and
 :meth:`OcoState.leaders` derives from it, once per state and with one
 ``grad_many``, the unregularized leader iterates
@@ -153,8 +157,10 @@ class _LockstepTrace:
 class OcoState:
     """Single-owner mutable state of one dual-learning run, or of K runs.
 
-    Steps are recorded one at a time by :meth:`observe`, or a single run's
-    steps all at once by :meth:`observe_steps`; both give the same bits.
+    Steps are recorded in blocks: by :meth:`play`, whose loads answer the
+    posted duals (:meth:`observe` is its one-step case), or by
+    :meth:`observe_steps`, a single run's steps whose loads are known up
+    front.  Any split of a run into blocks gives the same bits.
 
     Parameters
     ----------
@@ -184,7 +190,7 @@ class OcoState:
         self.cum_v = np.zeros(f.m)
         self.cum_gamma = 0.0
         self._count = 0  # steps observed
-        # y, v, gamma, conj(y): one chunk per observe call, with a step axis.
+        # y, v, gamma, conj(y): one chunk per recorded block, with a step axis.
         self._chunks = ([], [], [], [])
         self._arrays = None
         self._leader_cache = None
@@ -246,30 +252,61 @@ class OcoState:
         self._arrays = None
         self._leader_cache = None
 
+    def play(self, respond, n, gamma):
+        """Play n steps in lockstep, each load answering the dual posted before it.
+
+        At step t of the block (counted from 0) the state posts the iterate
+        ``y`` of the :meth:`_iterates` formula, and ``respond(t, y)`` returns
+        the step's loads: ``(m,)`` for one run or ``(K, m)``, one row per
+        run, in the same shape at every step; ``gamma`` is the multiplier of
+        every step, shared by all runs.  Before a state's first step every
+        run posts the same ``(m,)`` iterate.  The iterates and loads go into
+        one preallocated ``(K, n, m)`` record.  After the loop the whole
+        block is checked once, as :meth:`observe_steps` checks its block,
+        and the conjugates of its iterates are one ``conj_many`` call;
+        nothing is recorded if the check fails.  The running sums add in
+        step order and ``conj_many`` reduces each row as it does alone, so
+        the record holds the bits of n one-step blocks.
+        """
+        if not n:
+            return
+        m = self.f.m
+        cum_v, cum_gamma, totals = self.cum_v, self.cum_gamma, []
+        try:
+            for t in range(n):
+                y = self._iterates(cum_v, cum_gamma) if t else self.next_iterate()
+                v = np.asarray(respond(t, y), dtype=np.float64)
+                if v.ndim not in (1, 2) or v.shape[-1] != m or (
+                    (t or self._count) and v.shape != cum_v.shape
+                ):
+                    raise ValueError(
+                        f"load has shape {v.shape}, expected ({m},) or (K, {m}) at every step"
+                    )
+                if not t:
+                    y_rec, v_rec = np.empty((2,) + v.shape[:-1] + (n, m))
+                y_rec[..., t, :] = y
+                v_rec[..., t, :] = v
+                cum_v = cum_v + v
+                cum_gamma += gamma
+                totals.append(cum_gamma)
+        except Exception:
+            # A bad load can make a later step fail: name the bad step first.
+            if totals:
+                played = np.moveaxis(v_rec, -2, 0)[: len(totals)]
+                self._refuse_bad_steps(played, [gamma] * len(totals), totals)
+            raise
+        self._refuse_bad_steps(np.moveaxis(v_rec, -2, 0), [gamma] * n, totals)
+        self._append(y_rec, v_rec, np.full(n, gamma), self.f.conj_many(y_rec))
+        self.cum_v, self.cum_gamma = cum_v, cum_gamma
+
     def observe(self, v, gamma):
         """Reveal ``(v_t, gamma_t)``, record the step, advance to step t+1.
 
-        ``v`` is one load ``(m,)`` or one per run ``(K, m)``, in the same
-        shape at every step; ``gamma`` is shared by all runs.  The engines
-        observe step by step, since their loads answer the posted dual.
+        The one-step case of :meth:`play`: ``v`` is one load ``(m,)`` or one
+        per run ``(K, m)``, in the same shape at every step, and ``gamma``
+        is shared by all runs.
         """
-        v = np.asarray(v, dtype=np.float64)
-        m = self.f.m
-        if v.ndim not in (1, 2) or v.shape[-1] != m or (
-            self._count and v.shape != self.cum_v.shape
-        ):
-            raise ValueError(
-                f"load has shape {v.shape}, expected ({m},) or (K, {m}) at every step"
-            )
-        self._refuse_bad_steps(v[None], [gamma], [self.cum_gamma + gamma])
-
-        y = self.next_iterate()
-        conj_y = self.f.conj_many(y)
-        if y.shape != v.shape:  # before the first step every run posts the same iterate
-            y, conj_y = np.broadcast_to(y, v.shape), np.broadcast_to(conj_y, v.shape[:-1])
-        self._append(y[..., None, :], v[..., None, :], [gamma], conj_y[..., None])
-        self.cum_v = self.cum_v + v
-        self.cum_gamma += gamma
+        self.play(lambda t, y: v, 1, gamma)
 
     def observe_steps(self, v, gamma):
         """Observe n steps at once: loads ``(n, m)`` and multipliers ``(n,)``.
@@ -281,8 +318,9 @@ class OcoState:
         from one ``grad_many`` and one ``conj_many`` over the n rows.  The
         whole block is checked before any of it is recorded.
         """
-        v = np.asarray(v, dtype=np.float64)
-        gamma = np.asarray(gamma, dtype=np.float64)
+        # Copies: the record must not share the caller's arrays.
+        v = np.array(v, dtype=np.float64, order="C")
+        gamma = np.array(gamma, dtype=np.float64)
         m = self.f.m
         if v.ndim != 2 or v.shape[1] != m or gamma.shape != v.shape[:1] or self.cum_v.ndim != 1:
             raise ValueError(
@@ -312,12 +350,15 @@ class OcoState:
             return np.zeros((0, m)), np.zeros((0, m)), np.zeros(0), np.zeros(0)
         if self._arrays is None:
             ys, vs, gammas, conjs = self._chunks
-            self._arrays = (
-                np.concatenate(ys, axis=-2),
-                np.concatenate(vs, axis=-2),
-                np.concatenate(gammas, dtype=np.float64),
-                np.concatenate(conjs, axis=-1),
-            )
+            if len(gammas) == 1:  # a block's own arrays, all C-contiguous
+                self._arrays = (ys[0], vs[0], gammas[0], conjs[0])
+            else:
+                self._arrays = (
+                    np.concatenate(ys, axis=-2),
+                    np.concatenate(vs, axis=-2),
+                    np.concatenate(gammas),
+                    np.concatenate(conjs, axis=-1),
+                )
         return self._arrays
 
     def leaders(self):

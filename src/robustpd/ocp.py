@@ -24,6 +24,7 @@ computes one result per run with the same formula it applies to one run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,7 +114,7 @@ def _best_rows(options, Y, scored):
     Returns the indices ``(R,)`` and the points ``(R, m)``.
     """
     scores = np.where(scored, np.vecdot(options, Y[:, None, :]), np.inf)
-    idx = np.argmin(scores, axis=1)
+    idx = scores.argmin(axis=1)
     return idx, options[np.arange(len(idx)), idx]
 
 
@@ -169,11 +170,12 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
     """Run the primal-dual loop for K runs in lockstep; returns the all-runs trace.
 
     Run k faces the feasible set ``sets[at[k, t]]`` at step t.  Each run is
-    equal bit for bit to a separate run: the runs share one dual state
-    whose iterates and record carry one row per run, and at each step one
-    gather from the padded menu table stacks every run's menu for one call
-    of the scorer.  Each set is a :class:`FeasibleSet` or a raw option
-    array, checked as one.
+    equal bit for bit to a separate run: the runs share one dual state,
+    which plays the n steps with :meth:`OcoState.play` and whose iterates
+    and record carry one row per run.  One gather from the padded menu
+    table stacks the menus of every step and run, and each step makes one
+    call of the scorer for all runs.  Each set is a :class:`FeasibleSet` or
+    a raw option array, checked as one.
     """
     at = np.ascontiguousarray(at, dtype=np.int64)
     runs, n = at.shape
@@ -189,12 +191,16 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
     )
     choice = np.empty((runs, n), dtype=np.int64)
     table, scored = _menu_table(sets, f.m)
-    for t in range(n):
-        y = state.next_iterate()
+    # One gather for the block: the menus of step t are the contiguous menus[t].
+    menus, masks = table[at.T], scored[at.T]
+
+    def respond(t, y):
+        # _best_rows is looked up at each call, where a test may patch it.
         y = y if y.ndim == 2 else np.broadcast_to(y, (runs, f.m))
-        j = at[:, t]
-        choice[:, t], v = _best_rows(table[j], y, scored[j])
-        state.observe(v, gamma)
+        choice[:, t], v = _best_rows(menus[t], y, masks[t])
+        return v
+
+    state.play(respond, n, gamma)
     y, v, _, conj_y = state.record()
     return OcpRunTrace(
         choice=choice,
@@ -298,8 +304,10 @@ def check_best_response(trace) -> Verdict:
     same = (padded[:, :, None, :] == padded[:, None, :, :]).all(axis=-1)
     first = scored & ~np.tril(same, -1).any(axis=-1)
     y = trace.y
-    scores = np.einsum("...km,...m->...k", padded[trace.at], y)
-    best = np.where(scored[trace.at], scores, np.inf).min(axis=-1)
+    # Scored with the engine's kernel, so equal options tie exactly here too.
+    scores = np.where(scored[trace.at], np.vecdot(padded[trace.at], y[..., None, :]), np.inf)
+    # One option slot at a time: numpy's min over a short last axis is slow.
+    best = functools.reduce(np.minimum, np.moveaxis(scores, -1, 0))
     margin = (best - np.vecdot(y, trace.v)) / np.maximum(1.0, np.abs(best))
     worst = margin.min(axis=-1)
     ties_first = first[trace.at, trace.choice].all(axis=-1)

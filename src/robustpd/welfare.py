@@ -153,10 +153,12 @@ def run_welfare_batch(requests, at, f, labels=None):
     gamma = 1.0 / n
     state = OcoState(run_f, gamma)
     x_virtual = np.empty(c_red.shape)
-    for t in range(n):
-        x = _accept(c_red[:, t], state.next_iterate(), A[:, t])
-        state.observe(A[:, t] * x[:, None], gamma)
-        x_virtual[:, t] = x
+
+    def respond(t, y):
+        x = x_virtual[:, t] = _accept(c_red[:, t], y, A[:, t])
+        return A[:, t] * x[:, None]
+
+    state.play(respond, n, gamma)
     x_played = PLAY_SCALE * x_virtual
     reward_total = np.vecdot(c, x_played)
     cost_total = f.eval_rows((np.swapaxes(A, 1, 2) @ x_played[:, :, None])[:, :, 0])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustpd import ocp, welfare
 from robustpd.costs import SumOfPowers
 from robustpd.harness import run_oco_suite
 from robustpd.oco import (
@@ -16,6 +17,7 @@ from robustpd.oco import (
     check_stability,
     dominating_set,
 )
+from robustpd.ocp import FeasibleSet
 
 from test_costs import make_family
 
@@ -259,6 +261,103 @@ class TestObserveSteps:
         assert st.record()[0].shape == (0, 1)
         assert st.cum_v.tolist() == [0.0] and st.cum_gamma == 0.0
         assert st.next_iterate() == pytest.approx([32.0 / 9.0])
+
+
+def per_step_ocp(sets, at, f):
+    """The OCP engine's step loop with one ``observe`` call per step."""
+    runs, n = at.shape
+    gamma = 1.0 / n
+    state = OcoState(f, gamma)
+    choice = np.empty((runs, n), dtype=np.int64)
+    table, scored = ocp._menu_table(sets, f.m)
+    for t in range(n):
+        y = state.next_iterate()
+        y = y if y.ndim == 2 else np.broadcast_to(y, (runs, f.m))
+        j = at[:, t]
+        choice[:, t], v = ocp._best_rows(table[j], y, scored[j])
+        state.observe(v, gamma)
+    return state, choice
+
+
+def per_step_welfare(requests, at, f):
+    """The welfare engine's step loop with one ``observe`` call per step."""
+    n = at.shape[1]
+    gamma = 1.0 / n
+    c_table, a_table = welfare._split_requests(requests)
+    A = a_table[at]
+    c_red, run_f = welfare._reduce(c_table[at], A, f)
+    state = OcoState(run_f, gamma)
+    x_virtual = np.empty(c_red.shape)
+    for t in range(n):
+        x = welfare._accept(c_red[:, t], state.next_iterate(), A[:, t])
+        state.observe(A[:, t] * x[:, None], gamma)
+        x_virtual[:, t] = x
+    return state, x_virtual
+
+
+PLAY_COSTS = [
+    ("sum_of_powers", 2.0), ("sum_of_powers", 3.0), ("sum_of_powers", 4.0),
+    ("linear_plus_power", 3.0), ("separable_generic", 2.0),
+]
+
+
+class TestPlay:
+    """The engines' lockstep ``play`` against their loops of one-step ``observe``."""
+
+    @staticmethod
+    def assert_same_record(block, steps):
+        for a, b in zip(block.record(), steps.record()):
+            assert a.shape == b.shape and np.array_equal(a, b) and a.flags.c_contiguous
+        assert np.array_equal(block.cum_v, steps.cum_v) and block.cum_gamma == steps.cum_gamma
+        assert np.array_equal(block.next_iterate(), steps.next_iterate())
+
+    @pytest.mark.parametrize("family,p", PLAY_COSTS)
+    @pytest.mark.parametrize("runs", [1, 5])
+    def test_ocp_matches_the_per_step_loop(self, family, p, runs):
+        rng = np.random.default_rng([runs, int(p), len(family)])
+        m, n = 3, 18
+        f = make_family(family, m, p, rng)
+        # Menus of 1 to 4 options, as FeasibleSets and as raw arrays, two
+        # of them with a repeated option row.
+        sets = [rng.uniform(0, 1, (k, m)) for k in (1, 2, 3, 4, 2, 3)]
+        sets[2][2] = sets[2][0]
+        sets[3][3] = sets[3][1]
+        sets = [FeasibleSet(s) if i % 2 else s for i, s in enumerate(sets)]
+        at = rng.integers(0, len(sets), (runs, n))
+        trace = ocp.run_ocp_batch(sets, at, f)
+        state, choice = per_step_ocp(sets, at, f)
+        y, v, _, conj_y = state.record()
+        for name, want in (("y", y), ("v", v), ("conj_y", conj_y), ("choice", choice)):
+            assert np.array_equal(getattr(trace, name), want), name
+        self.assert_same_record(trace.state, state)
+
+    @pytest.mark.parametrize("family,p", PLAY_COSTS[:4])
+    @pytest.mark.parametrize("runs", [1, 5])
+    def test_welfare_matches_the_per_step_loop(self, family, p, runs):
+        rng = np.random.default_rng([runs, int(p), len(family), 1])
+        m, n = 2, 16
+        f = make_family(family, m, p, rng)
+        slopes = f.linear_slopes if f.linear_slopes is not None else np.zeros(m)
+        requests = [(float(rng.uniform(-1, 5)), rng.uniform(0, 1, m)) for _ in range(6)]
+        requests.append((0.0, np.zeros(m)))  # ties at every dual
+        # A request that ties at the first posted dual, which every run faces.
+        a = np.array([0.5, 0.25])
+        tie, shift = float(np.dot(OcoState(f.power_part(), 1.0 / n).next_iterate(), a)), a @ slopes
+        c = tie + shift
+        for _ in range(4):  # the reduced reward c - shift must equal the tie exactly
+            c = c if c - shift == tie else np.nextafter(c, np.sign(tie - (c - shift)) * np.inf)
+        requests.append((float(c), a))
+        at = rng.integers(0, len(requests), (runs, n))
+        at[:, 0] = len(requests) - 1
+        trace = welfare.run_welfare_batch(requests, at, f)
+        assert np.array_equal(trace.c_reduced[:, 0], np.vecdot(trace.y[:, 0], trace.a[:, 0]))
+        assert not trace.x_virtual[:, 0].any()
+        state, x_virtual = per_step_welfare(requests, at, f)
+        y, v, _, conj_y = state.record()
+        pairs = (("y", y), ("virtual_loads", v), ("conj_y", conj_y), ("x_virtual", x_virtual))
+        for name, want in pairs:
+            assert np.array_equal(getattr(trace, name), want), name
+        self.assert_same_record(trace.state, state)
 
 
 class TestStability:

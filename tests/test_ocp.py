@@ -139,9 +139,10 @@ class TestRunOcp:
             fake = float(np.dot(trace.y[t], trace.v[t])) - trace.gamma * trace.conj_y[t]
             assert trace.fake[t] == pytest.approx(fake, abs=1e-10)
 
-    def test_one_grad_and_one_conjugate_per_step(self):
-        # The engine evaluates both through the batched methods, once per
-        # step for all runs together.
+    def test_one_grad_per_step_and_one_conjugate_per_run_block(self):
+        # The engine posts each step's duals with one grad_many for all runs
+        # together, and prices the conjugates of the whole block at the end
+        # with one conj_many.
         calls = {"grad": 0, "conjugate_value": 0, "grad_many": 0, "conj_many": 0}
         n = 12
         for runs in (1, 3):
@@ -155,7 +156,7 @@ class TestRunOcp:
 
                 setattr(f, name, counted)
             run_ocp_batch([FeasibleSet(np.eye(2))], np.zeros((runs, n), dtype=np.int64), f)
-            assert calls == {"grad": 0, "conjugate_value": 0, "grad_many": n, "conj_many": n}
+            assert calls == {"grad": 0, "conjugate_value": 0, "grad_many": n, "conj_many": 1}
 
     def test_best_response_dominance(self):
         # Every menu option must have done at least as badly at every step.

@@ -42,6 +42,27 @@ class TestRunWelfare:
         assert np.all(trace.x_played == 1.0 / 64.0)
         assert trace.profit == 12.484375  # 100*8/64 - (8/64)^2, exact in floats
 
+    def test_consumption_above_one_names_the_first_bad_step(self):
+        # An accepted request loads the dual learner with its consumption, so
+        # the first accepted consumption above 1 is refused by its step.
+        reqs, f = single_request_instance()
+        reqs[2] = reqs[5] = (100.0, np.array([1.5]))
+        refusal = r"^step 3: load coordinates must lie in \[0, 1\]$"
+        with pytest.raises(ValueError, match=refusal):
+            run_welfare(reqs, f)
+        # In lockstep, the first step at which any run is refused.
+        at = np.array([[0, 1, 3, 4, 0, 2, 0, 0], [0, 1, 2, 4, 5, 0, 0, 0]])
+        with pytest.raises(ValueError, match=refusal):
+            run_welfare_batch(reqs, at, f)
+
+    def test_bad_step_is_named_before_the_error_it_causes(self):
+        # Negative consumptions drive the gradient argument below 0 by step
+        # 12, where x**1.5 is invalid; the refusal of step 1 comes first.
+        reqs = [(100.0, np.array([-1.0]))] * 16
+        with np.errstate(invalid="raise"):
+            with pytest.raises(ValueError, match=r"^step 1: load coordinates"):
+                run_welfare(reqs, SumOfPowers([1.0], 2.5))
+
     def test_all_nonpositive_rewards(self):
         reqs = [(-0.5, np.array([0.3]))] * 8
         trace = run_welfare(reqs, SumOfPowers([1.0], 2))
