@@ -14,7 +14,8 @@ JSON or violates the schema, an invalid ``--seed``, a configuration
 outside the guarantee regime, such as K < 1, or an instance past an exact
 oracle's size guard is an error (exit status 2) and writes nothing.
 ``verify`` runs the randomized property suite and prints a
-check-by-outcome matrix.  Exit status is 0 exactly when no check failed.
+check-by-outcome matrix; a negative ``--count`` is an error (exit status
+2).  Exit status is 0 exactly when no check failed.
 """
 
 from __future__ import annotations
@@ -119,9 +120,13 @@ def _cmd_run(args):
 
 
 def _cmd_verify(args):
-    results = run_verify_suite(
-        seed=args.seed, count=args.count, mutation=args.mutation, scope=args.check
-    )
+    try:
+        results = run_verify_suite(
+            seed=args.seed, count=args.count, mutation=args.mutation, scope=args.check
+        )
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     by_check = Counter()
     failed_by_check = Counter()
     for r in results:

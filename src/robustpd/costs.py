@@ -281,10 +281,9 @@ class SeparableGeneric(CostFunction):
 
     family = "separable_generic"
 
-    def __init__(self, components, p, homogeneous=False):
+    def __init__(self, components, p):
         self.components = tuple(components)
         super().__init__(len(self.components), p)
-        self.homogeneous = bool(homogeneous)
         self._conj_memo = {}
 
     def eval_rows(self, U):

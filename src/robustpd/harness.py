@@ -534,9 +534,12 @@ def run_engine_suite(count=10, seed=42, replications=20, mutation=None, problems
 def run_verify_suite(seed=42, count=200, mutation=None, scope="all"):
     """The complete randomized property suite; returns all results.
 
-    ``count`` scales the randomized configurations; 0 means an empty run.
+    ``count`` scales the randomized configurations; 0 means an empty run
+    and a negative count is a :class:`ConfigError`.
     """
-    if count <= 0:
+    if count < 0:
+        raise ConfigError(f"count must be at least 0, got {count}")
+    if not count:
         return []
     results = []
     if scope in ("all", "core") and mutation is None:

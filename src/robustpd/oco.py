@@ -14,9 +14,9 @@ In closed form::
 
     y_t   = grad( (4p*ones + v_{1:t-1}) / (4*(1 + gamma_{1:t-1} + gamma_bar)) )
 
-Each observed step appends ``(y_t, v_t, gamma_t, conj(y_t))`` to the
-state's run record, :meth:`OcoState.record`, and advances the running sums
-that the next iterate needs.  :meth:`OcoState.play` plays a block of steps
+Each observed step adds ``(y_t, v_t, gamma_t, conj(y_t))`` to the state's
+run record, :meth:`OcoState.record`, and advances the running sums that
+the next iterate needs.  :meth:`OcoState.play` plays a block of steps
 whose loads answer the posted duals, as the engines need: it posts each
 iterate, takes the loads from the engine's response, writes both into a
 preallocated record, and after the block checks the loads once and prices
@@ -25,10 +25,11 @@ one-step case.  :meth:`OcoState.observe_steps` takes a whole run whose
 loads are known up front (the dual-learner suite, the homogeneous
 re-derivation) and records the same bits in one pass: ``np.cumsum`` prefix
 sums, one ``grad_many`` for the n iterates and one ``conj_many`` for their
-conjugates.  The engines'
-traces and every post-run check read the record, and
-:meth:`OcoState.leaders` derives from it, once per state and with one
-``grad_many``, the unregularized leader iterates
+conjugates.  A state's first block is its record, with no copy; only a
+later block, which the per-step loops of tests append, is concatenated.
+The engines' traces hold the record's arrays, every post-run check reads
+them, and :meth:`OcoState.leaders` derives from the record, once per state
+and with one ``grad_many``, the unregularized leader iterates
 ``grad( (4p*ones + v_{1:t}) / (4*(1 + gamma_{1:t})) )`` that the
 gain-accounting checks compare against.  Each post-run check is one array
 formula over the record, its prefix sums and the leaders, with no loop
@@ -41,7 +42,7 @@ bits its per-step loop gave.
 One state can also carry K runs in lockstep that share the multipliers:
 it then observes ``(K, m)`` loads, posts ``(K, m)`` iterates (one row per
 run, from the same formula), and records one row per run.  The post-run
-checks take single-run states.
+checks take single-run states.  The engines share ``_lockstep_schedule``.
 """
 
 from __future__ import annotations
@@ -123,35 +124,50 @@ class Verdict:
         return cls.of(check, functools.reduce(np.minimum, parts.values()), parts, tol=tol)
 
 
+@dataclass
 class _LockstepTrace:
     """Base of the engine traces: one run, or all K runs of a lockstep batch.
 
-    A trace with ``run = k`` holds run k; with ``run = None`` it holds all
-    runs, and each field named in ``_PER_RUN`` gains a leading axis of
-    length K.  The duals ``y`` and conjugate values ``conj_y`` are read from
-    the run record of the dual state ``state`` that the runs shared.
+    ``f`` is the cost the dual learner ran, and ``y`` and ``conj_y`` are
+    the duals and their conjugate values from its run record.  In an
+    all-runs trace each field named in ``_PER_RUN`` gains a leading axis
+    of length K, and :meth:`rows` splits them.
     """
 
     _PER_RUN = ()
 
-    def _of_run(self, a):
-        return a if self.run is None else a[self.run]
+    f: object  # CostFunction
+    y: np.ndarray  # (n, m) posted duals
+    conj_y: np.ndarray  # (n,) their conjugate values
 
     @property
-    def y(self):
-        return self._of_run(self.state.record()[0])
-
-    @property
-    def conj_y(self):
-        return self._of_run(self.state.record()[3])
+    def n(self):
+        return self.y.shape[-2]
 
     def rows(self):
         """The one-run traces of an all-runs trace, in run order."""
-        count = len(getattr(self, self._PER_RUN[0]))
         return [
-            replace(self, run=k, **{name: _plain(getattr(self, name)[k]) for name in self._PER_RUN})
-            for k in range(count)
+            replace(self, **{name: _plain(getattr(self, name)[k]) for name in self._PER_RUN})
+            for k in range(len(self.y))
         ]
+
+
+def _lockstep_schedule(at, f, labels):
+    """The checked ``(at, labels, gamma)`` of K lockstep runs under the cost ``f``.
+
+    ``at`` becomes a contiguous int64 ``(K, n)`` array, whose gathers are
+    contiguous; ``labels`` must mark the n steps; the multiplier ``1/n``
+    needs ``n >= 4p`` to respect the dual learner's cap.
+    """
+    at = np.ascontiguousarray(at, dtype=np.int64)
+    n = at.shape[1]
+    if n < 4.0 * f.p:
+        raise ConfigError(f"need n >= 4p, got n={n} with p={f.p}")
+    if labels is not None:
+        labels = np.asarray(labels, dtype=bool)
+        if labels.shape != (n,):
+            raise ValueError("labels must mark each of the n steps")
+    return at, labels, 1.0 / n
 
 
 class OcoState:
@@ -189,12 +205,9 @@ class OcoState:
         # Takes the shape of the observed loads at the first step.
         self.cum_v = np.zeros(f.m)
         self.cum_gamma = 0.0
-        self._count = 0  # steps observed
-        # y, v, gamma, conj(y): one chunk per recorded block, with a step axis.
-        self._chunks = ([], [], [], [])
-        self._arrays = None
+        # y, v, gamma, conj(y), with a step axis: -2 of y and v, -1 of the others.
+        self._record = (np.zeros((0, f.m)), np.zeros((0, f.m)), np.zeros(0), np.zeros(0))
         self._leader_cache = None
-        self._cached_y = None
 
     def _iterates(self, cum_v, cum_gamma):
         """The iterates posted after the loads ``cum_v`` and multipliers ``cum_gamma``.
@@ -214,9 +227,7 @@ class OcoState:
         Shape ``(m,)`` before the first step and for a single run, else
         ``(K, m)``: one row per run.
         """
-        if self._cached_y is None:
-            self._cached_y = self._iterates(self.cum_v, self.cum_gamma)
-        return self._cached_y
+        return self._iterates(self.cum_v, self.cum_gamma)
 
     def _refuse_bad_steps(self, v, gamma, totals):
         """Raise ``ValueError`` naming the first step with an input out of range.
@@ -241,15 +252,17 @@ class OcoState:
                 reason = "multipliers would exceed their total budget of 1"
             else:
                 continue
-            raise ValueError(f"step {self._count + t + 1}: {reason}")
+            raise ValueError(f"step {len(self._record[2]) + t + 1}: {reason}")
 
     def _append(self, y, v, gamma, conj_y):
-        # Record a chunk of steps (step axis -2 of y and v, -1 of gamma and conj_y).
-        for chunks, value in zip(self._chunks, (y, v, gamma, conj_y)):
-            chunks.append(value)
-        self._count += len(gamma)
-        self._cached_y = None
-        self._arrays = None
+        # The first block becomes the record as it is; a later one is appended.
+        block = (y, v, gamma, conj_y)
+        if len(self._record[2]):
+            block = tuple(
+                np.concatenate(pair, axis=axis)
+                for pair, axis in zip(zip(self._record, block), (-2, -2, -1, -1))
+            )
+        self._record = block
         self._leader_cache = None
 
     def play(self, respond, n, gamma):
@@ -274,10 +287,10 @@ class OcoState:
         cum_v, cum_gamma, totals = self.cum_v, self.cum_gamma, []
         try:
             for t in range(n):
-                y = self._iterates(cum_v, cum_gamma) if t else self.next_iterate()
+                y = self._iterates(cum_v, cum_gamma)
                 v = np.asarray(respond(t, y), dtype=np.float64)
                 if v.ndim not in (1, 2) or v.shape[-1] != m or (
-                    (t or self._count) and v.shape != cum_v.shape
+                    (t or len(self._record[2])) and v.shape != cum_v.shape
                 ):
                     raise ValueError(
                         f"load has shape {v.shape}, expected ({m},) or (K, {m}) at every step"
@@ -345,21 +358,7 @@ class OcoState:
         ``(n, m)`` record of run k.  The arrays are shared between callers:
         read only.
         """
-        if not self._count:
-            m = self.f.m
-            return np.zeros((0, m)), np.zeros((0, m)), np.zeros(0), np.zeros(0)
-        if self._arrays is None:
-            ys, vs, gammas, conjs = self._chunks
-            if len(gammas) == 1:  # a block's own arrays, all C-contiguous
-                self._arrays = (ys[0], vs[0], gammas[0], conjs[0])
-            else:
-                self._arrays = (
-                    np.concatenate(ys, axis=-2),
-                    np.concatenate(vs, axis=-2),
-                    np.concatenate(gammas),
-                    np.concatenate(conjs, axis=-1),
-                )
-        return self._arrays
+        return self._record
 
     def leaders(self):
         """Leader arguments and iterates after each step, one row per step.

@@ -15,8 +15,9 @@ accounting only.
 :func:`run_ocp_batch` plays K realized sequences of one instance in
 lockstep, which is how the harness replicates an instance, and returns one
 trace of all K runs; :func:`run_ocp` is its single-sequence case.  The
-trace carries the engine's padded menu table, so the checks read the
-menus, the record and the origin labels from the trace alone.  Every
+trace holds the cost, the dual state's record arrays and the engine's
+padded menu table, so the checks read the menus, the record and the
+origin labels from the trace alone.  Every
 check except :func:`check_homogeneous_equivalence`, which re-runs the
 dual learner of one run, takes either kind of trace: on all K runs it
 computes one result per run with the same formula it applies to one run.
@@ -36,6 +37,7 @@ from robustpd.oco import (
     OcoState,
     Verdict,
     _LockstepTrace,
+    _lockstep_schedule,
     normalized_slack,
 )
 
@@ -122,35 +124,25 @@ def _best_rows(options, Y, scored):
 class OcpRunTrace(_LockstepTrace):
     """Everything a post-run inequality check needs, per step and in total.
 
-    A trace holds one run (``run = k``, row k of the shared record), or all
-    K runs of a lockstep batch (``run = None``): ``choice``, ``fake``,
-    ``load``, ``cost`` and ``at`` then gain a leading axis of length K and
-    each batch check computes one result per run.  ``table[at[t]]`` holds
-    the menu faced at step t, padded with zero rows that ``scored[at[t]]``
+    A trace holds one run, or all K runs of a lockstep batch: the fields
+    named in ``_PER_RUN`` then gain a leading axis of length K and each
+    batch check computes one result per run.  ``table[at[t]]`` holds the
+    menu faced at step t, padded with zero rows that ``scored[at[t]]``
     leaves unmarked.
     """
 
-    _PER_RUN = ("choice", "fake", "load", "cost", "at")
+    _PER_RUN = ("y", "v", "conj_y", "choice", "fake", "load", "cost", "at")
 
+    v: np.ndarray  # (n, m) chosen loads
     choice: np.ndarray  # (n,) option indices
     fake: np.ndarray  # (n,) fake costs <y,v> - gamma*conj(y)
     load: np.ndarray  # final cumulative load
     cost: float  # cost(load)
     gamma: float  # the per-step multiplier, 1/n
     labels: np.ndarray | None  # True at stochastic steps (accounting only)
-    state: OcoState
     table: np.ndarray  # (S, kmax, m) the menus that ``at`` indexes, padded
     scored: np.ndarray  # (S, kmax) True at the real options of each menu
     at: np.ndarray  # (n,) index into ``table`` of the menu faced at each step
-    run: int | None = 0  # this run's row in the state's record; None: all runs
-
-    @property
-    def v(self):
-        return self._of_run(self.state.record()[1])
-
-    @property
-    def n(self):
-        return self.choice.shape[-1]
 
 
 def run_ocp(sets, f, labels=None, *, disable_shift=False, disable_regularizer=False):
@@ -177,15 +169,8 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
     call of the scorer for all runs.  Each set is a :class:`FeasibleSet` or
     a raw option array, checked as one.
     """
-    at = np.ascontiguousarray(at, dtype=np.int64)
+    at, labels, gamma = _lockstep_schedule(at, f, labels)
     runs, n = at.shape
-    if n < 4.0 * f.p:
-        raise ConfigError(f"need n >= 4p, got n={n} with p={f.p}")
-    if labels is not None:
-        labels = np.asarray(labels, dtype=bool)
-        if labels.shape != (n,):
-            raise ValueError("labels must mark each of the n steps")
-    gamma = 1.0 / n
     state = OcoState(
         f, gamma, disable_shift=disable_shift, disable_regularizer=disable_regularizer
     )
@@ -203,17 +188,17 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
     state.play(respond, n, gamma)
     y, v, _, conj_y = state.record()
     return OcpRunTrace(
+        f=f,
+        y=y, v=v, conj_y=conj_y,
         choice=choice,
         fake=np.vecdot(y, v) - gamma * conj_y,
         load=state.cum_v,
         cost=f.eval_rows(state.cum_v),
         gamma=gamma,
         labels=labels,
-        state=state,
         table=table,
         scored=scored,
         at=at,
-        run=None,
     )
 
 
@@ -240,7 +225,7 @@ def check_cost_bound(trace) -> Verdict:
     and the same with the conjugate of the coordinate-wise max dual in
     place of ``conj_max``, the tighter form for separable costs.
     """
-    f = trace.state.f
+    f = trace.f
     lhs = f.eval_rows(trace.load / 8.0)
     fake_sum = trace.fake.sum(axis=-1)
     base = 1.5 * f.cost_at_p_ones()
@@ -266,7 +251,7 @@ def check_adversarial_charging(trace, alpha, opt_choices) -> Verdict:
     """
     if alpha < 1.0:
         raise ValueError("alpha must be at least 1")
-    f = trace.state.f
+    f = trace.f
     if trace.labels is None:
         raise ValueError("adversarial charging needs origin labels")
     adv = ~trace.labels
@@ -367,7 +352,7 @@ def check_homogeneous_equivalence(trace) -> Verdict:
     positive where the original is not, or a choice differs.  Takes a
     one-run trace.
     """
-    f = trace.state.f
+    f = trace.f
     if not f.homogeneous:
         raise ValueError("equivalence check requires a homogeneous cost")
     if trace.labels is None:

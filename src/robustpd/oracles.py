@@ -265,7 +265,7 @@ def opt_stoch_welfare(support, probs, n_stoch, f, *, grid=101, sweeps=40) -> Opt
     s = len(support)
     if count_multisets(n_stoch, s) > MAX_MULTISETS:
         raise GuardError("multiset table exceeds the guard")
-    c, A = _split_requests(support)  # A is (s, m)
+    c, A = _split_requests(support, f.m)  # A is (s, m)
     probs = np.asarray(probs, dtype=np.float64)
     counts, pmf = _multiset_table(n_stoch, probs)
     mean_counts = n_stoch * probs

@@ -1,7 +1,7 @@
 """Primal-dual welfare maximization with convex production costs.
 
-Requests arrive online as ``(c_t, a_t)`` pairs: a reward of any sign and
-a consumption in ``[0,1]^m``.  The algorithm picks a fulfillment level in
+Requests arrive online as ``(c_t, a_t)`` pairs: a finite reward of any
+sign and a consumption in ``[0,1]^m``, checked on entry.  The algorithm picks a fulfillment level in
 ``[0,1]`` per request to maximize ``sum_t c_t*x_t - cost(sum_t a_t*x_t)``.
 Against the current dual the fake profit ``c*x - L(y, a*x)`` is linear in
 ``x``, so the virtual play is 0/1: accept exactly when ``c > <y, a>``
@@ -17,9 +17,10 @@ the original instance equals the reduced run's profit.
 
 :func:`run_welfare_batch` plays K realized request sequences in lockstep,
 which is how the harness replicates an instance, and returns one trace of
-all K runs; :func:`run_welfare` is its single-sequence case.
+all K runs; :func:`run_welfare` is its single-sequence case.  The trace
+holds the reduced run's cost and its record arrays, and
 :func:`check_accept_rule` and :func:`check_profit_chain_step` certify each
-run of a trace from its record.
+of its runs from them.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from robustpd.oco import (
     OcoState,
     Verdict,
     _LockstepTrace,
+    _lockstep_schedule,
     normalized_slack,
 )
 
@@ -51,10 +53,24 @@ __all__ = [
 PLAY_SCALE = 1.0 / 64.0
 
 
-def _split_requests(requests):
-    """Float64 rewards ``c`` (n,) and consumptions ``A`` (n, m) of ``(c, a)`` pairs."""
+def _split_requests(requests, m):
+    """Float64 rewards ``c`` (n,) and consumptions ``A`` (n, m) of ``(c, a)`` pairs.
+
+    Refuses, naming request j (from 0), a consumption that is not ``(m,)``
+    or leaves ``[0, 1]`` and a reward that is not finite: a ``ValueError``.
+    """
     c = np.array([pair[0] for pair in requests], dtype=np.float64)
-    A = np.array([np.asarray(pair[1], dtype=np.float64) for pair in requests])
+    A = [np.asarray(pair[1], dtype=np.float64) for pair in requests]
+    for j, a in enumerate(A):
+        if a.shape != (m,):
+            raise ValueError(f"request {j}: consumption has shape {a.shape}, expected ({m},)")
+    A = np.array(A).reshape(len(A), m)
+    unit = ((A >= 0.0) & (A <= 1.0)).all(axis=1)
+    bad = np.flatnonzero(~unit | ~np.isfinite(c))
+    if bad.size:
+        j = bad[0]
+        reason = f"reward {c[j]} is not finite" if unit[j] else "consumption must lie in [0, 1]"
+        raise ValueError(f"request {j}: {reason}")
     return c, A
 
 
@@ -71,33 +87,23 @@ def _accept(c, y, a):
 class WelfareTrace(_LockstepTrace):
     """Per-step log of a welfare run, in the reduced (pure-power) view.
 
-    A trace holds one run (``run = k``, row k of the shared record), or all
-    K runs of a lockstep batch (``run = None``): ``x_virtual``,
-    ``c_reduced``, ``a``, ``profit``, ``reward_total`` and ``cost_total``
-    then gain a leading axis of length K and the check computes one result
-    per run.
+    A trace holds one run, or all K runs of a lockstep batch: the fields
+    named in ``_PER_RUN`` then gain a leading axis of length K and each
+    check computes one result per run.  ``f`` is the reduced run's cost.
     """
 
-    _PER_RUN = ("x_virtual", "c_reduced", "a", "profit", "reward_total", "cost_total")
+    _PER_RUN = ("y", "virtual_loads", "conj_y", "x_virtual", "c_reduced", "a", "profit",
+                "reward_total", "cost_total")
 
+    virtual_loads: np.ndarray  # (n, m) consumptions of the virtual plays
     x_virtual: np.ndarray  # (n,) virtual plays, each 0 or 1
     c_reduced: np.ndarray  # (n,) rewards after the linear-part reduction
     a: np.ndarray  # (n, m) consumption vectors
     gamma: float  # 1/n
     labels: np.ndarray | None
-    state: OcoState  # dual state of the reduced run
     profit: float  # on the original instance == reduced profit
     reward_total: float  # sum c_t * x~_t (original rewards)
     cost_total: float  # cost(sum a_t * x~_t) (original cost)
-    run: int | None = 0  # this run's row in the state's record; None: all runs
-
-    @property
-    def virtual_loads(self):
-        return self._of_run(self.state.record()[1])
-
-    @property
-    def n(self):
-        return self.x_virtual.shape[-1]
 
     @property
     def x_played(self):
@@ -135,22 +141,13 @@ def run_welfare_batch(requests, at, f, labels=None):
     is equal bit for bit to a separate run: the runs share one dual state
     whose iterates and record carry one row per run.
     """
-    # A contiguous index gathers contiguous (K, n) and (K, n, m) arrays.
-    at = np.ascontiguousarray(at, dtype=np.int64)
-    n = at.shape[1]
-    if n < 4.0 * f.p:
-        raise ConfigError(f"need n >= 4p, got n={n} with p={f.p}")
-    if labels is not None:
-        labels = np.asarray(labels, dtype=bool)
-        if labels.shape != (n,):
-            raise ValueError("labels must mark each of the n steps")
-    c_table, a_table = _split_requests(requests)
+    at, labels, gamma = _lockstep_schedule(at, f, labels)
+    c_table, a_table = _split_requests(requests, f.m)
     c, A = c_table[at], a_table[at]  # (K, n), (K, n, m)
     # A stacked matmul reduces each run's rows as that run's own (n, m) matrix would.
     c_red, run_f = _reduce(c, A, f)
     if not isinstance(run_f, SumOfPowers):
         raise ConfigError(f"the welfare loop runs a sum of powers after reduction, got {run_f!r}")
-    gamma = 1.0 / n
     state = OcoState(run_f, gamma)
     x_virtual = np.empty(c_red.shape)
 
@@ -158,21 +155,22 @@ def run_welfare_batch(requests, at, f, labels=None):
         x = x_virtual[:, t] = _accept(c_red[:, t], y, A[:, t])
         return A[:, t] * x[:, None]
 
-    state.play(respond, n, gamma)
+    state.play(respond, at.shape[1], gamma)
+    y, v, _, conj_y = state.record()
     x_played = PLAY_SCALE * x_virtual
     reward_total = np.vecdot(c, x_played)
     cost_total = f.eval_rows((np.swapaxes(A, 1, 2) @ x_played[:, :, None])[:, :, 0])
     return WelfareTrace(
+        f=run_f,
+        y=y, virtual_loads=v, conj_y=conj_y,
         x_virtual=x_virtual,
         c_reduced=c_red,
         a=A,
         gamma=gamma,
         labels=labels,
-        state=state,
         profit=reward_total - cost_total,
         reward_total=reward_total,
         cost_total=cost_total,
-        run=None,
     )
 
 
@@ -200,7 +198,10 @@ def check_profit_chain_step(trace, beta=None, opt_selector=None, drawn=None) -> 
       selector's level scaled down by ``beta = n/|Stoch|``;
     * the committed profit is at least ``1/64`` of the virtual fake profit
       minus ``1/64`` of the additive unit ``cost(p*ones)`` (this is where
-      the quadratic growth and the 1/64 scaling pay).
+      the quadratic growth and the 1/64 scaling pay);
+    * the reported profit is ``c . x - cost(a^T x)`` for the committed
+      plays ``x = x_virtual/64`` in the reduced view, at the scale written
+      here, not read from :data:`PLAY_SCALE`.
 
     ``opt_selector`` maps support index to the offline fractional level,
     ``drawn`` gives the support index drawn at each step (-1 where
@@ -224,6 +225,10 @@ def check_profit_chain_step(trace, beta=None, opt_selector=None, drawn=None) -> 
         parts["virtual_vs_scaled_offline"] = normalized_slack(
             virtual_profit, cand_stoch.sum(axis=-1)
         )
-    rhs_scaled = PLAY_SCALE * (virtual_profit - trace.state.f.cost_at_p_ones())
+    rhs_scaled = PLAY_SCALE * (virtual_profit - trace.f.cost_at_p_ones())
     parts["scaled_profit"] = normalized_slack(trace.profit, rhs_scaled)
+    x = trace.x_virtual / 64.0
+    load = (np.swapaxes(trace.a, -1, -2) @ x[..., None])[..., 0]
+    committed = np.vecdot(trace.c_reduced, x) - trace.f.eval_rows(load)
+    parts["commit_scale"] = -abs(normalized_slack(committed, trace.profit))
     return Verdict.of_parts("profit_chain", parts)

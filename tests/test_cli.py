@@ -178,6 +178,12 @@ class TestVerifyCommand:
     def test_empty_suite_passes(self, capsys):
         assert run_cli("verify", "--count", "0", "--check", "oco") == 0
 
+    def test_negative_count_is_a_usage_error(self, capsys):
+        assert run_cli("verify", "--count", "-3") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: count must be at least 0")
+        assert "checks passed" not in captured.out
+
     def test_small_suite_passes(self, capsys):
         assert run_cli("verify", "--count", "12") == 0
         out = capsys.readouterr().out

@@ -35,7 +35,7 @@ def old_slack(lhs, rhs):
 
 
 def old_check_cost_bound(trace):
-    f = trace.state.f
+    f = trace.f
     lhs = f.eval(trace.load / 8.0)
     fake_total = float(trace.fake.sum())
     base = 1.5 * f.cost_at_p_ones()
@@ -47,7 +47,7 @@ def old_check_cost_bound(trace):
 
 
 def old_check_adversarial_charging(trace, alpha, opt_choices):
-    f = trace.state.f
+    f = trace.f
     adv = ~trace.labels
     opt_choices = np.asarray(opt_choices, dtype=np.float64).reshape(-1, f.m)
     v_opt = opt_choices.sum(axis=0) if opt_choices.size else np.zeros(f.m)
@@ -94,10 +94,14 @@ def old_check_profit_chain_step(trace, beta=None, opt_selector=None, drawn=None)
         s_w2 = old_slack(virtual_profit, float(cand_gain[stoch].sum()))
         detail["virtual_vs_scaled_offline"] = s_w2
         worst = min(worst, s_w2)
-    rhs_scaled = PLAY_SCALE * (virtual_profit - trace.state.f.cost_at_p_ones())
+    rhs_scaled = PLAY_SCALE * (virtual_profit - trace.f.cost_at_p_ones())
     s_scale = old_slack(trace.profit, rhs_scaled)
     detail["scaled_profit"] = s_scale
     worst = min(worst, s_scale)
+    x = trace.x_virtual / 64.0
+    committed = float(np.dot(trace.c_reduced, x)) - trace.f.eval(trace.a.T @ x)
+    detail["commit_scale"] = -abs(old_slack(committed, trace.profit))
+    worst = min(worst, detail["commit_scale"])
     return worst, detail
 
 
@@ -134,7 +138,7 @@ def test_ocp_checks_match_one_run_bodies(family, shape):
     assert_columns_match(check_cost_bound(runs), [old_check_cost_bound(tr) for tr in rows])
     adv_sets = [e.data for e in inst.timeline if e.kind == "adv"]
     opt_choices = np.array([s.options[-1] for s in adv_sets]).reshape(-1, inst.m)
-    p = runs.state.f.p
+    p = runs.f.p
     for alpha in (2.0 * p, 2.0 * math.e * p**2):
         assert_columns_match(
             check_adversarial_charging(runs, alpha, opt_choices),

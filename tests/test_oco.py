@@ -283,7 +283,7 @@ def per_step_welfare(requests, at, f):
     """The welfare engine's step loop with one ``observe`` call per step."""
     n = at.shape[1]
     gamma = 1.0 / n
-    c_table, a_table = welfare._split_requests(requests)
+    c_table, a_table = welfare._split_requests(requests, f.m)
     A = a_table[at]
     c_red, run_f = welfare._reduce(c_table[at], A, f)
     state = OcoState(run_f, gamma)
@@ -305,7 +305,17 @@ class TestPlay:
     """The engines' lockstep ``play`` against their loops of one-step ``observe``."""
 
     @staticmethod
-    def assert_same_record(block, steps):
+    def assert_same_arrays(trace, pairs):
+        for name, want in pairs:
+            got = getattr(trace, name)
+            assert np.array_equal(got, want) and got.flags.c_contiguous, name
+
+    @staticmethod
+    def assert_replay_matches(steps):
+        # A state that plays the loop's loads as one block ends as the loop's state.
+        _, v, gamma, _ = steps.record()
+        block = OcoState(steps.f, steps.gamma_bar)
+        block.play(lambda t, y: v[..., t, :], len(gamma), steps.gamma_bar)
         for a, b in zip(block.record(), steps.record()):
             assert a.shape == b.shape and np.array_equal(a, b) and a.flags.c_contiguous
         assert np.array_equal(block.cum_v, steps.cum_v) and block.cum_gamma == steps.cum_gamma
@@ -327,9 +337,9 @@ class TestPlay:
         trace = ocp.run_ocp_batch(sets, at, f)
         state, choice = per_step_ocp(sets, at, f)
         y, v, _, conj_y = state.record()
-        for name, want in (("y", y), ("v", v), ("conj_y", conj_y), ("choice", choice)):
-            assert np.array_equal(getattr(trace, name), want), name
-        self.assert_same_record(trace.state, state)
+        pairs = (("y", y), ("v", v), ("conj_y", conj_y), ("choice", choice), ("load", state.cum_v))
+        self.assert_same_arrays(trace, pairs)
+        self.assert_replay_matches(state)
 
     @pytest.mark.parametrize("family,p", PLAY_COSTS[:4])
     @pytest.mark.parametrize("runs", [1, 5])
@@ -355,9 +365,32 @@ class TestPlay:
         state, x_virtual = per_step_welfare(requests, at, f)
         y, v, _, conj_y = state.record()
         pairs = (("y", y), ("virtual_loads", v), ("conj_y", conj_y), ("x_virtual", x_virtual))
-        for name, want in pairs:
-            assert np.array_equal(getattr(trace, name), want), name
-        self.assert_same_record(trace.state, state)
+        self.assert_same_arrays(trace, pairs)
+        self.assert_replay_matches(state)
+
+    def test_load_above_one_names_the_first_bad_step(self):
+        # The loads are checked after the loop; the refusal names the first
+        # bad step, and nothing is recorded.
+        refusal = r"^step 3: load coordinates must lie in \[0, 1\]$"
+        loads = np.full((8, 1), 0.5)
+        loads[2] = loads[5] = 1.5
+        st = square_state()
+        with pytest.raises(ValueError, match=refusal):
+            st.play(lambda t, y: loads[t], 8, 1 / 8)
+        assert st.record()[0].shape == (0, 1) and st.cum_gamma == 0.0
+        # In lockstep, the first step at which any run's load is bad.
+        loads = np.full((2, 8, 1), 0.5)
+        loads[0, 5] = loads[1, 2] = 1.5
+        with pytest.raises(ValueError, match=refusal):
+            square_state().play(lambda t, y: loads[:, t], 8, 1 / 8)
+
+    def test_bad_step_is_named_before_the_error_it_causes(self):
+        # Negative loads drive the gradient argument below 0 by step 12,
+        # where x**1.5 is invalid; the refusal of step 1 comes first.
+        st = OcoState(SumOfPowers([1.0], 2.5), 1 / 16)
+        with np.errstate(invalid="raise"):
+            with pytest.raises(ValueError, match=r"^step 1: load coordinates"):
+                st.play(lambda t, y: np.array([-1.0]), 16, 1 / 16)
 
 
 class TestStability:

@@ -225,7 +225,7 @@ class TestLockstep:
         table, at = self.point_table(rng, 6, 14, m)
         labels = np.array([t not in self.ADV for t in range(14)])
         traces = run_ocp_batch(table, at, f, labels).rows()
-        assert [tr.run for tr in traces] == list(range(6))
+        assert [(tr.n, tr.y.shape) for tr in traces] == [(14, (14, m))] * 6
         for row, trace in zip(at, traces):
             sets = [table[j] for j in row]
             ref = sequential_ocp(sets, f)
@@ -462,7 +462,7 @@ class TestLoadBalance:
 
 def loop_homogeneous_equivalence(trace, stoch_mask, sets):
     """The step-by-step form of ``check_homogeneous_equivalence``: its reference."""
-    f = trace.state.f
+    f = trace.f
     stoch_mask = np.asarray(stoch_mask, dtype=bool)
     gamma_mod = 1.0 / int(stoch_mask.sum())
     state = OcoState(f, gamma_mod)

@@ -327,7 +327,7 @@ def loop_opt_stoch_ocp_mc(support, probs, n_stoch, f, mc_samples, seed=0):
 def loop_opt_stoch_welfare(support, probs, n_stoch, f, grid=101, sweeps=40):
     """(value, selector, load), one axis candidate at a time."""
     s = len(support)
-    c, A = _split_requests(support)
+    c, A = _split_requests(support, f.m)
     probs = np.asarray(probs, dtype=np.float64)
     counts, pmf = loop_multiset_table(n_stoch, probs)
     mean_counts = n_stoch * probs

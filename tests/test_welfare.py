@@ -4,8 +4,9 @@ import pytest
 from robustpd import welfare
 from robustpd.costs import LinearPlusPower, SeparableGeneric, SumOfPowers
 from robustpd.harness import evaluate_welfare_instance
-from robustpd.instances import load_instance
+from robustpd.instances import draw_matrix, load_instance
 from robustpd.oco import ConfigError
+from robustpd.oracles import opt_stoch_welfare
 from robustpd.welfare import (
     check_accept_rule,
     check_profit_chain_step,
@@ -42,26 +43,43 @@ class TestRunWelfare:
         assert np.all(trace.x_played == 1.0 / 64.0)
         assert trace.profit == 12.484375  # 100*8/64 - (8/64)^2, exact in floats
 
-    def test_consumption_above_one_names_the_first_bad_step(self):
-        # An accepted request loads the dual learner with its consumption, so
-        # the first accepted consumption above 1 is refused by its step.
+    def test_consumption_above_one_names_the_first_bad_request(self):
+        # Every request is checked up front, accepted or not; the dual
+        # learner's refusal of a bad load by its step is pinned in test_oco.
         reqs, f = single_request_instance()
         reqs[2] = reqs[5] = (100.0, np.array([1.5]))
-        refusal = r"^step 3: load coordinates must lie in \[0, 1\]$"
+        refusal = r"^request 2: consumption must lie in \[0, 1\]$"
         with pytest.raises(ValueError, match=refusal):
             run_welfare(reqs, f)
-        # In lockstep, the first step at which any run is refused.
-        at = np.array([[0, 1, 3, 4, 0, 2, 0, 0], [0, 1, 2, 4, 5, 0, 0, 0]])
+        # In lockstep, the first bad entry of the request table, drawn or not.
+        at = np.array([[0, 1, 3, 4, 0, 1, 0, 0], [0, 1, 3, 4, 6, 0, 0, 0]])
         with pytest.raises(ValueError, match=refusal):
             run_welfare_batch(reqs, at, f)
+        with pytest.raises(ValueError, match=r"^request 0: consumption must lie in"):
+            run_welfare([(-1.0, np.array([5.0]))] * 8, f)  # declined at every step
 
-    def test_bad_step_is_named_before_the_error_it_causes(self):
-        # Negative consumptions drive the gradient argument below 0 by step
-        # 12, where x**1.5 is invalid; the refusal of step 1 comes first.
+    def test_bad_request_is_named_before_the_error_it_causes(self):
+        # Negative consumptions would drive the gradient argument below 0 by
+        # step 12, where x**1.5 is invalid; the request is refused first.
         reqs = [(100.0, np.array([-1.0]))] * 16
         with np.errstate(invalid="raise"):
-            with pytest.raises(ValueError, match=r"^step 1: load coordinates"):
+            with pytest.raises(ValueError, match=r"^request 0: consumption must lie in"):
                 run_welfare(reqs, SumOfPowers([1.0], 2.5))
+
+    @pytest.mark.parametrize("bad, message", [
+        ((1.0, np.array([0.5, 0.5])), r"consumption has shape \(2,\), expected \(1,\)"),
+        ((1.0, np.array([[0.5]])), r"consumption has shape \(1, 1\), expected \(1,\)"),
+        ((1.0, np.array([np.nan])), r"consumption must lie in \[0, 1\]"),
+        ((np.nan, np.array([0.5])), r"reward nan is not finite"),
+        ((-np.inf, np.array([0.5])), r"reward -inf is not finite"),
+    ], ids=["too_wide", "not_a_vector", "nan_consumption", "nan_reward", "infinite_reward"])
+    def test_bad_request_is_refused_at_entry(self, bad, message):
+        reqs, f = single_request_instance()
+        reqs[3] = bad
+        with pytest.raises(ValueError, match=rf"^request 3: {message}$"):
+            run_welfare(reqs, f)
+        with pytest.raises(ValueError, match=rf"^request 1: {message}$"):
+            opt_stoch_welfare([reqs[0], bad], [0.5, 0.5], 4, f)
 
     def test_all_nonpositive_rewards(self):
         reqs = [(-0.5, np.array([0.3]))] * 8
@@ -126,7 +144,7 @@ class TestLinearReduction:
         reqs = [(float(rng.uniform(-1, 5)), rng.uniform(0, 1, 2)) for _ in range(16)]
         trace = run_welfare(reqs, f)
         # reduced view: rewards minus linear slopes, power-only cost
-        red = float(np.dot(trace.c_reduced, trace.x_played)) - trace.state.f.eval(
+        red = float(np.dot(trace.c_reduced, trace.x_played)) - trace.f.eval(
             trace.a.T @ trace.x_played
         )
         assert trace.profit == pytest.approx(red, abs=1e-9)
@@ -174,7 +192,7 @@ class TestLockstep:
         at[:, [0, 5]] = [0, 1]
         labels = np.array([t not in (0, 5) for t in range(n)])
         traces = run_welfare_batch(table, at, f, labels).rows()
-        assert [tr.run for tr in traces] == list(range(7))
+        assert [(tr.n, tr.y.shape) for tr in traces] == [(n, (n, m))] * 7
         for row, trace in zip(at, traces):
             requests = [table[j] for j in row]
             ref = sequential_welfare(requests, f)
@@ -243,6 +261,20 @@ class TestAcceptRuleCertificate:
         report = evaluate_welfare_instance(load_instance("tests/data/welfare_small.json"), 3)
         assert not report.all_pass
         assert report.rows[:, report.rep_checks.index("accept_rule")].all()
+
+    def test_play_scale_mutation_fails_profit_chain(self, monkeypatch):
+        # The commit-scale part recomputes the profit at 1/64, so a wrong
+        # engine scale fails it even though the other parts read PLAY_SCALE.
+        instance = load_instance("tests/data/welfare_small.json")
+        monkeypatch.setattr(welfare, "PLAY_SCALE", 1.0 / 8.0)
+        report = evaluate_welfare_instance(instance, 3)
+        failed = report.rows[:, report.rep_checks.index("profit_chain")]
+        assert not report.all_pass and failed.all()
+        points, at = instance.point_table(draw_matrix(instance, range(3)))
+        trace = run_welfare_batch(points, at, instance.cost_function(), instance.stoch_mask)
+        verdict = check_profit_chain_step(trace)
+        assert (verdict.detail["commit_scale"] < -0.5).all()
+        assert (verdict.detail["scaled_profit"] >= 0.0).all()
 
     def test_accepted_tie_fails(self, monkeypatch):
         # A zero reward for zero consumption ties with every dual.
