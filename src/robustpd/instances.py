@@ -13,6 +13,7 @@ for the field-by-field description and the golden files under ``tests/``.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -46,6 +47,30 @@ class SchemaError(ValueError):
     def __init__(self, path, message):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+def _check_probs(probs, size):
+    """``probs`` as a float64 distribution over ``size`` support elements.
+
+    One entry per element, each finite and ``>= 0``, summing to 1 within
+    ``1e-12``; anything else raises ``ValueError("probs ...")``.
+    """
+    try:
+        p = np.asarray(probs, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"probs must be numbers, got {probs!r}") from None
+    if p.shape != (size,):
+        raise ValueError(
+            f"probs need one probability per support element: shape {p.shape}, "
+            f"expected ({size},)"
+        )
+    total = float(p.sum())
+    # A NaN makes the minimum NaN; an infinity makes the sum infinite.
+    if not (math.isfinite(total) and p.min(initial=0.0) >= 0):
+        raise ValueError("probs must be finite and >= 0")
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"probs sum to {total!r}, not 1")
+    return p
 
 
 @dataclass
@@ -94,20 +119,10 @@ class MixedInstance:
                 raise SchemaError(
                     "distribution.support", "stochastic entries need a support"
                 )
-            p = np.asarray(self.probs, dtype=np.float64)
-            if p.shape != (len(self.support),):
-                raise SchemaError(
-                    "distribution.probs", "needs one probability per support element"
-                )
-            if not np.all(np.isfinite(p)) or np.any(p < 0):
-                raise SchemaError(
-                    "distribution.probs", "probabilities must be finite and >= 0"
-                )
-            if abs(p.sum() - 1.0) > 1e-12:
-                raise SchemaError(
-                    "distribution.probs", f"probabilities sum to {p.sum()!r}, not 1"
-                )
-            self.probs = p
+            try:
+                self.probs = _check_probs(self.probs, len(self.support))
+            except ValueError as exc:
+                raise SchemaError("distribution.probs", str(exc)) from exc
 
     @property
     def n_stoch(self):

@@ -17,6 +17,13 @@ at most ``ADV_BLOCK_ROWS`` load rows, one ``eval_many`` and one
 (per-candidate) load matrices on a leading axis, so every value, tie-break
 and answer equals that of scoring them one at a time, bit for bit.
 
+``opt_stoch_ocp`` scores only the selectors that can win.  The cost is
+convex, so by Jensen's inequality a selector's expected cost is at least
+the cost of its expected load; these bounds, shrunk by a relative margin
+of ``1e-9`` that covers their rounding, certify each skipped selector to
+be worse than a value already reached.  On the large stochastic parts a
+few of the hundreds of selectors are scored.
+
 Every oracle is guarded: past the stated size thresholds the exact paths
 either refuse loudly or fall back to a flagged Monte-Carlo estimate.
 """
@@ -29,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from robustpd.instances import _check_probs
 from robustpd.oco import ConfigError
 from robustpd.ocp import _menus
 from robustpd.welfare import _split_requests
@@ -169,45 +177,89 @@ def _multiset_table(n_draws, probs):
     return counts, pmf
 
 
-def _best_selector(menus, counts, f, score):
+# Relative margin of the Jensen bounds in _best_selector (see there).
+_JENSEN_MARGIN = 1e-9
+
+
+def _best_selector(menus, counts, f, score, mean_counts):
     """The first selector of least ``score`` in ``itertools.product`` order.
 
     A selector picks one option of each menu, and its load at draw-count
-    row ``k`` is ``counts[k] @ chosen``.  Selectors are scored in blocks of
-    at most ``ADV_BLOCK_ROWS`` load rows (at least one selector): one
-    stacked ``counts @ chosen`` gives the ``(B, rows, m)`` loads of a block,
-    one ``eval_many`` their ``(B, rows)`` costs, each selector's rows
-    evaluated as on their own, and ``score`` maps the costs to ``(B,)``
-    values.  Returns the value, the selector's option indices and its
-    costs.
+    row ``k`` is ``counts[k] @ chosen``.  ``score`` maps the ``(B, rows)``
+    costs of B selectors to their ``(B,)`` values: each selector's row
+    costs summed with nonnegative row weights ``w``.  ``mean_counts`` is
+    ``(w @ counts) / max(1, W)``, where ``W = w.sum()``.
+
+    Screening.  The cost ``f`` is convex, nonnegative and 0 at 0.  By
+    Jensen's inequality a selector's value is at least ``W`` times the cost
+    of its mean load, and ``W f(x)`` is at least ``f(x)`` when ``W >= 1``
+    and at least ``f(W x)`` when ``W < 1``.  So the value is at least the
+    bound ``f(mean_counts @ chosen)``, however far the weights are from
+    summing to 1.  The mean loads of all selectors are summed one menu at
+    a time, in product order, and costed with one ``eval_many``; the
+    bounds are scaled by ``1 - _JENSEN_MARGIN``.  The selector of least
+    bound is scored first, and its value is the incumbent.  Of the others,
+    only those whose bound is at most the incumbent are scored, in product
+    order; a skipped selector's value exceeds the incumbent, so it is
+    neither the answer nor tied with it.
+
+    Rounding.  The table has at most ``MAX_MULTISETS`` rows, so the sums
+    of nonnegative terms behind ``w @ counts`` and behind a value are
+    each off by at most about ``1.1e-10`` relative, and the cost of a load
+    off by a relative ``d`` is off by at most about ``p * d``.  The margin
+    of ``1e-9`` covers both for every growth order ``p <= 8``.
+
+    Scoring.  The scored selectors run in blocks of at most
+    ``ADV_BLOCK_ROWS`` load rows (at least one selector): one stacked
+    ``counts @ chosen`` gives the ``(B, rows, m)`` loads of a block, one
+    ``eval_many`` their ``(B, rows)`` costs, each selector's rows
+    evaluated as on their own, so every value equals that of scoring the
+    selector alone.  Returns the value, the selector's option indices, its
+    costs and the number of selectors scored.
     """
     sizes = [len(o) for o in menus]
     table = np.concatenate(menus)
     offsets = np.cumsum([0, *sizes[:-1]])
     counts = counts.astype(np.float64)  # exact: the counts are small integers
-    rows = counts.shape[0]
-    total = math.prod(sizes)
-    block = max(1, ADV_BLOCK_ROWS // rows)
-    best_val, best_r, best_costs = math.inf, None, None
-    for start in range(0, total, block):
-        selectors = np.unravel_index(np.arange(start, min(start + block, total)), sizes)
-        chosen = table[offsets + np.stack(selectors, axis=1)]  # (B, s, m)
+    mean_loads = mean_counts[0] * menus[0]
+    for mean, options in zip(mean_counts[1:], menus[1:]):
+        mean_loads = (mean_loads[:, None, :] + mean * options).reshape(-1, f.m)
+    bounds = f.eval_many(mean_loads) * (1.0 - _JENSEN_MARGIN)
+
+    def score_block(flat):
+        chosen = table[offsets + np.stack(np.unravel_index(flat, sizes), axis=1)]  # (B, s, m)
         costs = f.eval_many(counts @ chosen)
-        vals = score(costs)
+        return score(costs), costs
+
+    first = int(np.argmin(bounds))
+    vals, costs = score_block(np.array([first]))
+    best_val, best_r, best_costs = float(vals[0]), first, costs[0]
+    bounds[first] = math.inf
+    rest = np.flatnonzero(bounds <= best_val)
+    block = max(1, ADV_BLOCK_ROWS // counts.shape[0])
+    for start in range(0, rest.size, block):
+        flat = rest[start:start + block]
+        vals, costs = score_block(flat)
         i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_r, best_costs = float(vals[i]), start + i, costs[i]
+        # A tie with the first selector goes to the earlier one.
+        if vals[i] < best_val or (vals[i] == best_val and flat[i] < best_r):
+            best_val, best_r, best_costs = float(vals[i]), int(flat[i]), costs[i]
     indices = [int(j) for j in np.unravel_index(best_r, sizes)]
-    return best_val, indices, best_costs
+    return best_val, indices, best_costs, 1 + rest.size
 
 
-def _selector_report(menus, probs, n_stoch, value, indices, **kwargs):
+def _selector_report(menus, probs, n_stoch, value, indices, scored, **kwargs):
     chosen = [menus[j][i] for j, i in enumerate(indices)]
     return OptReport(
         value=value,
         selector=[np.asarray(c) for c in chosen],
         load=n_stoch * (probs @ np.stack(chosen)),
-        extra={"indices": indices, "n_stoch": n_stoch},
+        extra={
+            "indices": indices,
+            "n_stoch": n_stoch,
+            "selectors": math.prod(len(o) for o in menus),
+            "scored": scored,
+        },
         **kwargs,
     )
 
@@ -215,15 +267,18 @@ def _selector_report(menus, probs, n_stoch, value, indices, **kwargs):
 def opt_stoch_ocp(support, probs, n_stoch, f, *, mc_samples=10**5, seed=0) -> OptReport:
     """Best selector ``support -> option`` for the expected cost of the draws.
 
-    The expectation is exact (multiset enumeration), scored block by block
-    over the selectors (see :func:`_best_selector`).  If the selector space
-    or the multiset table blows past the guards, falls back to a flagged
-    Monte-Carlo estimate over random draws.
+    The expectation is exact (multiset enumeration); only the selectors
+    whose Jensen bound does not rule them out are scored (see
+    :func:`_best_selector`).  ``extra`` records the ``selectors``
+    enumerated and how many were ``scored``.  If the selector space or the
+    multiset table blows past the guards, falls back to a flagged
+    Monte-Carlo estimate over random draws.  ``probs`` must be a
+    distribution over the support (``ValueError`` otherwise).
     """
+    probs = _check_probs(probs, len(support))
     if n_stoch == 0:
         return OptReport(value=0.0, selector=[], load=np.zeros(f.m))
     menus = _menus(support, f.m)
-    probs = np.asarray(probs, dtype=np.float64)
     s = len(menus)
     selector_count = math.prod(len(o) for o in menus)
     n_multisets = count_multisets(n_stoch, s)
@@ -231,8 +286,12 @@ def opt_stoch_ocp(support, probs, n_stoch, f, *, mc_samples=10**5, seed=0) -> Op
         return _opt_stoch_ocp_mc(menus, probs, n_stoch, f, mc_samples, seed)
     counts, pmf = _multiset_table(n_stoch, probs)
     # vecdot reduces each row with the same kernel as pmf @ costs.
-    value, indices, _ = _best_selector(menus, counts, f, lambda costs: np.vecdot(costs, pmf))
-    return _selector_report(menus, probs, n_stoch, value, indices)
+    value, indices, _, scored = _best_selector(
+        menus, counts, f,
+        lambda costs: np.vecdot(costs, pmf),
+        (pmf @ counts) / max(1.0, float(pmf.sum())),
+    )
+    return _selector_report(menus, probs, n_stoch, value, indices, scored)
 
 
 def _opt_stoch_ocp_mc(menus, probs, n_stoch, f, mc_samples, seed):
@@ -240,9 +299,11 @@ def _opt_stoch_ocp_mc(menus, probs, n_stoch, f, mc_samples, seed):
     s = len(menus)
     draws = rng.choice(s, size=(mc_samples, n_stoch), p=probs)
     counts = np.stack([(draws == j).sum(axis=1) for j in range(s)], axis=1)
-    value, indices, costs = _best_selector(menus, counts, f, lambda costs: costs.mean(axis=1))
+    value, indices, costs, scored = _best_selector(
+        menus, counts, f, lambda costs: costs.mean(axis=1), counts.mean(axis=0)
+    )
     return _selector_report(
-        menus, probs, n_stoch, value, indices,
+        menus, probs, n_stoch, value, indices, scored,
         method="monte-carlo",
         exact=False,
         stderr=float(costs.std(ddof=1) / math.sqrt(mc_samples)),
@@ -258,15 +319,16 @@ def opt_stoch_welfare(support, probs, n_stoch, f, *, grid=101, sweeps=40) -> Opt
     Coordinate ascent over a ``grid``-point axis per support element with a
     ternary refinement of each coordinate at the end; the profit is concave
     in the selector, so coordinate-wise optimization converges.  The
-    expectation is exact via the multiset table.
+    expectation is exact via the multiset table.  ``probs`` must be a
+    distribution over the support (``ValueError`` otherwise).
     """
+    probs = _check_probs(probs, len(support))
     if n_stoch == 0:
         return OptReport(value=0.0, selector=[], load=np.zeros(f.m), method="grid")
     s = len(support)
     if count_multisets(n_stoch, s) > MAX_MULTISETS:
         raise GuardError("multiset table exceeds the guard")
     c, A = _split_requests(support, f.m)  # A is (s, m)
-    probs = np.asarray(probs, dtype=np.float64)
     counts, pmf = _multiset_table(n_stoch, probs)
     mean_counts = n_stoch * probs
 

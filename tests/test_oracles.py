@@ -17,7 +17,7 @@ from robustpd.oracles import (
 )
 from robustpd.welfare import _split_requests
 
-from test_costs import make_family
+from test_costs import FAMILIES, make_family
 
 
 def square2():
@@ -164,6 +164,45 @@ class TestOptStoch:
         report = opt_stoch_ocp(support, [1 / 3] * 3, 2000, SumOfPowers([1.0], 2), mc_samples=2000)
         assert not report.exact and report.method == "monte-carlo"
         assert report.stderr > 0.0
+
+    def test_screening_scores_few_selectors(self):
+        # The shape of the large stochastic parts of the benchmark's exact
+        # oracle workload: 16 draws, 5 support elements, 3 options each.
+        params = GeneratorParams(
+            problem="ocp", n=16, m=2, p=2.0, n_adv=0, support_size=(5, 5), options_range=(3, 3)
+        )
+        inst = generate(params, 3)
+        report = opt_stoch_ocp(inst.support, inst.probs, inst.n_stoch, inst.cost_function())
+        assert report.extra["selectors"] == 3**5
+        assert 1 <= report.extra["scored"] < 0.05 * 3**5
+
+
+def stoch_oracle(name):
+    """The stochastic oracle ``name`` on a two-element support at m = 1."""
+    if name == "ocp":
+        support = [np.array([[0.5], [0.2]]), np.array([[0.4]])]
+        return lambda probs: opt_stoch_ocp(support, probs, 4, SumOfPowers([1.0], 2))
+    support = [(2.0, np.array([0.5])), (1.0, np.array([0.4]))]
+    return lambda probs: opt_stoch_welfare(support, probs, 4, SumOfPowers([1.0], 2))
+
+
+@pytest.mark.parametrize("oracle", ["ocp", "welfare"])
+@pytest.mark.parametrize(
+    "probs,message",
+    [
+        ([0.7, 0.7], "probs sum to 1.4, not 1"),
+        ([1.5, -0.5], "probs must be finite and >= 0"),
+        ([math.nan, 1.0], "probs must be finite and >= 0"),
+        ([math.inf, 0.0], "probs must be finite and >= 0"),
+        ([1.0], r"probs need one probability per support element: shape \(1,\), expected \(2,\)"),
+        ([0.5, 0.25, 0.25], "probs need one probability per support element"),
+        (None, "probs need one probability per support element"),
+        (["a", "b"], "probs must be numbers"),
+    ],
+)
+def test_stochastic_oracles_refuse_a_non_distribution(oracle, probs, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        stoch_oracle(oracle)(probs)
 
 
 def _table(n, probs):
@@ -411,6 +450,60 @@ def stochastic_parts(problem, count, seed):
         yield support, probs, inst.n_stoch, inst.cost_function()
 
 
+def repeated_menu_parts():
+    """Three copies of a menu that repeats its options, at 1 to 3 draws.
+
+    Each value is reached by many selectors, and the selectors that pick
+    one point for every element have a Jensen bound equal to their value.
+    """
+    menu = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, 0.5]])
+    for n_stoch in (1, 2, 3):
+        yield [menu] * 3, [0.5, 0.25, 0.25], n_stoch, square2()
+
+
+def near_tie_parts(count, seed):
+    """``(support, probs, n_stoch, f)`` whose options lie a few ulps apart.
+
+    Every option is one point moved by -3 to 3 ulps in each coordinate,
+    so many selectors tie or nearly tie, and every Jensen bound lies within
+    rounding of some selector's value.  m runs over 1-3 and p over 2-4 with
+    all three cost families; every fourth part with more than two support
+    elements gives its first element probability 0.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m = int(rng.integers(1, 4))
+        f = make_family(FAMILIES[i % 3], m, float(rng.choice([2.0, 3.0, 4.0])), rng)
+        s = int(rng.integers(1, 5))
+        point = rng.uniform(0.2, 0.8, m)
+        support = [
+            point + rng.integers(-3, 4, (int(rng.integers(2, 5)), m)) * np.spacing(point)
+            for _ in range(s)
+        ]
+        probs = rng.dirichlet(np.ones(s))
+        probs[-1] = 1.0 - probs[:-1].sum()
+        if s > 2 and i % 4 == 3:
+            probs[0] = 0.0
+            probs /= probs.sum()
+        yield support, probs, int(rng.integers(1, 9)), f
+
+
+def loop_mismatches(parts):
+    """The parts on which opt_stoch_ocp and loop_opt_stoch_ocp differ.
+
+    Value, indices and load are compared bit for bit.
+    """
+    mismatches = []
+    for i, (support, probs, n_stoch, f) in enumerate(parts):
+        report = opt_stoch_ocp(support, probs, n_stoch, f)
+        value, indices, load = loop_opt_stoch_ocp(support, probs, n_stoch, f)
+        if (report.value, report.extra["indices"]) != (value, indices) or not np.array_equal(
+            report.load, load
+        ):
+            mismatches.append(i)
+    return mismatches
+
+
 def test_cases_cover_the_edges():
     for problem in ("ocp", "welfare"):
         cases = list(stochastic_parts(problem, 40, 0))
@@ -445,15 +538,20 @@ class TestBatchedEqualsLoops:
             assert np.array_equal(report.load, load)
 
     def test_stoch_ocp_ties_keep_the_first_selector(self, monkeypatch):
-        # Every menu repeats its options, so each value is reached by many
-        # selectors; a 7-row block splits them across blocks.
+        # A 7-row block splits the tied selectors across blocks.
         monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", 7)
-        f = square2()
-        menu = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, 0.5]])
-        for n_stoch in (1, 2, 3):
-            report = opt_stoch_ocp([menu] * 3, [0.5, 0.25, 0.25], n_stoch, f)
-            value, indices, _ = loop_opt_stoch_ocp([menu] * 3, [0.5, 0.25, 0.25], n_stoch, f)
-            assert (report.value, report.extra["indices"]) == (value, indices)
+        assert loop_mismatches(repeated_menu_parts()) == []
+
+    @pytest.mark.parametrize("block_rows", [7, oracles.ADV_BLOCK_ROWS])
+    def test_stoch_ocp_near_ties(self, monkeypatch, block_rows):
+        monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", block_rows)
+        assert loop_mismatches(near_tie_parts(60, 4)) == []
+
+    def test_screening_margin_has_teeth(self, monkeypatch):
+        # Bounds scaled by 1 + 1e-6 rule out selectors that win or tie.
+        monkeypatch.setattr(oracles, "_JENSEN_MARGIN", -1e-6)
+        assert loop_mismatches(repeated_menu_parts())
+        assert loop_mismatches(near_tie_parts(60, 4))
 
     @pytest.mark.parametrize("block_rows", [7, oracles.ADV_BLOCK_ROWS])
     def test_stoch_ocp_monte_carlo(self, monkeypatch, block_rows):
@@ -482,14 +580,16 @@ class TestBatchedEqualsLoops:
 
 
 class CountingCost(SumOfPowers):
-    """A cost that records the shape of every ``eval_many`` call."""
+    """A cost that records every ``eval_many`` batch and its shape."""
 
     def __init__(self, coeffs, p):
         super().__init__(coeffs, p)
         self.calls = []
+        self.batches = []
 
     def eval_many(self, U):
         self.calls.append(np.shape(U))
+        self.batches.append(np.array(U))
         return super().eval_many(U)
 
 
@@ -515,14 +615,38 @@ class TestBatching:
         # 6 rows per candidate: blocks of 16 candidates, the last of 5.
         assert {shape[0] for shape in f.calls if len(shape) == 3} == {16, 5, 2}
 
-    @pytest.mark.parametrize("block_rows,blocks", [(oracles.ADV_BLOCK_ROWS, 1), (40, 6)])
-    def test_stoch_ocp_one_call_per_block(self, monkeypatch, block_rows, blocks):
+    @pytest.mark.parametrize("block_rows,blocks", [(oracles.ADV_BLOCK_ROWS, 1), (40, 4)])
+    def test_stoch_ocp_scores_only_screened_selectors(self, monkeypatch, block_rows, blocks):
         monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", block_rows)
         f = CountingCost([1.0, 0.5], 2)
-        rng = np.random.default_rng(50)
-        support = [rng.uniform(0, 1, (k, 2)) for k in (3, 2, 2)]  # 12 selectors
-        opt_stoch_ocp(support, [0.5, 0.3, 0.2], 4, f)
-        rows = count_multisets(4, 3)  # 15 rows: a block of 40 rows holds 2 selectors
-        assert len(f.calls) == blocks
-        assert sum(shape[0] for shape in f.calls) == 12
-        assert all(shape[1:] == (rows, 2) for shape in f.calls)
+        rng = np.random.default_rng(6)
+        # Options near three far-apart points: every selector's value sits
+        # well above its Jensen bound, so 8 of the 12 selectors are scored.
+        base = np.array([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
+        support = [base[j] + rng.uniform(-0.1, 0.1, (k, 2)) for j, k in enumerate((3, 2, 2))]
+        probs = [0.5, 0.3, 0.2]
+        report = opt_stoch_ocp(support, probs, 4, f)
+        counts, pmf = _table(4, probs)
+        loads = [
+            counts @ np.stack([support[j][i] for j, i in enumerate(sel)])
+            for sel in itertools.product(range(3), range(2), range(2))
+        ]
+        bounds = [f.eval(pmf @ load) for load in loads]
+        first = int(np.argmin(bounds))
+        incumbent = float(pmf @ f.eval_rows(loads[first]))
+        screened = [r for r in range(12) if r != first and bounds[r] <= incumbent]
+        assert (first, len(screened)) == (6, 7)
+        value, indices, _ = loop_opt_stoch_ocp(support, probs, 4, SumOfPowers([1.0, 0.5], 2))
+        assert (report.value, report.extra) == (
+            value, {"indices": indices, "n_stoch": 4, "selectors": 12, "scored": 8}
+        )
+        # One call for the bounds, then the least-bound selector alone, then
+        # the other screened selectors in product order, 2 per 40-row block.
+        rows = count_multisets(4, 3)  # 15
+        assert f.calls[0] == (12, 2)
+        assert f.calls[1] == (1, rows, 2)
+        assert np.array_equal(f.batches[1][0], loads[first])
+        assert len(f.calls) == 2 + blocks
+        assert all(shape[1:] == (rows, 2) for shape in f.calls[2:])
+        assert max(shape[0] for shape in f.calls[2:]) == min(7, max(1, block_rows // rows))
+        assert np.array_equal(np.concatenate(f.batches[2:]), np.stack([loads[r] for r in screened]))
