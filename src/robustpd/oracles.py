@@ -24,6 +24,14 @@ of ``1e-9`` that covers their rounding, certify each skipped selector to
 be worse than a value already reached.  On the large stochastic parts a
 few of the hundreds of selectors are scored.
 
+``opt_stoch_welfare`` likewise scores only the grid levels that can win.
+The expected profit is concave on each axis, so secant lines through the
+coarse levels (every 10th) bound every interval between them from above;
+with a relative margin of ``1e-9`` for rounding, they certify the skipped
+levels to lie below the coarse maximum.  Its ternary refinement scores
+the levels of two steps in one batch, and the answer carries its
+Frank-Wolfe gap, which certifies ``exact``.
+
 Every oracle is guarded: past the stated size thresholds the exact paths
 either refuse loudly or fall back to a flagged Monte-Carlo estimate.
 """
@@ -313,24 +321,101 @@ def _opt_stoch_ocp_mc(menus, probs, n_stoch, f, mc_samples, seed):
 # -- welfare, stochastic part -----------------------------------------------------
 
 
-def opt_stoch_welfare(support, probs, n_stoch, f, *, grid=101, sweeps=40) -> OptReport:
+# The levels of one axis, every _STRIDE-th of them coarse (the stride divides
+# the grid's 100 steps), and the most sweeps of the coordinate ascent.
+_GRID = 101
+_STRIDE = 10
+_SWEEPS = 40
+# Relative margin of the secant bounds of an axis scan (see opt_stoch_welfare).
+_CONCAVITY_MARGIN = 1e-9
+# Ternary steps refining each coordinate, two per scored batch.
+_TERNARY_STEPS = 80
+
+
+def _secant_bounds(v):
+    """Upper bounds of a concave function on the open intervals between samples.
+
+    ``v`` samples the function at equally spaced points.  On the interval
+    between samples k and k+1 the function lies below the line through
+    samples k-1 and k, extended, and below the line through k+1 and k+2;
+    over the interval each line is at most the larger of its values at the
+    interval's ends, ``max(v[k], 2 v[k] - v[k-1])`` and
+    ``max(v[k+1], 2 v[k+1] - v[k+2])``.  The first interval has no left
+    line and the last no right one.
+    """
+    inner = v[1:-1]
+    left = np.maximum(inner, 2.0 * inner - v[:-2])
+    right = np.maximum(inner, 2.0 * inner - v[2:])
+    return np.minimum(np.append(np.inf, left), np.append(right, np.inf))
+
+
+def _thirds(lo, hi):
+    d = (hi - lo) / 3.0
+    return lo + d, hi - d
+
+
+def opt_stoch_welfare(support, probs, n_stoch, f) -> OptReport:
     """Best fractional selector ``support -> [0,1]`` for expected profit.
 
-    Coordinate ascent over a ``grid``-point axis per support element with a
-    ternary refinement of each coordinate at the end; the profit is concave
-    in the selector, so coordinate-wise optimization converges.  The
-    expectation is exact via the multiset table.  ``probs`` must be a
-    distribution over the support (``ValueError`` otherwise).
+    Coordinate ascent over a 101-level axis per support element, then a
+    ternary refinement of each coordinate.  The expectation is exact via
+    the multiset table.  ``probs`` must be a distribution over the support
+    (``ValueError``).
+
+    Screened axis scans.  On one axis (coordinate j, the others held) the
+    expected profit is concave in the level: the reward is linear and the
+    expected cost convex.  A scan scores the 11 coarse levels (every 10th)
+    and bounds each open interval between two of them from above with
+    :func:`_secant_bounds`.  Only the levels of the intervals whose bound
+    plus a margin reaches the coarse maximum are scored, in one batch; a
+    skipped level is certified below the coarse maximum, so the first
+    maximum over the scored levels is the first maximum over the axis.
+    The margin is ``_CONCAVITY_MARGIN`` times ``1 + |reward_base| + |slope|
+    + C``, where ``reward_base + slope * level`` is the reward and ``C``
+    the largest expected cost of a coarse level; the expected cost is
+    convex in the level, so it peaks at level 0 or 1, and both are coarse.
+
+    Rounding.  The loads of the other coordinates are computed once per
+    scan, so their rounding moves every level alike and leaves the expected
+    cost convex.  A level's reward is off by a few ulps of ``|reward_base|
+    + |slope|``.  Its expected cost sums at most ``MAX_MULTISETS``
+    nonnegative terms, so it is off by at most about ``1.1e-10`` of ``C``,
+    and the cost of a load off by a relative ``d`` is off by at most about
+    ``p * d``.  A bound mixes three values and a level's value is one more,
+    so the four errors stay within the margin for every growth order
+    ``p <= 8``.
+
+    Paired ternary steps.  Each step of the refinement shrinks
+    ``[lo, hi]`` to ``[a, hi]`` or ``[lo, b]`` at its thirds ``a, b``.
+    One batch scores six levels: ``a, b`` and the thirds of both possible
+    successors, and the two steps are taken from them, 40 batches per
+    coordinate.
+
+    Every batch runs in blocks of at most ``ADV_BLOCK_ROWS`` load rows (at
+    least one level), each level's ``(rows, m)`` loads evaluated as on
+    their own, so each value, comparison and answer equals that of
+    scoring the levels one at a time, bit for bit.
+
+    ``extra`` records the ``levels_scored`` by the axis scans and the
+    Frank-Wolfe ``gap`` of the answer: with ``g`` the gradient of the
+    expected profit, ``gap = sum_j max(g_j (1 - x_j), -g_j x_j)`` bounds
+    how far the answer's value is below the optimum, and ``exact`` is set
+    when ``gap <= 1e-9 * max(1, |value|)``.
     """
     probs = _check_probs(probs, len(support))
     if n_stoch == 0:
         return OptReport(value=0.0, selector=[], load=np.zeros(f.m), method="grid")
     s = len(support)
-    if count_multisets(n_stoch, s) > MAX_MULTISETS:
-        raise GuardError("multiset table exceeds the guard")
+    n_multisets = count_multisets(n_stoch, s)
+    if n_multisets > MAX_MULTISETS:
+        raise GuardError(
+            f"{n_multisets} draw-count multisets exceed the {MAX_MULTISETS} guard; "
+            "use fewer stochastic draws or a smaller support"
+        )
     c, A = _split_requests(support, f.m)  # A is (s, m)
     counts, pmf = _multiset_table(n_stoch, probs)
     mean_counts = n_stoch * probs
+    block = max(1, ADV_BLOCK_ROWS // len(pmf))
 
     def expected_profit(x):
         reward = float(mean_counts @ (c * x))
@@ -338,50 +423,73 @@ def opt_stoch_welfare(support, probs, n_stoch, f, *, grid=101, sweeps=40) -> Opt
         return reward - float(pmf @ f.eval_many(loads))
 
     def axis_profits(x, j):
-        """Profits of candidate levels of coordinate j, the others held at x.
+        """The scorer of coordinate j's levels, the others held at x.
 
-        The ``(G, rows, m)`` loads of all candidates are scored with one
-        ``eval_many`` (in blocks of at most ``ADV_BLOCK_ROWS`` load rows, at
-        least one candidate), each candidate's rows evaluated as on their
-        own.
+        The scorer returns the levels' profits and expected costs.  Also
+        returns the reward part ``1 + |reward_base| + |slope|`` of the
+        screening margin's scale.
         """
         others = counts @ (A * x[:, None]) - np.outer(counts[:, j], A[j] * x[j])
-        reward_base = float(mean_counts @ (c * x)) - mean_counts[j] * c[j] * x[j]
-        block = max(1, ADV_BLOCK_ROWS // len(pmf))
+        slope = mean_counts[j] * c[j]
+        reward_base = float(mean_counts @ (c * x)) - slope * x[j]
+        column = counts[:, j].astype(np.float64)  # exact: small integers
 
         def profits(levels):
             expected = []
             for start in range(0, levels.size, block):
                 steps = levels[start:start + block, None] * A[j]
-                loads = others + counts[:, j, None] * steps[:, None, :]
+                # others + column * step, one coordinate at a time: the same
+                # products and sums, in loops as long as the table.
+                loads = np.empty((len(steps), len(pmf), f.m))
+                for i in range(f.m):
+                    np.add(others[:, i], np.multiply.outer(steps[:, i], column), out=loads[:, :, i])
                 costs = f.eval_many(loads)
                 # vecdot reduces each row with the same kernel as pmf @ costs.
                 expected.append(np.vecdot(costs, pmf))
-            return reward_base + mean_counts[j] * c[j] * levels - np.concatenate(expected)
+            expected = np.concatenate(expected)
+            return reward_base + slope * levels - expected, expected
 
-        return profits
+        return profits, 1.0 + abs(reward_base) + abs(slope)
 
-    axis = np.linspace(0.0, 1.0, grid)
+    levels = np.linspace(0.0, 1.0, _GRID)
+    fine_offsets = np.arange(1, _STRIDE)
+    levels_scored = 0
     x = np.zeros(s)
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         moved = False
         for j in range(s):
-            vals = axis_profits(x, j)(axis)
-            g = float(axis[int(np.argmax(vals))])
-            if g != x[j]:
-                x[j] = g
+            profits, scale = axis_profits(x, j)
+            coarse, expected = profits(levels[::_STRIDE])
+            margin = _CONCAVITY_MARGIN * (scale + float(expected.max()))
+            reach = _secant_bounds(coarse) + margin >= coarse.max()
+            fine = (_STRIDE * np.flatnonzero(reach)[:, None] + fine_offsets).ravel()
+            vals = np.full(_GRID, -np.inf)
+            vals[::_STRIDE] = coarse
+            if fine.size:
+                vals[fine] = profits(levels[fine])[0]
+            levels_scored += coarse.size + fine.size
+            best = float(levels[int(np.argmax(vals))])
+            if best != x[j]:
+                x[j] = best
                 moved = True
         if not moved:
             break
     # Ternary refinement per coordinate around the grid solution.
     for j in range(s):
-        profits = axis_profits(x, j)
-        lo = max(0.0, x[j] - 1.0 / (grid - 1))
-        hi = min(1.0, x[j] + 1.0 / (grid - 1))
-        for _ in range(80):
-            d = (hi - lo) / 3.0
-            a, b = lo + d, hi - d
-            va, vb = profits(np.array([a, b]))
+        profits, _ = axis_profits(x, j)
+        lo = max(0.0, x[j] - 1.0 / (_GRID - 1))
+        hi = min(1.0, x[j] + 1.0 / (_GRID - 1))
+        for _ in range(_TERNARY_STEPS // 2):
+            a, b = _thirds(lo, hi)
+            up = _thirds(a, hi)  # the next thirds if the step keeps [a, hi]
+            down = _thirds(lo, b)  # ... and if it keeps [lo, b]
+            va, vb, *rest = profits(np.array([a, b, *up, *down]))[0]
+            if va < vb:
+                lo = a
+                (a, b), (va, vb) = up, rest[:2]
+            else:
+                hi = b
+                (a, b), (va, vb) = down, rest[2:]
             if va < vb:
                 lo = a
             else:
@@ -391,11 +499,15 @@ def opt_stoch_welfare(support, probs, n_stoch, f, *, grid=101, sweeps=40) -> Opt
         trial[j] = cand
         if expected_profit(trial) >= expected_profit(x):
             x = trial
-    load = n_stoch * ((probs * x) @ A)
+    value = expected_profit(x)
+    loads = counts @ (A * x[:, None])
+    g = mean_counts * c - pmf @ (counts * (f.grad_many(loads) @ A.T))
+    gap = float(np.sum(np.maximum(g * (1.0 - x), -g * x)))
     return OptReport(
-        value=expected_profit(x),
+        value=value,
         selector=x.tolist(),
-        load=load,
+        load=n_stoch * ((probs * x) @ A),
         method="grid",
-        extra={"n_stoch": n_stoch},
+        exact=gap <= 1e-9 * max(1.0, abs(value)),
+        extra={"n_stoch": n_stoch, "levels_scored": levels_scored, "gap": gap},
     )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from robustpd import oracles
-from robustpd.costs import SumOfPowers
+from robustpd.costs import LinearPlusPower, SumOfPowers
 from robustpd.instances import GeneratorParams, generate
 from robustpd.ocp import _menus
 from robustpd.oracles import (
@@ -288,6 +288,36 @@ class TestOptStochWelfare:
         best, _ = grid_search_welfare(counts, pmf, c, A, f, 40)
         assert report.value >= best - 1e-6
 
+    def test_guard_names_the_table_size(self):
+        support = [(1.0, np.array([0.5]))] * 10
+        message = "^10015005 draw-count multisets exceed the 1000000 guard; use fewer"
+        with pytest.raises(GuardError, match=message):
+            opt_stoch_welfare(support, [0.1] * 10, 20, SumOfPowers([1.0], 2))
+
+    def test_vertex_optimum_is_certified_exact(self):
+        # Profit 4x - x^2 rises on all of [0, 1]: the gradient 2 at x = 1
+        # points out of the box, so the Frank-Wolfe gap is 0.
+        report = opt_stoch_welfare([(4.0, np.array([1.0]))], [1.0], 1, SumOfPowers([1.0], 2))
+        assert report.selector == [1.0]
+        assert (report.exact, report.extra["gap"]) == (True, 0.0)
+
+    def test_gap_flags_an_answer_short_of_the_optimum(self):
+        # Criterion 7's second instance: coordinate ascent stops at a point
+        # whose Frank-Wolfe gap is about 0.06.
+        params = GeneratorParams(
+            problem="welfare", n=20, m=2, p=3.0, family="linear_plus_power", n_adv=2,
+            adv_placement="prefix", reward_range=(-1.0, 5.0),
+        )
+        inst = generate(params, 7001)
+        report = opt_stoch_welfare(inst.support, inst.probs, inst.n_stoch, inst.cost_function())
+        assert not report.exact
+        assert report.extra["gap"] == pytest.approx(0.0596, abs=1e-3)
+        # The gap bounds the shortfall: a point of higher profit exists.
+        counts, pmf = _table(inst.n_stoch, inst.probs)
+        c, A = _split_requests(inst.support, inst.m)
+        best, _ = grid_search_welfare(counts, pmf, c, A, inst.cost_function(), 40)
+        assert report.value < best <= report.value + report.extra["gap"]
+
 
 # -- the loops that the batched stochastic oracles replaced, as references ----------
 
@@ -488,6 +518,73 @@ def near_tie_parts(count, seed):
         yield support, probs, int(rng.integers(1, 9)), f
 
 
+def near_flat_parts(count, seed):
+    """Welfare ``(support, probs, n_stoch, f)`` with a nearly flat first axis.
+
+    Element 0 consumes coordinate 0 only and the others coordinate 1 only,
+    so under the separable cost (``SumOfPowers`` or ``LinearPlusPower``,
+    alternating, at p = 2) the expected profit on element 0's axis is
+    ``b*t - q*t^2`` whatever the other levels.  The curvature ``q`` is
+    below 1e-8, so the secant bound of the peak's interval exceeds the
+    coarse maximum by less than the screening margin.  The peak
+    ``b / (2q)`` lies strictly inside a coarse interval: in its left half
+    on the first four of every eight parts, so the coarse maximum is the
+    interval's left end, and in its right half on the other four.  Support
+    sizes run over 1-3.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        s = 1 + i % 3
+        n_stoch = int(rng.integers(2, 9))
+        probs = rng.dirichlet(np.ones(s))
+        probs[-1] = 1.0 - probs[:-1].sum()
+        fine = (1, 2, 3, 4)[i % 4] + (0 if i % 8 < 4 else 4)
+        peak = (10 * int(rng.integers(0, 10)) + fine + rng.uniform(0.2, 0.8)) / 100
+        a0, weight = 10.0 ** rng.uniform(-7, -5), rng.uniform(0.5, 1.5)
+        if i % 2:
+            slope = rng.uniform(0.2, 1.0)
+            f = LinearPlusPower([math.sqrt(weight), 1.0], [slope, 0.5], 2.0)
+        else:
+            slope = 0.0
+            f = SumOfPowers([weight, 1.0], 2.0)
+        mean0 = n_stoch * probs[0]
+        q = weight * a0**2 * (mean0 * (1.0 - probs[0]) + mean0**2)  # weight * a0^2 * E[k0^2]
+        support = [(slope * a0 + 2.0 * q * peak / mean0, np.array([a0, 0.0]))]
+        for _ in range(s - 1):
+            support.append((rng.uniform(-1, 5), np.array([0.0, rng.uniform(0.2, 0.8)])))
+        yield support, probs, n_stoch, f
+
+
+def first_axis(support, probs, n_stoch, f):
+    """Profits of the 101 levels of element 0 with the others at 0, and the margin.
+
+    The margin is the one ``opt_stoch_welfare`` screens this axis with.
+    """
+    counts, pmf = _table(n_stoch, probs)
+    c, A = _split_requests(support, f.m)
+    levels = np.linspace(0.0, 1.0, 101)
+    slope = n_stoch * probs[0] * c[0]
+    costs = np.array([pmf @ f.eval_many(np.outer(counts[:, 0], A[0] * t)) for t in levels])
+    margin = oracles._CONCAVITY_MARGIN * (1.0 + abs(slope) + costs.max())
+    return slope * levels - costs, margin
+
+
+def welfare_mismatches(parts):
+    """The parts on which opt_stoch_welfare and loop_opt_stoch_welfare differ.
+
+    Value, selector and load are compared bit for bit.
+    """
+    mismatches = []
+    for i, (support, probs, n_stoch, f) in enumerate(parts):
+        report = opt_stoch_welfare(support, probs, n_stoch, f)
+        value, selector, load = loop_opt_stoch_welfare(support, probs, n_stoch, f)
+        if (report.value, report.selector) != (value, selector) or not np.array_equal(
+            report.load, load
+        ):
+            mismatches.append(i)
+    return mismatches
+
+
 def loop_mismatches(parts):
     """The parts on which opt_stoch_ocp and loop_opt_stoch_ocp differ.
 
@@ -579,6 +676,42 @@ class TestBatchedEqualsLoops:
             assert np.array_equal(report.load, load)
 
 
+    @pytest.mark.parametrize("block_rows", [50, oracles.ADV_BLOCK_ROWS])
+    def test_stoch_welfare_near_flat_axes(self, monkeypatch, block_rows):
+        monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", block_rows)
+        assert welfare_mismatches(near_flat_parts(24, 5)) == []
+
+    def test_concavity_margin_has_teeth(self, monkeypatch):
+        # A margin of -1e-9 screens out the interval that holds the peak.
+        monkeypatch.setattr(oracles, "_CONCAVITY_MARGIN", -1e-9)
+        assert welfare_mismatches(near_flat_parts(24, 5))
+
+
+def test_near_flat_peaks_lie_inside_coarse_intervals():
+    sides = set()
+    for part in near_flat_parts(24, 5):
+        values, margin = first_axis(*part)
+        peak, top = int(np.argmax(values)), 10 * int(np.argmax(values[::10]))
+        assert peak % 10 and abs(peak - top) < 10
+        sides.add(peak > top)
+        # Near-flat: the interval's bound exceeds the coarse maximum by
+        # less than the margin.
+        bound = oracles._secant_bounds(values[::10])[peak // 10]
+        assert bound - values[::10].max() < margin
+    assert sides == {False, True}
+
+
+def test_secant_bounds_cover_every_level():
+    # Each bound is at least every level of its interval, within the margin:
+    # on random axes that fall, rise or peak anywhere, and on near-flat ones.
+    parts = itertools.chain(stochastic_parts("welfare", 16, 3), near_flat_parts(8, 6))
+    for part in parts:
+        values, margin = first_axis(*part)
+        bounds = oracles._secant_bounds(values[::10])
+        inner = np.delete(values, np.s_[::10]).reshape(10, 9)
+        assert np.all(inner.max(axis=1) <= bounds + margin)
+
+
 class CountingCost(SumOfPowers):
     """A cost that records every ``eval_many`` batch and its shape."""
 
@@ -594,26 +727,51 @@ class CountingCost(SumOfPowers):
 
 
 class TestBatching:
-    def test_stoch_welfare_one_call_per_axis_scan_and_ternary_step(self):
+    def test_stoch_welfare_coarse_scan_screened_levels_and_paired_steps(self):
         f = CountingCost([1.0, 0.5], 2)
         support = [(3.0, np.array([0.4, 0.1])), (1.0, np.array([0.3, 0.6]))]
-        opt_stoch_welfare(support, [0.6, 0.4], 5, f, grid=101)
+        probs = [0.6, 0.4]
+        report = opt_stoch_welfare(support, probs, 5, f)
         s, rows = 2, count_multisets(5, 2)
-        scans = [shape for shape in f.calls if shape == (101, rows, 2)]
-        steps = [shape for shape in f.calls if shape == (2, rows, 2)]
-        profits = [shape for shape in f.calls if shape == (rows, 2)]
-        assert len(scans) + len(steps) + len(profits) == len(f.calls)
+        counts, _ = _table(5, probs)
+        # The first scan (x = 0, coordinate 0) costs the 11 coarse levels.
+        coarse = np.linspace(0.0, 1.0, 101)[::10]
+        steps = coarse[:, None] * support[0][1]
+        assert np.array_equal(f.batches[0], counts[:, 0, None] * steps[:, None, :])
+        # Each scan: an (11, rows, m) coarse batch, then at most one batch of
+        # the 9 levels of each unscreened interval.
+        calls, scans, scanned = list(f.calls), 0, 0
+        while calls[0] == (11, rows, 2):
+            calls.pop(0)
+            scans += 1
+            if calls[0][1:] == (rows, 2) and calls[0][0] % 9 == 0:
+                scanned += calls.pop(0)[0]
         # The sweeps stop at the first sweep that moves no coordinate.
-        assert len(scans) % s == 0 and 2 * s <= len(scans) <= 40 * s
-        assert len(steps) == 80 * s
-        assert len(profits) == 2 * s + 1  # the refinement's checks and the value
+        assert scans % s == 0 and 2 * s <= scans <= 40 * s
+        assert report.extra["levels_scored"] == 11 * scans + scanned
+        assert 0 < scanned <= 18 * scans
+        # Then, per coordinate, 40 six-level ternary batches and the
+        # refinement's two checks; last, the value.
+        assert calls == ([(6, rows, 2)] * 40 + [(rows, 2)] * 2) * s + [(rows, 2)]
 
-    def test_stoch_welfare_blocks_bound_the_rows(self, monkeypatch):
-        monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", 100)
-        f = CountingCost([1.0], 2)
-        opt_stoch_welfare([(3.0, np.array([0.4])), (1.0, np.array([0.3]))], [0.6, 0.4], 5, f)
-        # 6 rows per candidate: blocks of 16 candidates, the last of 5.
-        assert {shape[0] for shape in f.calls if len(shape) == 3} == {16, 5, 2}
+    def test_stoch_welfare_blocks_bound_the_screened_rows(self, monkeypatch):
+        support = [(3.0, np.array([0.4])), (1.0, np.array([0.3]))]
+        whole = CountingCost([1.0], 2)
+        report = opt_stoch_welfare(support, [0.6, 0.4], 5, whole)
+        # 6 rows per level: blocks of 6 levels.
+        monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", 40)
+        split = CountingCost([1.0], 2)
+        blocked = opt_stoch_welfare(support, [0.6, 0.4], 5, split)
+        assert (blocked.value, blocked.selector) == (report.value, report.selector)
+        assert {shape[0] for shape in whole.calls if len(shape) == 3} >= {11, 6}
+        assert {shape[0] for shape in split.calls if len(shape) == 3} >= {6, 5}
+        assert max(shape[0] for shape in split.calls if len(shape) == 3) == 6
+        # The same loads in the same order, only cut into smaller blocks.
+        for ndim in (2, 3):
+            assert np.array_equal(
+                np.concatenate([b for b in whole.batches if b.ndim == ndim]),
+                np.concatenate([b for b in split.batches if b.ndim == ndim]),
+            )
 
     @pytest.mark.parametrize("block_rows,blocks", [(oracles.ADV_BLOCK_ROWS, 1), (40, 4)])
     def test_stoch_ocp_scores_only_screened_selectors(self, monkeypatch, block_rows, blocks):
