@@ -28,9 +28,16 @@ few of the hundreds of selectors are scored.
 The expected profit is concave on each axis, so secant lines through the
 coarse levels (every 10th) bound every interval between them from above;
 with a relative margin of ``1e-9`` for rounding, they certify the skipped
-levels to lie below the coarse maximum.  Its ternary refinement scores
-the levels of two steps in one batch, and the answer carries its
-Frank-Wolfe gap, which certifies ``exact``.
+levels to lie below the coarse maximum.  It also decides monotone
+comparisons without scoring them: the derivative of the profit along an
+axis, taken at two levels with the same relative margin, certifies the
+profit rising or falling between them, and where that slope times the
+distance of two levels exceeds twice the value margin, their computed
+comparison is known.  So a scan of an axis certified monotone with that
+separation at the grid spacing scores no level, and a certified prefix
+of the ternary steps is taken unscored.  The remaining ternary steps
+are scored two per batch, and the answer carries its Frank-Wolfe gap,
+which certifies ``exact``.
 
 Every oracle is guarded: past the stated size thresholds the exact paths
 either refuse loudly or fall back to a flagged Monte-Carlo estimate.
@@ -354,6 +361,23 @@ def _thirds(lo, hi):
     return lo + d, hi - d
 
 
+def _certified_slope(g, g_scale):
+    """A bound on the slope of a concave function over ``[lo, hi]``.
+
+    ``g`` holds the function's computed derivatives at ``lo`` and ``hi``,
+    each within ``_CONCAVITY_MARGIN`` times its ``g_scale`` of the true
+    one.  The derivative of a concave function does not increase, so if
+    the derivative at ``hi`` is certified positive the function rises on
+    all of ``[lo, hi]`` at least that fast, returned as a positive slope;
+    if the derivative at ``lo`` is certified negative it falls at least
+    that fast, returned as a negative slope.  Else returns 0.
+    """
+    rise = g[1] - _CONCAVITY_MARGIN * g_scale[1]
+    if rise > 0.0:
+        return float(rise)
+    return min(float(g[0] + _CONCAVITY_MARGIN * g_scale[0]), 0.0)
+
+
 def opt_stoch_welfare(support, probs, n_stoch, f) -> OptReport:
     """Best fractional selector ``support -> [0,1]`` for expected profit.
 
@@ -374,29 +398,62 @@ def opt_stoch_welfare(support, probs, n_stoch, f) -> OptReport:
     + C``, where ``reward_base + slope * level`` is the reward and ``C``
     the largest expected cost of a coarse level; the expected cost is
     convex in the level, so it peaks at level 0 or 1, and both are coarse.
+    The ascent stops once ``s`` scans in a row have not moved: every
+    coordinate has then been scanned at the current point, and a scan is a
+    function of the point alone, so a further sweep would not move either.
+
+    Certified monotone steps.  The derivative of the profit along the axis
+    at level ``t`` is ``slope - E[k_j <grad f(load), a_j>]``, with ``k_j``
+    the draw count of element j; concavity makes it nonincreasing in
+    ``t``.  Computed at the two ends of an interval, it certifies the
+    profit rising or falling on all of it, with a bound on the slope
+    (:func:`_certified_slope`).  If the profit rises with slope at least
+    ``sigma``, two levels ``a < b`` of the interval differ by at least
+    ``sigma * (b - a)``; when that exceeds twice the value margin above
+    (with ``C`` the larger expected cost of the interval's ends, again by
+    convexity), the computed ``va < vb`` holds whatever the rounding, so
+    the comparison is decided without scoring.  A scan first takes the
+    derivative at levels 0 and 1: if it certifies the whole axis with a
+    separation beyond twice the margin at the grid spacing, the computed
+    profits strictly rise (fall) along the axis and the first maximum is
+    level 100 (level 0), so the scan scores no level.
 
     Rounding.  The loads of the other coordinates are computed once per
     scan, so their rounding moves every level alike and leaves the expected
-    cost convex.  A level's reward is off by a few ulps of ``|reward_base|
-    + |slope|``.  Its expected cost sums at most ``MAX_MULTISETS``
-    nonnegative terms, so it is off by at most about ``1.1e-10`` of ``C``,
-    and the cost of a load off by a relative ``d`` is off by at most about
-    ``p * d``.  A bound mixes three values and a level's value is one more,
-    so the four errors stay within the margin for every growth order
-    ``p <= 8``.
+    cost convex: the concavity arguments hold for the function of the level
+    with the scan's own rounded ``others``, and the derivative is taken of
+    that function, from loads built exactly as the profits' are.  A level's
+    reward is off by a few ulps of ``|reward_base| + |slope|``.  Its
+    expected cost sums at most ``MAX_MULTISETS`` nonnegative terms, so it is
+    off by at most about ``1.1e-10`` of ``C``, and the cost of a load off by
+    a relative ``d`` is off by at most about ``p * d``.  A bound mixes three
+    values and a level's value is one more, so the four errors stay within
+    the margin for every growth order ``p <= 8``.  The derivative sums at
+    most ``MAX_MULTISETS`` terms ``k_j <grad f(load), a_j>``, each the sum
+    of ``m`` nonnegative products (the consumptions lie in ``[0, 1]`` and
+    the cost is nondecreasing), and the gradient of a load off by a
+    relative ``d`` is off by at most about ``(p - 1) d``; so the derivative
+    is off by at most about ``1.1e-10`` of its scale ``|slope| +
+    E[k_j |<grad f(load), a_j>|]``, and ``_CONCAVITY_MARGIN`` times that
+    scale covers it.
 
-    Paired ternary steps.  Each step of the refinement shrinks
-    ``[lo, hi]`` to ``[a, hi]`` or ``[lo, b]`` at its thirds ``a, b``.
-    One batch scores six levels: ``a, b`` and the thirds of both possible
-    successors, and the two steps are taken from them, 40 batches per
-    coordinate.
+    Ternary steps.  Each step of the refinement shrinks ``[lo, hi]`` to
+    ``[a, hi]`` or ``[lo, b]`` at its thirds ``a, b``.  The derivative at
+    ``lo`` and ``hi`` certifies a prefix of the steps, taken without
+    scoring: every later bracket lies inside the first, so one slope bound
+    and one margin serve all steps, and the thirds shrink with every step,
+    so once a step is not certified no later one is.  If an odd number of
+    steps remain, one step scores its two levels; then each batch scores
+    six levels, ``a, b`` and the thirds of both possible successors, and
+    takes two steps.
 
     Every batch runs in blocks of at most ``ADV_BLOCK_ROWS`` load rows (at
     least one level), each level's ``(rows, m)`` loads evaluated as on
     their own, so each value, comparison and answer equals that of
     scoring the levels one at a time, bit for bit.
 
-    ``extra`` records the ``levels_scored`` by the axis scans and the
+    ``extra`` records the ``levels_scored`` by the axis scans, the
+    ``scans_certified`` and ``steps_certified`` without scoring, and the
     Frank-Wolfe ``gap`` of the answer: with ``g`` the gradient of the
     expected profit, ``gap = sum_j max(g_j (1 - x_j), -g_j x_j)`` bounds
     how far the answer's value is below the optimum, and ``exact`` is set
@@ -423,42 +480,82 @@ def opt_stoch_welfare(support, probs, n_stoch, f) -> OptReport:
         return reward - float(pmf @ f.eval_many(loads))
 
     def axis_profits(x, j):
-        """The scorer of coordinate j's levels, the others held at x.
+        """The scorers of coordinate j's levels, the others held at x.
 
-        The scorer returns the levels' profits and expected costs.  Also
-        returns the reward part ``1 + |reward_base| + |slope|`` of the
-        screening margin's scale.
+        ``profits(levels)`` returns the levels' profits and expected costs.
+        ``certify(lo, hi)`` takes the profit's derivative along the axis at
+        ``lo`` and ``hi`` in one batch, and returns the certified slope over
+        ``[lo, hi]`` (:func:`_certified_slope`) and the value margin there.
+        Also returns the reward part ``1 + |reward_base| + |slope|`` of the
+        margins' scale.
         """
         others = counts @ (A * x[:, None]) - np.outer(counts[:, j], A[j] * x[j])
         slope = mean_counts[j] * c[j]
         reward_base = float(mean_counts @ (c * x)) - slope * x[j]
         column = counts[:, j].astype(np.float64)  # exact: small integers
 
+        # others + column * (level * a_jk), one coordinate k at a time: the
+        # same products and sums as whole rows, in loops as long as the table.
+        terms = list(zip(others.T, A[j]))
+
+        def batched(score, levels):
+            # Blocks of at most ADV_BLOCK_ROWS load rows (at least one level);
+            # score maps a block's (B, rows, m) loads to values whose last
+            # axis is B.
+            parts = [
+                score(loads_of(levels[start:start + block]))
+                for start in range(0, levels.size, block)
+            ]
+            return np.concatenate(parts, axis=-1)
+
+        def loads_of(levels):
+            loads = np.empty((levels.size, len(pmf), f.m))
+            for k, (held, a) in enumerate(terms):
+                np.add(held, np.multiply.outer(levels * a, column), out=loads[:, :, k])
+            return loads
+
+        def expected_costs(loads):
+            # vecdot reduces each row with the same kernel as pmf @ costs.
+            return np.vecdot(f.eval_many(loads), pmf)
+
+        def derivatives(loads):
+            # The derivative, its error scale and the expected costs.
+            along = f.grad_many(loads) @ A[j]
+            return np.stack([
+                slope - np.vecdot(column * along, pmf),
+                abs(slope) + np.vecdot(column * np.abs(along), pmf),
+                expected_costs(loads),
+            ])
+
         def profits(levels):
-            expected = []
-            for start in range(0, levels.size, block):
-                steps = levels[start:start + block, None] * A[j]
-                # others + column * step, one coordinate at a time: the same
-                # products and sums, in loops as long as the table.
-                loads = np.empty((len(steps), len(pmf), f.m))
-                for i in range(f.m):
-                    np.add(others[:, i], np.multiply.outer(steps[:, i], column), out=loads[:, :, i])
-                costs = f.eval_many(loads)
-                # vecdot reduces each row with the same kernel as pmf @ costs.
-                expected.append(np.vecdot(costs, pmf))
-            expected = np.concatenate(expected)
+            if levels.size <= block:  # one block: no block list
+                expected = expected_costs(loads_of(levels))
+            else:
+                expected = batched(expected_costs, levels)
             return reward_base + slope * levels - expected, expected
 
-        return profits, 1.0 + abs(reward_base) + abs(slope)
+        scale = 1.0 + abs(reward_base) + abs(slope)
+
+        def certify(lo, hi):
+            g, g_scale, ends = batched(derivatives, np.array([lo, hi]))
+            return _certified_slope(g, g_scale), _CONCAVITY_MARGIN * (scale + float(ends.max()))
+
+        return profits, certify, scale
 
     levels = np.linspace(0.0, 1.0, _GRID)
+    spacing = float(np.diff(levels).min())
     fine_offsets = np.arange(1, _STRIDE)
-    levels_scored = 0
+    levels_scored = scans_certified = steps_certified = 0
     x = np.zeros(s)
-    for _ in range(_SWEEPS):
-        moved = False
-        for j in range(s):
-            profits, scale = axis_profits(x, j)
+    still = 0  # scans in a row that did not move
+    for scan in range(_SWEEPS * s):
+        j = scan % s
+        profits, certify, scale = axis_profits(x, j)
+        sigma, err = certify(levels[0], levels[-1])
+        if abs(sigma) * spacing > 2.0 * err:
+            best = float(levels[-1] if sigma > 0.0 else levels[0])
+            scans_certified += 1
+        else:
             coarse, expected = profits(levels[::_STRIDE])
             margin = _CONCAVITY_MARGIN * (scale + float(expected.max()))
             reach = _secant_bounds(coarse) + margin >= coarse.max()
@@ -469,21 +566,43 @@ def opt_stoch_welfare(support, probs, n_stoch, f) -> OptReport:
                 vals[fine] = profits(levels[fine])[0]
             levels_scored += coarse.size + fine.size
             best = float(levels[int(np.argmax(vals))])
-            if best != x[j]:
-                x[j] = best
-                moved = True
-        if not moved:
-            break
+        if best != x[j]:
+            x[j] = best
+            still = 0
+        else:
+            still += 1
+            if still == s:
+                break
     # Ternary refinement per coordinate around the grid solution.
+    value = expected_profit(x)
     for j in range(s):
-        profits, _ = axis_profits(x, j)
+        profits, certify, _ = axis_profits(x, j)
         lo = max(0.0, x[j] - 1.0 / (_GRID - 1))
         hi = min(1.0, x[j] + 1.0 / (_GRID - 1))
-        for _ in range(_TERNARY_STEPS // 2):
+        sigma, err = certify(lo, hi)
+        steps = _TERNARY_STEPS
+        while steps:
+            a, b = _thirds(lo, hi)
+            if not abs(sigma) * (b - a) > 2.0 * err:
+                break
+            if sigma > 0.0:
+                lo = a
+            else:
+                hi = b
+            steps -= 1
+        steps_certified += _TERNARY_STEPS - steps
+        if steps % 2:
+            a, b = _thirds(lo, hi)
+            va, vb = profits(np.array([a, b]))[0].tolist()
+            if va < vb:
+                lo = a
+            else:
+                hi = b
+        for _ in range(steps // 2):
             a, b = _thirds(lo, hi)
             up = _thirds(a, hi)  # the next thirds if the step keeps [a, hi]
             down = _thirds(lo, b)  # ... and if it keeps [lo, b]
-            va, vb, *rest = profits(np.array([a, b, *up, *down]))[0]
+            va, vb, *rest = profits(np.array([a, b, *up, *down]))[0].tolist()
             if va < vb:
                 lo = a
                 (a, b), (va, vb) = up, rest[:2]
@@ -494,12 +613,11 @@ def opt_stoch_welfare(support, probs, n_stoch, f) -> OptReport:
                 lo = a
             else:
                 hi = b
-        cand = 0.5 * (lo + hi)
         trial = x.copy()
-        trial[j] = cand
-        if expected_profit(trial) >= expected_profit(x):
-            x = trial
-    value = expected_profit(x)
+        trial[j] = 0.5 * (lo + hi)
+        trial_value = expected_profit(trial)
+        if trial_value >= value:
+            x, value = trial, trial_value
     loads = counts @ (A * x[:, None])
     g = mean_counts * c - pmf @ (counts * (f.grad_many(loads) @ A.T))
     gap = float(np.sum(np.maximum(g * (1.0 - x), -g * x)))
@@ -509,5 +627,11 @@ def opt_stoch_welfare(support, probs, n_stoch, f) -> OptReport:
         load=n_stoch * ((probs * x) @ A),
         method="grid",
         exact=gap <= 1e-9 * max(1.0, abs(value)),
-        extra={"n_stoch": n_stoch, "levels_scored": levels_scored, "gap": gap},
+        extra={
+            "n_stoch": n_stoch,
+            "levels_scored": levels_scored,
+            "scans_certified": scans_certified,
+            "steps_certified": steps_certified,
+            "gap": gap,
+        },
     )

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from robustpd.instances import GeneratorParams, generate
 from robustpd.ocp import _menus
 from robustpd.oracles import (
     GuardError,
+    _TERNARY_STEPS,
     count_multisets,
     opt_adv_ocp,
     opt_stoch_ocp,
@@ -301,6 +303,19 @@ class TestOptStochWelfare:
         assert report.selector == [1.0]
         assert (report.exact, report.extra["gap"]) == (True, 0.0)
 
+    def test_certificates_are_counted_both_ways(self):
+        # Profit 4x - x^2 rises steeply on all of [0, 1]: its scan and the
+        # first ternary steps are decided without scoring.
+        steep = opt_stoch_welfare([(4.0, np.array([1.0]))], [1.0], 1, SumOfPowers([1.0], 2))
+        assert steep.extra["scans_certified"] == 2 and steep.extra["steps_certified"] > 0
+        assert steep.extra["levels_scored"] == 0
+        # One near-flat axis (every third part has one element), its peak
+        # inside: no scan and no step is certified.
+        for support, probs, n_stoch, f in itertools.islice(near_flat_parts(24, 5), 0, None, 3):
+            report = opt_stoch_welfare(support, probs, n_stoch, f)
+            assert (report.extra["scans_certified"], report.extra["steps_certified"]) == (0, 0)
+            assert report.extra["levels_scored"] > 0
+
     def test_gap_flags_an_answer_short_of_the_optimum(self):
         # Criterion 7's second instance: coordinate ascent stops at a point
         # whose Frank-Wolfe gap is about 0.06.
@@ -569,6 +584,88 @@ def first_axis(support, probs, n_stoch, f):
     return slope * levels - costs, margin
 
 
+def monotone_parts(count, seed):
+    """Welfare ``(support, probs, n_stoch, f)`` whose first axis rises or falls.
+
+    Element 0's expected profit on its axis is ``B*t - q*t^2`` (p = 2)
+    whatever the other levels: at m = 2 element 0 consumes coordinate 0
+    only and the others coordinate 1 only, and at m = 1 the others have
+    negative rewards, so they stay at 0.  Even parts rise on all of [0, 1],
+    with slope ``e`` at level 1; odd parts fall, with slope ``-e`` at level
+    0.  ``e`` is 1e-4 to 1e3 times about the separation that certifies a
+    scan at the grid spacing, so the certificates of the scans and of the
+    ternary steps hold on some parts and not on others, and on some the
+    sign of ``e`` is not certified at all.  Parts 12-15 of every 16 (m = 2)
+    are faint: element 0 consumes about 1e-9 and ``e`` is 0.1 to 10 times
+    ``q``, so once the others have moved, the axis's levels tie within the
+    rounding of the others' profit: the slope's sign is certified, but not
+    its separation.  The cost family (``SumOfPowers`` or
+    ``LinearPlusPower``) alternates every two parts, m every four, and the
+    support size runs over 1-3.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        m, s = 1 + (i // 4) % 2, 1 + i % 3
+        n_stoch = int(rng.integers(2, 9))
+        probs = rng.dirichlet(np.ones(s))
+        probs[-1] = 1.0 - probs[:-1].sum()
+        faint = i % 16 >= 12
+        a0, weight = rng.uniform(0.2, 0.8) * (1e-9 if faint else 1.0), rng.uniform(0.5, 1.5)
+        if (i // 2) % 2:
+            lin = rng.uniform(0.2, 1.0)
+            f = LinearPlusPower([math.sqrt(weight), 1.0][:m], [lin, 0.5][:m], 2.0)
+        else:
+            lin = 0.0
+            f = SumOfPowers([weight, 1.0][:m], 2.0)
+        mean0 = n_stoch * probs[0]
+        q = weight * a0**2 * (mean0 * (1.0 - probs[0]) + mean0**2)  # weight * a0^2 * E[k0^2]
+        if faint:
+            e = q * 10.0 ** rng.uniform(-1, 1)
+        else:
+            e = 2e-7 * (1.0 + 3.0 * q + 2.0 * lin * a0 * mean0) * 10.0 ** rng.uniform(-4, 3)
+        base = 2.0 * q + e if i % 2 == 0 else -e  # B
+        support = [(lin * a0 + base / mean0, np.array([a0, 0.0][:m]))]
+        for _ in range(s - 1):
+            if m == 1:
+                support.append((rng.uniform(-1.0, -0.1), np.array([rng.uniform(0.2, 0.8)])))
+            else:
+                support.append((rng.uniform(-1, 5), np.array([0.0, rng.uniform(0.2, 0.8)])))
+        yield support, probs, n_stoch, f
+
+
+def first_axis_slopes(support, probs, n_stoch, f, lo, hi):
+    """The first axis's certified slope over ``[lo, hi]`` and its exact derivative at both ends.
+
+    With the others at 0, as in the first scan: the derivatives are
+    computed as ``opt_stoch_welfare`` computes them, and the exact ones in
+    rational arithmetic from the same floats (p = 2 costs only).
+    """
+    counts, pmf = _table(n_stoch, probs)
+    c, A = _split_requests(support, f.m)
+    slope = n_stoch * probs[0] * c[0]
+    column = counts[:, 0].astype(np.float64)
+    loads = column[:, None] * (np.array([lo, hi])[:, None, None] * A[0])
+    along = f.grad_many(loads) @ A[0]
+    g = slope - np.vecdot(column * along, pmf)
+    g_scale = abs(slope) + np.vecdot(column * np.abs(along), pmf)
+    # The cost is sum_i (w_i u_i^2 + l_i u_i), as eval_many computes it.
+    weights = (f.coeffs if isinstance(f, SumOfPowers) else f._weights).tolist()
+    lin = [0.0] * f.m if isinstance(f, SumOfPowers) else f.slopes.tolist()
+
+    def exact(t):
+        # slope - E[k <grad cost(k t a), a>], with k the draw count of element 0
+        t, expected = Fraction(t), Fraction(0)
+        for k, w in zip(counts[:, 0].tolist(), pmf.tolist()):
+            along = sum(
+                Fraction(a) * (2 * Fraction(wi) * k * Fraction(a) * t + Fraction(li))
+                for a, wi, li in zip(A[0].tolist(), weights, lin)
+            )
+            expected += Fraction(w) * k * along
+        return Fraction(float(slope)) - expected
+
+    return oracles._certified_slope(g, g_scale), (exact(lo), exact(hi))
+
+
 def welfare_mismatches(parts):
     """The parts on which opt_stoch_welfare and loop_opt_stoch_welfare differ.
 
@@ -686,6 +783,11 @@ class TestBatchedEqualsLoops:
         monkeypatch.setattr(oracles, "_CONCAVITY_MARGIN", -1e-9)
         assert welfare_mismatches(near_flat_parts(24, 5))
 
+    @pytest.mark.parametrize("block_rows", [50, oracles.ADV_BLOCK_ROWS])
+    def test_stoch_welfare_monotone_axes(self, monkeypatch, block_rows):
+        monkeypatch.setattr(oracles, "ADV_BLOCK_ROWS", block_rows)
+        assert welfare_mismatches(monotone_parts(48, 8)) == []
+
 
 def test_near_flat_peaks_lie_inside_coarse_intervals():
     sides = set()
@@ -701,6 +803,36 @@ def test_near_flat_peaks_lie_inside_coarse_intervals():
     assert sides == {False, True}
 
 
+def test_monotone_axes_straddle_the_certificates():
+    # The first scan (element 0, the others at 0) certifies its axis on
+    # some parts and scores it on others, both rising and falling.
+    seen = set()
+    for part in monotone_parts(48, 8):
+        values, margin = first_axis(*part)
+        rising = bool(np.all(np.diff(values) > 0))
+        assert rising or np.all(np.diff(values) < 0)
+        sigma, _ = first_axis_slopes(*part, 0.0, 1.0)
+        assert sigma == 0.0 or (sigma > 0) == rising
+        seen.add((rising, abs(sigma) * 0.01 > 2.0 * margin))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_certified_slope_bounds_the_axis_slope():
+    # Wherever the slope is certified, the exact derivative at the
+    # bracket's far end is at least as steep: on the whole axis and on the
+    # ternary brackets at either bound.
+    certified = set()
+    for part in monotone_parts(48, 8):
+        for lo, hi in ((0.0, 1.0), (0.0, 0.01), (0.99, 1.0)):
+            sigma, (at_lo, at_hi) = first_axis_slopes(*part, lo, hi)
+            if sigma > 0:
+                assert at_hi >= Fraction(sigma)
+            elif sigma < 0:
+                assert at_lo <= Fraction(sigma)
+            certified.add(np.sign(sigma))
+    assert certified == {-1.0, 0.0, 1.0}
+
+
 def test_secant_bounds_cover_every_level():
     # Each bound is at least every level of its interval, within the margin:
     # on random axes that fall, rise or peak anywhere, and on near-flat ones.
@@ -713,7 +845,10 @@ def test_secant_bounds_cover_every_level():
 
 
 class CountingCost(SumOfPowers):
-    """A cost that records every ``eval_many`` batch and its shape."""
+    """A cost that records every ``eval_many`` batch and its shape.
+
+    A ``grad_many`` call is recorded as ``("grad", shape)``.
+    """
 
     def __init__(self, coeffs, p):
         super().__init__(coeffs, p)
@@ -725,34 +860,75 @@ class CountingCost(SumOfPowers):
         self.batches.append(np.array(U))
         return super().eval_many(U)
 
+    def grad_many(self, U):
+        self.calls.append(("grad", np.shape(U)))
+        return super().grad_many(U)
+
 
 class TestBatching:
-    def test_stoch_welfare_coarse_scan_screened_levels_and_paired_steps(self):
+    def test_stoch_welfare_certificates_then_scored_levels(self):
         f = CountingCost([1.0, 0.5], 2)
         support = [(3.0, np.array([0.4, 0.1])), (1.0, np.array([0.3, 0.6]))]
         probs = [0.6, 0.4]
         report = opt_stoch_welfare(support, probs, 5, f)
-        s, rows = 2, count_multisets(5, 2)
+        rows = count_multisets(5, 2)
         counts, _ = _table(5, probs)
-        # The first scan (x = 0, coordinate 0) costs the 11 coarse levels.
-        coarse = np.linspace(0.0, 1.0, 101)[::10]
-        steps = coarse[:, None] * support[0][1]
+        level, batch = (2, rows, 2), (rows, 2)
+        # The first scan (x = 0, coordinate 0) takes the derivative at
+        # levels 0 and 1, from the loads the profits would use.
+        steps = np.array([0.0, 1.0])[:, None] * support[0][1]
+        assert f.calls[:2] == [("grad", level), level]
         assert np.array_equal(f.batches[0], counts[:, 0, None] * steps[:, None, :])
-        # Each scan: an (11, rows, m) coarse batch, then at most one batch of
-        # the 9 levels of each unscreened interval.
-        calls, scans, scanned = list(f.calls), 0, 0
-        while calls[0] == (11, rows, 2):
-            calls.pop(0)
+        # Each scan: the derivative batch, then, unless it certifies the
+        # axis, an (11, rows, m) coarse batch and at most one batch of the
+        # 9 levels of each unscreened interval.
+        calls, scans, certified, scanned = list(f.calls), 0, 0, 0
+        while calls[:2] == [("grad", level), level]:
+            del calls[:2]
             scans += 1
+            if calls[0] != (11, rows, 2):
+                certified += 1
+                continue
+            scanned += 11
+            calls.pop(0)
             if calls[0][1:] == (rows, 2) and calls[0][0] % 9 == 0:
                 scanned += calls.pop(0)[0]
-        # The sweeps stop at the first sweep that moves no coordinate.
-        assert scans % s == 0 and 2 * s <= scans <= 40 * s
-        assert report.extra["levels_scored"] == 11 * scans + scanned
-        assert 0 < scanned <= 18 * scans
-        # Then, per coordinate, 40 six-level ternary batches and the
-        # refinement's two checks; last, the value.
-        assert calls == ([(6, rows, 2)] * 40 + [(rows, 2)] * 2) * s + [(rows, 2)]
+        assert 2 <= scans <= 40 * 2 and 0 < certified < scans
+        assert report.extra["scans_certified"] == certified
+        assert report.extra["levels_scored"] == scanned
+        # Then the incumbent's value; per coordinate, the derivative batch,
+        # the certified steps unscored, one two-level step if an odd number
+        # remain, six-level batches of two steps each, and the trial's value.
+        assert calls.pop(0) == batch
+        taken = []
+        for _ in range(2):
+            assert calls[:2] == [("grad", level), level]
+            del calls[:2]
+            odd = calls[0] == level
+            if odd:
+                calls.pop(0)
+            pairs = 0
+            while calls[0] == (6, rows, 2):
+                calls.pop(0)
+                pairs += 1
+            assert calls.pop(0) == batch
+            taken.append(_TERNARY_STEPS - 2 * pairs - odd)
+        assert min(taken) == 0 < max(taken) == report.extra["steps_certified"]
+        # Last, the Frank-Wolfe gap's gradient at the answer.
+        assert calls == [("grad", batch)]
+
+    def test_stoch_welfare_ascent_stops_after_s_still_scans(self):
+        # Separable axes: element 1's reward is negative, so only the first
+        # scan moves; the scans of coordinates 1 and 0 that follow do not,
+        # and the ascent stops without scanning coordinate 1 again.
+        f = CountingCost([1.0, 1.0], 2)
+        support = [(3.0, np.array([0.5, 0.0])), (-1.0, np.array([0.0, 0.5]))]
+        report = opt_stoch_welfare(support, [0.5, 0.5], 4, f)
+        # Each scan starts with a derivative batch; the incumbent's value
+        # follows the last scan.
+        incumbent = f.calls.index((count_multisets(4, 2), 2))
+        assert sum(call[0] == "grad" for call in f.calls[:incumbent]) == 3
+        assert report.extra["scans_certified"] == 3
 
     def test_stoch_welfare_blocks_bound_the_screened_rows(self, monkeypatch):
         support = [(3.0, np.array([0.4])), (1.0, np.array([0.3]))]
