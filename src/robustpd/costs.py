@@ -49,6 +49,20 @@ def _as_point(x, m, name="u"):
     return np.maximum(x, 0.0)
 
 
+def _dot_last(X, w):
+    """``X @ w`` over the last axis, the same bits.
+
+    A stacked ``matmul`` over a last axis of length 1 is many times slower
+    than the one product it computes, so that case is the product, plus
+    ``0.0``: ``matmul`` adds the product to a zero, which turns a ``-0.0``
+    into ``+0.0``.  A longer axis stays on ``matmul``, whose fused
+    multiply-add chain numpy has no other way to reproduce.
+    """
+    if w.shape[0] == 1:
+        return X[..., 0] * w[0] + 0.0
+    return X @ w
+
+
 class CostFunction:
     """Base for separable convex costs with known conjugate structure.
 
@@ -98,7 +112,9 @@ class CostFunction:
         Built for throughput on large blocks; a row's value may differ from
         :meth:`eval` in the last bit.  :meth:`eval_rows` is the bit-equal form.
         A stacked ``(..., k, m)`` batch evaluates each ``(k, m)`` block as
-        ``eval_many`` of that block alone does.
+        ``eval_many`` of that block alone does.  The power families reduce
+        each row by a matrix product, or at ``m = 1`` by :func:`_dot_last`'s
+        single product, which gives the matrix product's bits.
         """
         return self.eval_rows(U)
 
@@ -179,8 +195,8 @@ class SumOfPowers(CostFunction):
     def eval_many(self, U):
         U = np.asarray(U, dtype=np.float64)
         if self.p == 2.0:
-            return (U * U) @ self.coeffs
-        return (U**self.p) @ self.coeffs
+            return _dot_last(U * U, self.coeffs)
+        return _dot_last(U**self.p, self.coeffs)
 
     def grad_many(self, U):
         if self.p == 2.0:
@@ -238,7 +254,7 @@ class LinearPlusPower(CostFunction):
 
     def eval_many(self, U):
         U = np.asarray(U, dtype=np.float64)
-        return (U**self.p) @ self._weights + U @ self.slopes
+        return _dot_last(U**self.p, self._weights) + _dot_last(U, self.slopes)
 
     def grad_many(self, U):
         return self.p * self._weights * U ** (self.p - 1.0) + self.slopes

@@ -10,12 +10,16 @@ is a fractional selector ``support -> [0,1]``, found by coordinate ascent
 on a grid with a ternary refinement of the concave expected profit.
 
 The enumerations run as array passes.  The multiset table is built by
-stars and bars; the selectors of ``opt_stoch_ocp`` and the candidate
+stars and bars, one part at a time with ``np.repeat`` and a ragged
+``arange``; the selectors of ``opt_stoch_ocp`` and the candidate
 levels of one coordinate of ``opt_stoch_welfare`` are scored in blocks of
 at most ``ADV_BLOCK_ROWS`` load rows, one ``eval_many`` and one
 ``np.vecdot`` expectation per block.  Each block stacks the per-selector
 (per-candidate) load matrices on a leading axis, so every value, tie-break
-and answer equals that of scoring them one at a time, bit for bit.
+and answer equals that of scoring them one at a time, bit for bit.  At
+``m = 1`` the products over the load axis, in ``eval_many`` and in the
+welfare oracle's axis derivative, are single products with the matrix
+product's bits (``costs._dot_last``).
 
 ``opt_stoch_ocp`` scores only the selectors that can win.  The cost is
 convex, so by Jensen's inequality a selector's expected cost is at least
@@ -51,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from robustpd.costs import _dot_last
 from robustpd.instances import _check_probs
 from robustpd.oco import ConfigError
 from robustpd.ocp import _menus
@@ -159,23 +164,35 @@ def count_multisets(n, s):
     return math.comb(n + s - 1, s - 1)
 
 
+def _compositions(n, s):
+    """The compositions of ``n`` into ``s`` parts, in lexicographic order.
+
+    An ``(count_multisets(n, s), s)`` int64 array, built by stars and bars
+    one part at a time: a row with ``r`` left expands into ``r + 1`` rows
+    whose next part is ``0, 1, ..., r``, by ``np.repeat`` and a ragged
+    ``arange``, and the last part takes what is left.
+    """
+    parts = []  # the parts fixed so far, one entry per row so far
+    left = np.array([n], dtype=np.int64)
+    for _ in range(s - 1):
+        fan = left + 1
+        part = np.arange(int(fan.sum()), dtype=np.int64)
+        part -= np.repeat(np.cumsum(fan) - fan, fan)  # minus each row's first sibling
+        parts = [np.repeat(earlier, fan) for earlier in parts] + [part]
+        left = np.repeat(left, fan)
+        left -= part
+    return np.stack([*parts, left], axis=1)
+
+
 def _multiset_table(n_draws, probs):
     """All draw-count vectors with their multinomial probabilities.
 
-    The rows are the compositions of ``n_draws`` into ``len(probs)`` parts
-    in lexicographic order, built by stars and bars: the bar positions
-    come from ``itertools.combinations`` in lexicographic order, and a
-    part is the gap between two bars.  Each row's log-factorials are summed
+    The rows are :func:`_compositions` of ``n_draws`` into ``len(probs)``
+    parts, in lexicographic order.  Each row's log-factorials are summed
     column by column, left to right.
     """
     s = len(probs)
-    rows = count_multisets(n_draws, s)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n_draws + s - 1), s - 1)),
-        dtype=np.int64,
-        count=rows * (s - 1),
-    ).reshape(rows, s - 1)
-    counts = np.diff(bars, axis=1, prepend=-1, append=n_draws + s - 1) - 1
+    counts = _compositions(n_draws, s)
     probs = np.asarray(probs, dtype=np.float64)
     # The 1e-300 floor avoids 0 * -inf; rows drawing a zero-probability
     # element are zeroed outright afterwards.
@@ -520,7 +537,7 @@ def opt_stoch_welfare(support, probs, n_stoch, f) -> OptReport:
 
         def derivatives(loads):
             # The derivative, its error scale and the expected costs.
-            along = f.grad_many(loads) @ A[j]
+            along = _dot_last(f.grad_many(loads), A[j])
             return np.stack([
                 slope - np.vecdot(column * along, pmf),
                 abs(slope) + np.vecdot(column * np.abs(along), pmf),

@@ -355,6 +355,46 @@ class TestBatched:
             assert np.array_equal(f.eval_rows(U), [dot_form(u) for u in U])
 
 
+def same_bits(a, b):
+    """Equal shapes and float64 bits, so ``-0.0`` differs from ``0.0``."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestEvalManyProducts:
+    """``eval_many`` of the power families gives the bits of its matrix products.
+
+    At m = 1 the product over the last axis is one multiplication per row
+    plus ``0.0``; the matrix product gives ``+0.0`` where that
+    multiplication gives ``-0.0``, as it does for the ``-0.0`` loads at
+    p = 3.
+    """
+
+    @staticmethod
+    def loads(rng, shape):
+        U = rng.uniform(0.5, 3.0, shape) * 10.0 ** rng.integers(-20, 20, shape)
+        flat = U.reshape(-1)
+        flat[::7] = 0.0
+        flat[3::7] = -0.0
+        flat[5::7] = 1e-160  # a subnormal square
+        flat[6::11] = 2.5e-310  # a subnormal load
+        return U
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 2.5])
+    def test_equals_the_matrix_products(self, m, p):
+        rng = np.random.default_rng([m, int(10 * p)])
+        c, scales, slopes = (rng.uniform(0.3, 2.0, m) for _ in range(3))
+        sums = SumOfPowers(c, p)
+        linear = LinearPlusPower(scales, slopes, p)
+        weights = scales**p
+        for shape in [(5, 203, m), (2, 1, m), (64, m), (1, m), (3, 0, m)]:
+            U = self.loads(rng, shape)
+            power = U * U if p == 2.0 else U**p
+            assert same_bits(sums.eval_many(U), power @ c)
+            assert same_bits(linear.eval_many(U), U**p @ weights + U @ slopes)
+
+
 class TestDecomposition:
     def test_linear_plus_power_split(self):
         f = LinearPlusPower([2.0], [3.0], 2)

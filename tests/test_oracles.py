@@ -711,14 +711,15 @@ class TestBatchedEqualsLoops:
     @pytest.mark.parametrize(
         "n,probs",
         [(5, [1.0]), (0, [0.5, 0.5]), (6, [0.2, 0.0, 0.5, 0.3]), (3, [0.1] * 10), (9, [0.25] * 4),
-         (12, [0.125] * 8)],
+         (12, [0.125] * 8), (16, [0.2] * 5), (14, [1 / 6] * 6), (0, [1.0]), (0, [0.1, 0.2, 0.3, 0.4])],
     )
     def test_multiset_table(self, n, probs):
         # At 8 parts and more, numpy's pairwise row sum would round some
         # rows of log-factorials differently from a left-to-right sum.
         counts, pmf = oracles._multiset_table(n, probs)
         ref_counts, ref_pmf = loop_multiset_table(n, probs)
-        assert counts.dtype == ref_counts.dtype
+        assert counts.dtype == ref_counts.dtype == np.int64
+        assert counts.shape == (count_multisets(n, len(probs)), len(probs))
         assert np.array_equal(counts, ref_counts) and np.array_equal(pmf, ref_pmf)
 
     @pytest.mark.parametrize("block_rows", [7, oracles.ADV_BLOCK_ROWS])
