@@ -185,6 +185,7 @@ class SumOfPowers(CostFunction):
         self.coeffs = coeffs
         self._q = self.p / (self.p - 1.0)
         self._conj_scale = _power_conj_scale(coeffs, self.p)
+        self._grad_scale = self.p * coeffs
 
     def eval_rows(self, U):
         # vecdot reduces each row with the same kernel as np.dot.
@@ -199,9 +200,7 @@ class SumOfPowers(CostFunction):
         return _dot_last(U**self.p, self.coeffs)
 
     def grad_many(self, U):
-        if self.p == 2.0:
-            return 2.0 * self.coeffs * U
-        return self.p * self.coeffs * U ** (self.p - 1.0)
+        return self._grad_scale * (U if self.p == 2.0 else U ** (self.p - 1.0))
 
     def conj_many(self, Y):
         if np.any((self.coeffs == 0) & (Y > 1e-12)):
@@ -246,6 +245,7 @@ class LinearPlusPower(CostFunction):
         self.slopes = slopes
         self.homogeneous = bool(np.all(slopes == 0.0))
         self._weights = scales**self.p
+        self._grad_scale = self.p * self._weights
         self._q = self.p / (self.p - 1.0)
         self._conj_scale = _power_conj_scale(self._weights, self.p)
 
@@ -257,7 +257,7 @@ class LinearPlusPower(CostFunction):
         return _dot_last(U**self.p, self._weights) + _dot_last(U, self.slopes)
 
     def grad_many(self, U):
-        return self.p * self._weights * U ** (self.p - 1.0) + self.slopes
+        return self._grad_scale * U ** (self.p - 1.0) + self.slopes
 
     def conj_many(self, Y):
         Z = np.maximum(Y - self.slopes, 0.0)

@@ -160,6 +160,9 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+# uint64 operands (a Python int costs a conversion per call); words per lane of a Philox block.
+_LOW, _HALF, _DROP = np.array([_M32, 32, 11], dtype=np.uint64)
+_PHILOX_WORDS = 8192
 
 
 def _hashmix(value, init, mult, calls):
@@ -173,6 +176,38 @@ def _hashmix(value, init, mult, calls):
     return value ^ value >> 16
 
 
+def _philox(key, c, out):
+    """Philox4x64-10 on the counters 1..c under the ``(2, b)`` keys, into ``out``.
+
+    ``out`` gets the words shifted right by 11, as float64 ``(b, c, 4)``.  Each
+    operand has the state's ``(2, b, c)`` shape, each temporary is written in
+    place, and the odd words are stored reversed, ``(c3, c1)``, so a round
+    reads one reversed view.
+    """
+    mul, weyl, k, even, odd_r, b0, b1, t, u, v = np.empty((10, 2, key.shape[1], c), np.uint64)
+    mul[...], weyl[...], k[...] = _PHILOX_M, _PHILOX_W, key[:, :, None]
+    m0, m1 = mul & _LOW, mul >> _HALF
+    even[0], even[1], odd_r[...] = np.arange(1, c + 1), 0, 0
+    for _ in range(10):
+        # hi = m1*b1 + (u >> 32) + (v >> 32) is the high word of mul * even,
+        # with u = m1*b0 + (m0*b0 >> 32) and v = m0*b1 + (u & M32).
+        np.bitwise_and(even, _LOW, out=b0)
+        np.right_shift(even, _HALF, out=b1)
+        np.right_shift(np.multiply(m0, b0, out=t), _HALF, out=t)
+        np.add(np.multiply(m1, b0, out=u), t, out=u)
+        np.add(np.multiply(m0, b1, out=v), np.bitwise_and(u, _LOW, out=t), out=v)
+        hi = np.multiply(m1, b1, out=b1)
+        hi += np.right_shift(u, _HALF, out=u)
+        hi += np.right_shift(v, _HALF, out=v)
+        # even' = hi[::-1] ^ odd ^ key and odd' = lo[::-1], with lo = mul * even.
+        hi ^= odd_r
+        np.multiply(even, mul, out=odd_r)
+        np.bitwise_xor(hi[::-1], k, out=even)
+        k += weyl
+    out[..., 0::2] = np.right_shift(even, _DROP, out=even).transpose(1, 2, 0)
+    out[..., 1::2] = np.right_shift(odd_r, _DROP, out=odd_r)[::-1].transpose(1, 2, 0)
+
+
 def _uniforms(seed, replications, n):
     """The first n uniforms of each replication's stream: ``(K, n)`` float64.
 
@@ -180,9 +215,10 @@ def _uniforms(seed, replications, n):
     spawn_key=(replications[i],)))).random(n)`` bit for bit.  The seed's
     pool is numpy's own; the spawn-key word is mixed into it, the Philox
     key drawn from it (``generate_state(2, uint64)``) and Philox4x64-10 run
-    on the counters 1, 2, ... as array arithmetic over all K keys at once,
-    with uniforms ``(raw >> 11) * 2**-53``.  Keys are one spawn-key word
-    each, in ``[0, 2**32)``.
+    on the counters 1, 2, ... by :func:`_philox`, as array arithmetic over
+    blocks of keys of at most ``_PHILOX_WORDS`` words per lane, with
+    uniforms ``(raw >> 11) * 2**-53``.  Keys are one spawn-key word each,
+    in ``[0, 2**32)``.
     """
     keys = np.asarray(replications).reshape(-1)
     if keys.size and not (keys.dtype.kind in "iu" and keys.min() >= 0 and keys.max() <= _M32):
@@ -194,23 +230,11 @@ def _uniforms(seed, replications, n):
     pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
     pool = (_MIX_L * pool - _MIX_R * mixed) & _M32  # SeedSequence's mix
     state = _hashmix(pool ^ pool >> 16, _INIT_B, _MULT_B, 0)
-    key = (state[0::2] | state[1::2] << 32)[:, :, None]
-    # Philox4x64-10 on words (c0, c1, c2, c3), held as even = (c0, c2) and
-    # odd = (c1, c3); the 64x64 -> 128-bit products are built from 32-bit halves.
-    even = np.zeros((2, 1, -(-n // 4)), dtype=np.uint64)
-    even[0] = np.arange(1, even.shape[-1] + 1)
-    odd = np.zeros_like(even)
-    m0, m1 = _PHILOX_M & _M32, _PHILOX_M >> 32
-    for _ in range(10):
-        b0, b1 = even & _M32, even >> 32
-        p01, p10 = m0 * b1, m1 * b0
-        mid = (m0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
-        hi = m1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-        even, odd = hi[::-1] ^ odd ^ key, (even * _PHILOX_M)[::-1]
-        key = key + _PHILOX_W
-    raw = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
-    raw = raw.reshape(len(keys), 4 * even.shape[-1])
-    return (raw[:, :n] >> 11) * 2.0**-53
+    key, c = state[0::2] | state[1::2] << 32, -(-n // 4)  # c counters of 4 words per key
+    raw, step = np.empty((len(keys), c, 4)), max(1, _PHILOX_WORDS // max(c, 1))
+    for s in range(0, len(keys), step):
+        _philox(key[:, s : s + step], c, raw[s : s + step])
+    return raw.reshape(len(keys), 4 * c)[:, :n] * 2.0**-53
 
 
 def draw_matrix(inst, replications) -> np.ndarray:
@@ -299,14 +323,11 @@ def _point_from_json(problem, obj, path, m):
 
 
 def instance_to_dict(inst) -> dict:
-    timeline = []
-    for entry in inst.timeline:
-        if entry.kind == "adv":
-            timeline.append(
-                {"kind": "adv", "data": _point_to_json(inst.problem, entry.data)}
-            )
-        else:
-            timeline.append({"kind": "stoch"})
+    timeline = [
+        {"kind": "adv", "data": _point_to_json(inst.problem, e.data)} if e.kind == "adv"
+        else {"kind": "stoch"}
+        for e in inst.timeline
+    ]
     dist = None
     if inst.support:
         dist = {
@@ -372,16 +393,7 @@ def instance_from_dict(obj) -> MixedInstance:
             for j, s in enumerate(dist["support"])
         ]
         probs = _numbers(dist["probs"], "distribution.probs")
-    return MixedInstance(
-        problem=problem,
-        n=n,
-        m=m,
-        cost=cost,
-        timeline=timeline,
-        support=support,
-        probs=probs,
-        seed=obj["seed"],
-    )
+    return MixedInstance(problem, n, m, cost, timeline, support, probs, seed=obj["seed"])
 
 
 def save_instance(inst, path):
@@ -450,23 +462,14 @@ def _adv_positions(params, rng):
 
 def _random_cost_config(params, rng):
     if params.family == "sum_of_powers":
-        coeffs = rng.uniform(0.3, 2.0, size=params.m)
-        return {
-            "family": "sum_of_powers",
-            "m": params.m,
-            "p": params.p,
-            "coeffs": coeffs.tolist(),
-        }
-    if params.family == "linear_plus_power":
+        coeffs = rng.uniform(0.3, 2.0, size=params.m).tolist()
+    elif params.family == "linear_plus_power":
         scales = rng.uniform(0.4, 1.6, size=params.m)
         slopes = rng.uniform(0.0, 1.0, size=params.m)
-        return {
-            "family": "linear_plus_power",
-            "m": params.m,
-            "p": params.p,
-            "coeffs": [[float(l), float(c)] for l, c in zip(scales, slopes)],
-        }
-    raise ValueError(f"cannot generate cost family {params.family!r}")
+        coeffs = [[float(l), float(c)] for l, c in zip(scales, slopes)]
+    else:
+        raise ValueError(f"cannot generate cost family {params.family!r}")
+    return {"family": params.family, "m": params.m, "p": params.p, "coeffs": coeffs}
 
 
 def _random_point(params, rng):
@@ -482,12 +485,10 @@ def generate(params, seed) -> MixedInstance:
     seed = _integer(seed, "seed", 0)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     adv_at = set(_adv_positions(params, rng))
-    timeline = []
-    for t in range(params.n):
-        if t in adv_at:
-            timeline.append(TimelineEntry("adv", _random_point(params, rng)))
-        else:
-            timeline.append(TimelineEntry("stoch"))
+    timeline = [
+        TimelineEntry("adv", _random_point(params, rng)) if t in adv_at else TimelineEntry("stoch")
+        for t in range(params.n)
+    ]
     support, probs = [], None
     if len(adv_at) < params.n:
         size = int(rng.integers(params.support_size[0], params.support_size[1] + 1))

@@ -15,29 +15,18 @@ In closed form::
     y_t   = grad( (4p*ones + v_{1:t-1}) / (4*(1 + gamma_{1:t-1} + gamma_bar)) )
 
 Each observed step adds ``(y_t, v_t, gamma_t, conj(y_t))`` to the state's
-run record, :meth:`OcoState.record`, and advances the running sums that
-the next iterate needs.  :meth:`OcoState.play` plays a block of steps
-whose loads answer the posted duals, as the engines need: it posts each
-iterate, takes the loads from the engine's response, writes both into a
-preallocated record, and after the block checks the loads once and prices
-the conjugates with one ``conj_many``.  :meth:`OcoState.observe` is its
-one-step case.  :meth:`OcoState.observe_steps` takes a whole run whose
-loads are known up front (the dual-learner suite, the homogeneous
-re-derivation) and records the same bits in one pass: ``np.cumsum`` prefix
-sums, one ``grad_many`` for the n iterates and one ``conj_many`` for their
-conjugates.  A state's first block is its record, with no copy; only a
-later block, which the per-step loops of tests append, is concatenated.
-The engines' traces hold the record's arrays, every post-run check reads
-them, and :meth:`OcoState.leaders` derives from the record, once per state
-and with one ``grad_many``, the unregularized leader iterates
+run record, :meth:`OcoState.record`, which the engines' traces hold.
+:meth:`OcoState.play` plays a block of steps whose loads answer the posted
+duals, as the engines need, and :meth:`OcoState.observe` is its one-step
+case; :meth:`OcoState.observe_steps` records, with the same bits, a whole
+run whose loads are known up front.  :meth:`OcoState.leaders` derives from
+the record the unregularized leader iterates
 ``grad( (4p*ones + v_{1:t}) / (4*(1 + gamma_{1:t})) )`` that the
 gain-accounting checks compare against.  Each post-run check is one array
-formula over the record, its prefix sums and the leaders, with no loop
-over steps.  The prefix sums come from ``np.cumsum``, which adds in step
-order as the running sums do, and the per-step reductions from
-``np.vecdot``, ``eval_rows`` and ``conj_many``, which reduce each row as
-``np.dot``, ``eval`` and ``conjugate_value`` do, so each check gives the
-bits its per-step loop gave.
+formula over the record, its prefix sums and the leaders: ``np.cumsum``
+adds in step order as the running sums do, and ``np.vecdot``,
+``eval_rows`` and ``conj_many`` reduce each row as ``np.dot``, ``eval``
+and ``conjugate_value`` do, so each check gives its per-step loop's bits.
 
 One state can also carry K runs in lockstep that share the multipliers:
 it then observes ``(K, m)`` loads, posts ``(K, m)`` iterates (one row per
@@ -48,6 +37,7 @@ checks take single-run states.  The engines share ``_lockstep_schedule``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -201,6 +191,7 @@ class OcoState:
         self.f = f
         self.gamma_bar = float(gamma_bar)
         self.shift = np.full(f.m, 0.0 if disable_shift else 4.0 * f.p)
+        self._shift = np.array(self.shift[0])  # 0-d: the iterates add it without a broadcast
         self._regularizer = 0.0 if disable_regularizer else self.gamma_bar
         # Takes the shape of the observed loads at the first step.
         self.cum_v = np.zeros(f.m)
@@ -218,7 +209,7 @@ class OcoState:
         multipliers, for ``(n, m)`` iterates.
         """
         return self.f.grad_many(
-            (self.shift + cum_v) / (4.0 * (1.0 + cum_gamma + self._regularizer))
+            (self._shift + cum_v) / (4.0 * (1.0 + cum_gamma + self._regularizer))
         )
 
     def next_iterate(self) -> np.ndarray:
@@ -274,20 +265,21 @@ class OcoState:
         run, in the same shape at every step; ``gamma`` is the multiplier of
         every step, shared by all runs.  Before a state's first step every
         run posts the same ``(m,)`` iterate.  The iterates and loads go into
-        one preallocated ``(K, n, m)`` record.  After the loop the whole
-        block is checked once, as :meth:`observe_steps` checks its block,
-        and the conjugates of its iterates are one ``conj_many`` call;
-        nothing is recorded if the check fails.  The running sums add in
-        step order and ``conj_many`` reduces each row as it does alone, so
-        the record holds the bits of n one-step blocks.
+        a step-major ``(n, K, m)`` record, made run-major after the loop.
+        The whole block is then checked once, as :meth:`observe_steps`
+        checks its block, and the conjugates of its iterates are one
+        ``conj_many`` call; nothing is recorded if the check fails.  The
+        running sums add in step order and ``conj_many`` reduces each row as
+        it does alone, so the record holds the bits of n one-step blocks.
         """
         if not n:
             return
-        m = self.f.m
-        cum_v, cum_gamma, totals = self.cum_v, self.cum_gamma, []
+        m, cum_v = self.f.m, self.cum_v
+        # The multiplier totals before the block and after each step, in step order.
+        totals = list(itertools.accumulate([gamma] * n, initial=self.cum_gamma))
         try:
             for t in range(n):
-                y = self._iterates(cum_v, cum_gamma)
+                y = self._iterates(cum_v, totals[t])
                 v = np.asarray(respond(t, y), dtype=np.float64)
                 if v.ndim not in (1, 2) or v.shape[-1] != m or (
                     (t or len(self._record[2])) and v.shape != cum_v.shape
@@ -296,21 +288,19 @@ class OcoState:
                         f"load has shape {v.shape}, expected ({m},) or (K, {m}) at every step"
                     )
                 if not t:
-                    y_rec, v_rec = np.empty((2,) + v.shape[:-1] + (n, m))
-                y_rec[..., t, :] = y
-                v_rec[..., t, :] = v
+                    y_rec, v_rec = np.empty((2, n) + v.shape)
+                y_rec[t] = y
+                v_rec[t] = v
                 cum_v = cum_v + v
-                cum_gamma += gamma
-                totals.append(cum_gamma)
         except Exception:
             # A bad load can make a later step fail: name the bad step first.
-            if totals:
-                played = np.moveaxis(v_rec, -2, 0)[: len(totals)]
-                self._refuse_bad_steps(played, [gamma] * len(totals), totals)
+            if t:
+                self._refuse_bad_steps(v_rec[:t], [gamma] * t, totals[1 : t + 1])
             raise
-        self._refuse_bad_steps(np.moveaxis(v_rec, -2, 0), [gamma] * n, totals)
+        self._refuse_bad_steps(v_rec, [gamma] * n, totals[1:])
+        y_rec, v_rec = (np.ascontiguousarray(np.moveaxis(a, 0, -2)) for a in (y_rec, v_rec))
         self._append(y_rec, v_rec, np.full(n, gamma), self.f.conj_many(y_rec))
-        self.cum_v, self.cum_gamma = cum_v, cum_gamma
+        self.cum_v, self.cum_gamma = cum_v, totals[-1]
 
     def observe(self, v, gamma):
         """Reveal ``(v_t, gamma_t)``, record the step, advance to step t+1.

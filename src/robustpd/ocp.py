@@ -106,18 +106,20 @@ def _menu_table(sets, m):
     return table, scored
 
 
-def _best_rows(options, Y, scored):
-    """Minimizers of ``<y, .>`` for each row ``y`` of the ``(R, m)`` duals ``Y``.
+def _best_rows(options, Y, padded, rows):
+    """Minimizers of ``<y, .>`` over each menu of the ``(R, k, m)`` stack ``options``.
 
-    Row r picks from the menu ``options[r]`` of the ``(R, k, m)`` stack,
-    among the options that ``scored[r]`` marks.  Each option scores
-    ``np.dot(option, y)`` wherever it sits, so equal options tie exactly;
-    padded slots score ``+inf``, and ties break at the lowest real index.
+    Menu r faces row r of the ``(R, m)`` duals ``Y``, or the one ``(m,)``
+    dual ``Y``; each option scores ``np.dot(option, y)`` wherever it sits,
+    so equal options tie exactly.  The slots that the ``(R, k)`` mask
+    ``padded`` marks are set to ``+inf`` in place, whatever the dual, and
+    ties break at the lowest real index.  ``rows`` is ``np.arange(R)``.
     Returns the indices ``(R,)`` and the points ``(R, m)``.
     """
-    scores = np.where(scored, np.vecdot(options, Y[:, None, :]), np.inf)
+    scores = np.vecdot(options, Y[..., None, :])
+    np.putmask(scores, padded, np.inf)
     idx = scores.argmin(axis=1)
-    return idx, options[np.arange(len(idx)), idx]
+    return idx, options[rows, idx]
 
 
 @dataclass
@@ -144,6 +146,19 @@ class OcpRunTrace(_LockstepTrace):
     scored: np.ndarray  # (S, kmax) True at the real options of each menu
     at: np.ndarray  # (n,) index into ``table`` of the menu faced at each step
 
+    @functools.cached_property
+    def _conj_terms(self):
+        """``max_t conj(y_t)`` and ``conj(max_t y_t)`` per run, computed once per trace."""
+        y_max = self.y.max(axis=-2, initial=0.0)
+        return self.conj_y.max(axis=-1, initial=0.0), self.f.conj_many(y_max)
+
+    def _adv_fake(self, opt_choices):
+        """:func:`_fake_total` of offline choices on the adversarial steps, once per choices."""
+        memo, key = self.__dict__.setdefault("_adv_fakes", {}), opt_choices.tobytes()
+        if key not in memo:
+            memo[key] = _fake_total(self, ~self.labels, opt_choices)
+        return memo[key]
+
 
 def run_ocp(sets, f, labels=None, *, disable_shift=False, disable_regularizer=False):
     """Run the primal-dual loop over a realized sequence of feasible sets.
@@ -165,24 +180,23 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
     equal bit for bit to a separate run: the runs share one dual state,
     which plays the n steps with :meth:`OcoState.play` and whose iterates
     and record carry one row per run.  One gather from the padded menu
-    table stacks the menus of every step and run, and each step makes one
-    call of the scorer for all runs.  Each set is a :class:`FeasibleSet` or
-    a raw option array, checked as one.
+    table stacks the menus of every step and run, with their padded-slot
+    masks, and each step makes one call of the scorer for all runs.  Each
+    set is a :class:`FeasibleSet` or a raw option array, checked as one.
     """
     at, labels, gamma = _lockstep_schedule(at, f, labels)
     runs, n = at.shape
     state = OcoState(
         f, gamma, disable_shift=disable_shift, disable_regularizer=disable_regularizer
     )
-    choice = np.empty((runs, n), dtype=np.int64)
+    choice = np.empty((n, runs), dtype=np.int64)
     table, scored = _menu_table(sets, f.m)
     # One gather for the block: the menus of step t are the contiguous menus[t].
-    menus, masks = table[at.T], scored[at.T]
+    menus, padded, rows = table[at.T], ~scored[at.T], np.arange(runs)
 
     def respond(t, y):
         # _best_rows is looked up at each call, where a test may patch it.
-        y = y if y.ndim == 2 else np.broadcast_to(y, (runs, f.m))
-        choice[:, t], v = _best_rows(menus[t], y, masks[t])
+        choice[t], v = _best_rows(menus[t], y, padded[t], rows)
         return v
 
     state.play(respond, n, gamma)
@@ -190,7 +204,7 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
     return OcpRunTrace(
         f=f,
         y=y, v=v, conj_y=conj_y,
-        choice=choice,
+        choice=np.ascontiguousarray(choice.T),
         fake=np.vecdot(y, v) - gamma * conj_y,
         load=state.cum_v,
         cost=f.eval_rows(state.cum_v),
@@ -229,8 +243,9 @@ def check_cost_bound(trace) -> Verdict:
     lhs = f.eval_rows(trace.load / 8.0)
     fake_sum = trace.fake.sum(axis=-1)
     base = 1.5 * f.cost_at_p_ones()
-    rhs = fake_sum - trace.conj_y.max(axis=-1, initial=0.0) / (2.0 * f.p) + base
-    rhs_sep = fake_sum - f.conj_many(trace.y.max(axis=-2, initial=0.0)) / (2.0 * f.p) + base
+    conj_max, conj_of_max = trace._conj_terms
+    rhs = fake_sum - conj_max / (2.0 * f.p) + base
+    rhs_sep = fake_sum - conj_of_max / (2.0 * f.p) + base
     parts = {
         "nonseparable": normalized_slack(rhs, lhs),
         "separable": normalized_slack(rhs_sep, lhs),
@@ -254,16 +269,15 @@ def check_adversarial_charging(trace, alpha, opt_choices) -> Verdict:
     f = trace.f
     if trace.labels is None:
         raise ValueError("adversarial charging needs origin labels")
-    adv = ~trace.labels
     opt_choices = np.asarray(opt_choices, dtype=np.float64).reshape(-1, f.m)
-    if opt_choices.shape[0] != int(adv.sum()):
+    if opt_choices.shape[0] != int((~trace.labels).sum()):
         raise ValueError("one offline choice per adversarial step required")
     v_opt = opt_choices.sum(axis=0) if opt_choices.size else np.zeros(f.m)
     cost_opt = f.eval(alpha * v_opt)
-    lhs = _fake_total(trace, adv, opt_choices)
-    conj_max = trace.conj_y.max(axis=-1, initial=0.0)
+    lhs = trace._adv_fake(opt_choices)
+    conj_max, conj_of_max = trace._conj_terms
     rhs1 = math.e * cost_opt + (math.e * f.p / alpha) * conj_max
-    rhs2 = cost_opt + f.conj_many(trace.y.max(axis=-2, initial=0.0)) / alpha
+    rhs2 = cost_opt + conj_of_max / alpha
     parts = {
         "max_form": normalized_slack(rhs1, lhs),
         "pointwise_max_form": normalized_slack(rhs2, lhs),
@@ -372,7 +386,8 @@ def check_homogeneous_equivalence(trace) -> Verdict:
     # The ratios are nonnegative, so spread lies in [0, 1] and -1 is the least slack.
     spread = (hi - lo) / np.maximum(1.0, hi)
     worst = np.where(some, 1e-9 - spread, np.inf).min()
-    idx_mod, _ = _best_rows(trace.table[trace.at], y_mod, trace.scored[trace.at])
+    padded = ~trace.scored[trace.at]
+    idx_mod, _ = _best_rows(trace.table[trace.at], y_mod, padded, np.arange(trace.n))
     mismatches = int((idx_mod != trace.choice).sum())
     if mismatches or (some & (hi <= 0.0)).any() or (~pos & (y_mod > 1e-12)).any():
         worst = -1.0

@@ -80,7 +80,7 @@ def _accept(c, y, a):
     1.0 where ``c - <y, a>`` is strictly positive, else 0.0: ties decline.
     Rows of ``y`` and ``a`` broadcast against each other and against ``c``.
     """
-    return np.where(c - np.vecdot(y, a) > 0.0, 1.0, 0.0)
+    return (c - np.vecdot(y, a) > 0.0).astype(np.float64)
 
 
 @dataclass
@@ -149,14 +149,17 @@ def run_welfare_batch(requests, at, f, labels=None):
     if not isinstance(run_f, SumOfPowers):
         raise ConfigError(f"the welfare loop runs a sum of powers after reduction, got {run_f!r}")
     state = OcoState(run_f, gamma)
-    x_virtual = np.empty(c_red.shape)
+    # Step-major copies, so that the rows of step t are contiguous.
+    c_steps, A_steps = np.ascontiguousarray(c_red.T), np.ascontiguousarray(A.transpose(1, 0, 2))
+    x_steps = np.empty(c_steps.shape)
 
     def respond(t, y):
-        x = x_virtual[:, t] = _accept(c_red[:, t], y, A[:, t])
-        return A[:, t] * x[:, None]
+        x = x_steps[t] = _accept(c_steps[t], y, A_steps[t])
+        return A_steps[t] * x[:, None]
 
     state.play(respond, at.shape[1], gamma)
     y, v, _, conj_y = state.record()
+    x_virtual = np.ascontiguousarray(x_steps.T)
     x_played = PLAY_SCALE * x_virtual
     reward_total = np.vecdot(c, x_played)
     cost_total = f.eval_rows((np.swapaxes(A, 1, 2) @ x_played[:, :, None])[:, :, 0])

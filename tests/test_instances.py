@@ -166,20 +166,32 @@ class TestDrawMatrix:
         assert np.array_equal(draw_matrix(inst, [7, 3]), draw_matrix(inst, range(8))[[7, 3]])
 
 
+def numpy_uniforms(seed, keys, n):
+    return np.array([
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(r,))))
+        .random(n)
+        for r in keys
+    ])
+
+
 class TestUniforms:
     """``_uniforms`` is numpy's ``SeedSequence``/``Philox`` stream, bit for bit."""
 
-    # 2**32 and above take two entropy words, 2**64 + 3 three.
-    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**33 + 5, 2**64 + 3])
+    # 2**32 and above take two entropy words, 2**64 + 3 three; 2**128 takes
+    # five and 2**160 + 7 six, past the four words the pool hashes first.
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**31 - 1, 2**32, 2**33 + 5, 2**64 + 3, 2**128, 2**160 + 7]
+    )
     @pytest.mark.parametrize("n", [1, 4, 5, 23, 28])
     @pytest.mark.parametrize("keys", [[2**32 - 1], range(300)], ids=["K=1", "K=300"])
     def test_matches_numpy(self, seed, n, keys):
-        ref = [
-            np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(r,))))
-            .random(n)
-            for r in keys
-        ]
-        assert np.array_equal(_uniforms(seed, keys, n), np.array(ref))
+        assert np.array_equal(_uniforms(seed, keys, n), numpy_uniforms(seed, keys, n))
+
+    # Criterion 4's replication count: the keys span several Philox blocks.
+    @pytest.mark.parametrize("n", [28, 64])
+    def test_matches_numpy_at_criterion_4_size(self, n):
+        keys = range(2000)
+        assert np.array_equal(_uniforms(11, keys, n), numpy_uniforms(11, keys, n))
 
     @pytest.mark.parametrize("key", [-1, 2**32, 2**64 + 3, 1.5])
     def test_keys_outside_one_word_are_rejected(self, key):

@@ -274,7 +274,7 @@ def per_step_ocp(sets, at, f):
         y = state.next_iterate()
         y = y if y.ndim == 2 else np.broadcast_to(y, (runs, f.m))
         j = at[:, t]
-        choice[:, t], v = ocp._best_rows(table[j], y, scored[j])
+        choice[:, t], v = ocp._best_rows(table[j], y, ~scored[j], np.arange(runs))
         state.observe(v, gamma)
     return state, choice
 

@@ -68,7 +68,7 @@ class TestFeasibleSet:
 def best_of(options, y):
     """``_best_rows`` over one menu for one dual: ``(index, point)``."""
     options = np.asarray(options, dtype=np.float64)
-    idx, v = ocp._best_rows(options[None], y[None], np.ones((1, len(options)), dtype=bool))
+    idx, v = ocp._best_rows(options[None], y[None], np.zeros((1, len(options)), bool), np.arange(1))
     return int(idx[0]), v[0]
 
 
@@ -99,6 +99,32 @@ class TestBestResponse:
             base = best_of(options, y)[0]
             for lam in (0.01, 0.5, 7.0, 1234.0):
                 assert best_of(options, lam * y)[0] == base
+
+    def test_padded_slots_never_win_even_at_an_infinite_dual(self):
+        # Signed-zero ties, padded slots whose raw score ties the least real
+        # one, and an infinite dual coordinate, under which a padded zero row
+        # scores 0 * inf = nan: the scorer must pick the index and point that
+        # np.where(scored, scores, inf) picks, never a padded slot.
+        options = np.zeros((4, 4, 2))
+        options[0, :3] = [[0.0, 0.0], [-0.0, -0.0], [0.5, 0.5]]
+        options[1, :2] = [[-0.0, -0.0], [0.0, 0.0]]
+        options[2, :2] = [[1.0, -0.0], [0.0, 0.0]]
+        options[3, :2] = [[1.0, 0.5], [0.5, 1.0]]
+        scored = np.array([[1, 1, 1, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0]], dtype=bool)
+        duals = [
+            np.array([[1.0, 1.0], [1.0, 1.0], [-0.0, 2.0], [1.0, 1.0]]),
+            np.array([-0.0, 0.0]),
+            np.array([np.inf, 1.0]),
+        ]
+        for Y in duals:
+            with np.errstate(invalid="ignore"):
+                idx, v = ocp._best_rows(options, Y, ~scored, np.arange(4))
+                rows = np.broadcast_to(Y, (4, 2))
+                scores = np.vecdot(options, rows[:, None, :])
+            old = np.where(scored, scores, np.inf).argmin(axis=1)
+            assert idx.tolist() == old.tolist() and scored[np.arange(4), idx].all()
+            point = options[np.arange(4), old]
+            assert np.array_equal(v, point) and np.array_equal(np.signbit(v), np.signbit(point))
 
 
 class TestRunOcp:
@@ -320,13 +346,15 @@ class TestAdversarialCharging:
 def wrong_best_rows(pick):
     """A menu scorer that picks ``pick(scores)`` instead of the lowest-index minimizer.
 
-    It takes the engine's stacked menus; padded slots score ``+inf``.
+    It takes the engine's stacked menus, duals, padded-slot mask and row
+    index; padded slots score ``+inf``.
     """
 
-    def best_rows(options, Y, scored):
-        scores = np.where(scored, np.einsum("rkm,rm->rk", options, Y), np.inf)
+    def best_rows(options, Y, padded, rows):
+        Y = np.broadcast_to(Y, (len(options), options.shape[-1]))
+        scores = np.where(padded, np.inf, np.einsum("rkm,rm->rk", options, Y))
         idx = pick(scores)
-        return idx, options[np.arange(len(idx)), idx]
+        return idx, options[rows, idx]
 
     return best_rows
 
@@ -480,7 +508,7 @@ def loop_homogeneous_equivalence(trace, stoch_mask, sets):
         if np.any(y_mod[~pos] > 1e-12):
             worst = -1.0
         table, scored = ocp._menu_table([sets[t]], f.m)
-        idx_mod, _ = ocp._best_rows(table, y_mod[None], scored)
+        idx_mod, _ = ocp._best_rows(table, y_mod[None], ~scored, np.arange(1))
         if int(idx_mod[0]) != int(trace.choice[t]):
             mismatches += 1
     if mismatches:
