@@ -49,18 +49,18 @@ def _as_point(x, m, name="u"):
     return np.maximum(x, 0.0)
 
 
-def _dot_last(X, w):
-    """``X @ w`` over the last axis, the same bits.
+def _vecdot(a, b):
+    """``np.vecdot(a, b)`` of real operands, the same bits: past 200 rows of length 1, the one
+    product plus ``0.0`` (a ``-0.0`` becomes ``+0.0``), cheaper than numpy's per-row loop."""
+    if a.shape[-1] == b.shape[-1] == 1 and max(a.size, b.size) > 200:
+        return a[..., 0] * b[..., 0] + 0.0
+    return np.vecdot(a, b)
 
-    A stacked ``matmul`` over a last axis of length 1 is many times slower
-    than the one product it computes, so that case is the product, plus
-    ``0.0``: ``matmul`` adds the product to a zero, which turns a ``-0.0``
-    into ``+0.0``.  A longer axis stays on ``matmul``, whose fused
-    multiply-add chain numpy has no other way to reproduce.
-    """
-    if w.shape[0] == 1:
-        return X[..., 0] * w[0] + 0.0
-    return X @ w
+
+def _dot_last(X, w):
+    """``X @ w`` over the last axis, the same bits: at length 1 by :func:`_vecdot`,
+    else by ``matmul``, whose fused multiply-add chain numpy cannot otherwise give."""
+    return _vecdot(X, w) if w.shape[0] == 1 else X @ w
 
 
 class CostFunction:
@@ -153,8 +153,9 @@ class CostFunction:
         return None
 
     def cost_at_p_ones(self) -> float:
-        """Evaluation at ``p * (1,...,1)``, the additive loss unit."""
-        return self.eval(np.full(self.m, self.p))
+        """Evaluation at ``p * (1,...,1)``, the additive loss unit, by :meth:`eval_rows`:
+        the bits of :meth:`eval`, without validating a point that is valid by construction."""
+        return float(self.eval_rows(np.full(self.m, self.p)))
 
     def __repr__(self):
         return f"{type(self).__name__}(m={self.m}, p={self.p})"
@@ -189,15 +190,11 @@ class SumOfPowers(CostFunction):
 
     def eval_rows(self, U):
         # vecdot reduces each row with the same kernel as np.dot.
-        if self.p == 2.0:
-            return np.vecdot(self.coeffs, U * U)
-        return np.vecdot(self.coeffs, U**self.p)
+        return _vecdot(self.coeffs, U * U if self.p == 2.0 else U**self.p)
 
     def eval_many(self, U):
         U = np.asarray(U, dtype=np.float64)
-        if self.p == 2.0:
-            return _dot_last(U * U, self.coeffs)
-        return _dot_last(U**self.p, self.coeffs)
+        return _dot_last(U * U if self.p == 2.0 else U**self.p, self.coeffs)
 
     def grad_many(self, U):
         return self._grad_scale * (U if self.p == 2.0 else U ** (self.p - 1.0))
@@ -206,9 +203,7 @@ class SumOfPowers(CostFunction):
         if np.any((self.coeffs == 0) & (Y > 1e-12)):
             raise ValueError("conjugate is infinite on a zero-weight coordinate")
         # vecdot reduces each row with the same kernel as np.dot.
-        if self.p == 2.0:
-            return np.vecdot(self._conj_scale, Y * Y)
-        return np.vecdot(self._conj_scale, Y**self._q)
+        return _vecdot(self._conj_scale, Y * Y if self.p == 2.0 else Y**self._q)
 
     def component_value(self, i, x):
         return self.coeffs[i] * x**self.p
@@ -250,7 +245,7 @@ class LinearPlusPower(CostFunction):
         self._conj_scale = _power_conj_scale(self._weights, self.p)
 
     def eval_rows(self, U):
-        return np.vecdot(self._weights, U**self.p) + np.vecdot(self.slopes, U)
+        return _vecdot(self._weights, U**self.p) + _vecdot(self.slopes, U)
 
     def eval_many(self, U):
         U = np.asarray(U, dtype=np.float64)
@@ -263,7 +258,7 @@ class LinearPlusPower(CostFunction):
         Z = np.maximum(Y - self.slopes, 0.0)
         if np.any((self._weights == 0) & (Z > 1e-12)):
             raise ValueError("conjugate is infinite above a purely linear slope")
-        return np.vecdot(self._conj_scale, Z**self._q)
+        return _vecdot(self._conj_scale, Z**self._q)
 
     def component_value(self, i, x):
         return (self.scales[i] * x) ** self.p + self.slopes[i] * x

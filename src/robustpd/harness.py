@@ -123,10 +123,16 @@ class InstanceReport:
 
 
 def _mean_se(values):
+    """The bits of ``mean()`` and ``std(ddof=1) / sqrt(n)``, by numpy's own steps
+    in their order: sum / n, then the squared deviations' sum / (n - 1), its root."""
     arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return mean, se
+    n = arr.size
+    mean = np.add.reduce(arr, axis=None) / n
+    if n < 2:
+        return float(mean), 0.0
+    dev = np.subtract(arr, mean)
+    var = np.add.reduce(np.square(dev, out=dev), axis=None) / (n - 1)
+    return float(mean), float(np.sqrt(var) / math.sqrt(n))
 
 
 def _at_most(name, value, rhs):
@@ -240,7 +246,7 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
         stoch_fake = np.zeros(replications)
         if stoch_report is not None:
             selector = np.array(stoch_report.selector, dtype=np.float64)
-            stoch_fake = _fake_total(runs, labels, selector[drawn[:, labels]])
+            stoch_fake = _fake_total(runs, labels, selector.take(drawn.compress(labels, 1), 0))
         return {"cost": runs.cost}, rep_checks, (f.eval_rows(runs.load / 8.0), stoch_fake)
 
     def bound(mean, se, extras):
@@ -252,23 +258,24 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
         stoch_exact = stoch_report.exact if stoch_report is not None else True
         if n_stoch and stoch_exact:
             mean_fake, se_fake = _mean_se(stoch_fake)
-            rhs = f.eval(beta * stoch_report.load) / beta + 3.0 * se_fake
+            # The oracles' loads are sums of checked menu rows: no point to validate.
+            rhs = float(f.eval_rows(beta * stoch_report.load)) / beta + 3.0 * se_fake
             checks.append(_at_most("stoch_mean", mean_fake, rhs))
         if stoch_exact:
             c_adv = (2.0 * f.p) ** f.p
             c_stoch = 1.0 if f.homogeneous else (beta**f.p if n_stoch else 0.0)
             rhs = 1.5 * f.cost_at_p_ones() + 3.0 * se_scaled
             if adv_sets:
-                rhs += c_adv * f.eval(adv_report.load)
+                rhs += c_adv * float(f.eval_rows(adv_report.load))
             if n_stoch:
-                rhs += c_stoch * f.eval(stoch_report.load)
+                rhs += c_stoch * float(f.eval_rows(stoch_report.load))
             checks.append(_at_most("end_to_end", mean_scaled, rhs))
         # Both stochastic-optimum forms: the selector value E cost(sum v*) and
         # the cost of the mean offline load, which is what the bound charges.
         details = {"mean_scaled_cost": mean_scaled}
         if n_stoch:
             details["opt_stoch_selector_value"] = stoch_report.value
-            details["cost_of_mean_stoch_load"] = f.eval(stoch_report.load)
+            details["cost_of_mean_stoch_load"] = float(f.eval_rows(stoch_report.load))
             details["beta"] = beta
             details["stoch_oracle_method"] = stoch_report.method
         return rhs, checks, details

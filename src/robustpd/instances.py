@@ -165,14 +165,18 @@ _LOW, _HALF, _DROP = np.array([_M32, 32, 11], dtype=np.uint64)
 _PHILOX_WORDS = 8192
 
 
-def _hashmix(value, init, mult, calls):
-    """SeedSequence's ``hashmix`` by four successive calls of a hash chain.
+def _hash_chain(init, mult, calls):
+    """Calls ``calls`` to ``calls + 4`` of the hash chain ``init * mult**call``, ``(5, 1)``."""
+    return np.array([[init * pow(mult, calls + i, 1 << 32) & _M32] for i in range(5)], np.uint64)
 
-    Row i of the ``(4, K)`` result is hashed by call ``calls + i`` of the
-    chain ``init * mult**call``.  Words are uint32 values held in uint64.
-    """
-    h = np.array([init * pow(mult, calls + i, 1 << 32) & _M32 for i in range(5)], dtype=np.uint64)
-    value = (value ^ h[:4, None]) * h[1:, None] & _M32
+
+# Built once: the chain of the key mix after a seed of at most 4 words, and of the key draw.
+_CHAIN_A16, _CHAIN_B = _hash_chain(_INIT_A, _MULT_A, 16), _hash_chain(_INIT_B, _MULT_B, 0)
+
+
+def _hashmix(value, h):
+    """SeedSequence's ``hashmix`` of uint32 words held in uint64, row i by call i of ``h``."""
+    value = (value ^ h[:4]) * h[1:] & _M32
     return value ^ value >> 16
 
 
@@ -226,10 +230,11 @@ def _uniforms(seed, replications, n):
         raise ConfigError(f"replication keys must lie in [0, 2**32), got {(bad or [keys])[0]!r}")
     # Pooling the seed's words took 16 hash calls, plus 4 per word past the fourth.
     calls = 16 + 4 * max(0, -(-seed.bit_length() // 32) - 4)
-    mixed = _hashmix(keys.astype(np.uint64), _INIT_A, _MULT_A, calls)
+    chain = _CHAIN_A16 if calls == 16 else _hash_chain(_INIT_A, _MULT_A, calls)
+    mixed = _hashmix(keys.astype(np.uint64), chain)
     pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
     pool = (_MIX_L * pool - _MIX_R * mixed) & _M32  # SeedSequence's mix
-    state = _hashmix(pool ^ pool >> 16, _INIT_B, _MULT_B, 0)
+    state = _hashmix(pool ^ pool >> 16, _CHAIN_B)
     key, c = state[0::2] | state[1::2] << 32, -(-n // 4)  # c counters of 4 words per key
     raw, step = np.empty((len(keys), c, 4)), max(1, _PHILOX_WORDS // max(c, 1))
     for s in range(0, len(keys), step):

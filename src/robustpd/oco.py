@@ -298,7 +298,7 @@ class OcoState:
                 self._refuse_bad_steps(v_rec[:t], [gamma] * t, totals[1 : t + 1])
             raise
         self._refuse_bad_steps(v_rec, [gamma] * n, totals[1:])
-        y_rec, v_rec = (np.ascontiguousarray(np.moveaxis(a, 0, -2)) for a in (y_rec, v_rec))
+        y_rec, v_rec = (np.ascontiguousarray(a.swapaxes(0, -2)) for a in (y_rec, v_rec))
         self._append(y_rec, v_rec, np.full(n, gamma), self.f.conj_many(y_rec))
         self.cum_v, self.cum_gamma = cum_v, totals[-1]
 

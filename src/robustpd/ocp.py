@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from robustpd.costs import SumOfPowers
+from robustpd.costs import SumOfPowers, _vecdot
 from robustpd.oco import (
     ConfigError,
     OcoState,
@@ -110,13 +110,14 @@ def _best_rows(options, Y, padded, rows):
     """Minimizers of ``<y, .>`` over each menu of the ``(R, k, m)`` stack ``options``.
 
     Menu r faces row r of the ``(R, m)`` duals ``Y``, or the one ``(m,)``
-    dual ``Y``; each option scores ``np.dot(option, y)`` wherever it sits,
+    dual ``Y``; each option scores ``_vecdot(option, y)`` wherever it sits,
     so equal options tie exactly.  The slots that the ``(R, k)`` mask
-    ``padded`` marks are set to ``+inf`` in place, whatever the dual, and
-    ties break at the lowest real index.  ``rows`` is ``np.arange(R)``.
-    Returns the indices ``(R,)`` and the points ``(R, m)``.
+    ``padded`` marks are set to ``+inf`` in place, and ties break at the
+    lowest real index.  ``rows`` is ``np.arange(R)``: fancy indexing by it
+    beats ``np.take`` at this size.  Returns the indices ``(R,)`` and the
+    points ``(R, m)``.
     """
-    scores = np.vecdot(options, Y[..., None, :])
+    scores = _vecdot(options, Y[..., None, :])
     np.putmask(scores, padded, np.inf)
     idx = scores.argmin(axis=1)
     return idx, options[rows, idx]
@@ -149,7 +150,8 @@ class OcpRunTrace(_LockstepTrace):
     @functools.cached_property
     def _conj_terms(self):
         """``max_t conj(y_t)`` and ``conj(max_t y_t)`` per run, computed once per trace."""
-        y_max = self.y.max(axis=-2, initial=0.0)
+        # Along a contiguous step axis: over the middle axis numpy makes one pass per dual.
+        y_max = np.ascontiguousarray(self.y.mT).max(axis=-1, initial=0.0)
         return self.conj_y.max(axis=-1, initial=0.0), self.f.conj_many(y_max)
 
     def _adv_fake(self, opt_choices):
@@ -191,8 +193,9 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
     )
     choice = np.empty((n, runs), dtype=np.int64)
     table, scored = _menu_table(sets, f.m)
-    # One gather for the block: the menus of step t are the contiguous menus[t].
-    menus, padded, rows = table[at.T], ~scored[at.T], np.arange(runs)
+    # One gather per block, by take (advanced indexing costs far more per call): menus[t]
+    # is contiguous.
+    menus, padded, rows = table.take(at.T, 0), (~scored).take(at.T, 0), np.arange(runs)
 
     def respond(t, y):
         # _best_rows is looked up at each call, where a test may patch it.
@@ -205,7 +208,7 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
         f=f,
         y=y, v=v, conj_y=conj_y,
         choice=np.ascontiguousarray(choice.T),
-        fake=np.vecdot(y, v) - gamma * conj_y,
+        fake=_vecdot(y, v) - gamma * conj_y,
         load=state.cum_v,
         cost=f.eval_rows(state.cum_v),
         gamma=gamma,
@@ -219,15 +222,13 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
 def _fake_total(trace, steps, choices):
     """``sum_{t in steps} L(y_t, o_t)``: the fake cost of other choices ``o``.
 
-    ``steps`` selects steps of the trace and ``choices`` holds one row per
-    selected step, shared by all runs or with a leading run axis.  One
-    value per run.  Every operand is copied to a contiguous array first:
-    selecting steps of a ``(K, n, m)`` record, or gathering choices with
-    such a selection, can give a strided array, and ``einsum`` and ``sum``
-    reduce one of those in another order than one run's rows.
+    ``steps`` is a boolean mask over the steps of the trace and ``choices``
+    holds one row per selected step, shared by all runs or with a leading
+    run axis.  One value per run.  Every operand is a contiguous array:
+    ``einsum`` and ``sum`` reduce a strided one in another order than one
+    run's rows.  ``compress`` selects the steps into a contiguous copy.
     """
-    y = np.ascontiguousarray(trace.y[..., steps, :])
-    conj_y = np.ascontiguousarray(trace.conj_y[..., steps])
+    y, conj_y = trace.y.compress(steps, -2), trace.conj_y.compress(steps, -1)
     choices = np.ascontiguousarray(choices)
     return np.einsum("...tm,...tm->...", y, choices) - trace.gamma * conj_y.sum(axis=-1)
 
@@ -273,7 +274,7 @@ def check_adversarial_charging(trace, alpha, opt_choices) -> Verdict:
     if opt_choices.shape[0] != int((~trace.labels).sum()):
         raise ValueError("one offline choice per adversarial step required")
     v_opt = opt_choices.sum(axis=0) if opt_choices.size else np.zeros(f.m)
-    cost_opt = f.eval(alpha * v_opt)
+    cost_opt = float(f.eval_rows(alpha * v_opt))  # a sum of checked menu rows
     lhs = trace._adv_fake(opt_choices)
     conj_max, conj_of_max = trace._conj_terms
     rhs1 = math.e * cost_opt + (math.e * f.p / alpha) * conj_max
@@ -297,19 +298,21 @@ def check_best_response(trace) -> Verdict:
     must be its first occurrence (the lowest-index tie-break).  Computed
     from the record and the trace's menus, without the engine's scorer.
     The slack is the worst normalized margin over the steps, or -1 where a
-    tie went to a later index.
+    tie went to a later index.  Gathers are by ``take``, the choices' flags
+    from the flat ``(S * kmax,)`` first-occurrence flags.
     """
-    padded, scored = trace.table, trace.scored
+    padded, scored, at = trace.table, trace.scored, trace.at
     same = (padded[:, :, None, :] == padded[:, None, :, :]).all(axis=-1)
     first = scored & ~np.tril(same, -1).any(axis=-1)
     y = trace.y
     # Scored with the engine's kernel, so equal options tie exactly here too.
-    scores = np.where(scored[trace.at], np.vecdot(padded[trace.at], y[..., None, :]), np.inf)
+    scores = _vecdot(padded.take(at, 0), y[..., None, :])
+    np.putmask(scores, (~scored).take(at, 0), np.inf)
     # One option slot at a time: numpy's min over a short last axis is slow.
-    best = functools.reduce(np.minimum, np.moveaxis(scores, -1, 0))
-    margin = (best - np.vecdot(y, trace.v)) / np.maximum(1.0, np.abs(best))
+    best = functools.reduce(np.minimum, (scores[..., j] for j in range(scores.shape[-1])))
+    margin = (best - _vecdot(y, trace.v)) / np.maximum(1.0, np.abs(best))
     worst = margin.min(axis=-1)
-    ties_first = first[trace.at, trace.choice].all(axis=-1)
+    ties_first = first.take(at * first.shape[1] + trace.choice).all(axis=-1)
     return Verdict.of(
         "best_response",
         np.where(ties_first, worst, -1.0),

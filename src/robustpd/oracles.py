@@ -113,8 +113,8 @@ def opt_adv_ocp(adv_sets, f) -> OptReport:
     load is summed in step order, as a recursion over the menus would; the
     block is scored with ``eval_many``, and every combination within
     ``1e-9 * max(1, |min|)`` of the block's minimum is re-scored with
-    ``eval``.  The answer is the lexicographically first combination of
-    least ``eval``.
+    ``eval_rows`` (``eval``'s bits, no point to validate).  The answer is
+    the lexicographically first combination of least ``eval``.
     """
     menus = _menus(adv_sets, f.m)
     if not menus:
@@ -143,7 +143,7 @@ def opt_adv_ocp(adv_sets, f) -> OptReport:
         scores = f.eval_many(block)
         low = float(scores.min())
         for r in np.flatnonzero(scores <= low + 1e-9 * max(1.0, abs(low))):
-            val = f.eval(block[r])
+            val = float(f.eval_rows(block[r]))
             if val < best_val:
                 best_val = val
                 best_idx = prefix + tuple(int(j) for j in np.unravel_index(r, suffix_shape))

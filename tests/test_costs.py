@@ -11,6 +11,7 @@ from robustpd.costs import (
     SeparableGeneric,
     SumOfPowers,
     _as_point,
+    _vecdot,
     check_growth,
     check_superadditivity,
     conjugate_numeric,
@@ -393,6 +394,36 @@ class TestEvalManyProducts:
             power = U * U if p == 2.0 else U**p
             assert same_bits(sums.eval_many(U), power @ c)
             assert same_bits(linear.eval_many(U), U**p @ weights + U @ slopes)
+
+
+class TestVecdot:
+    """``_vecdot`` gives ``np.vecdot``'s bits; past 200 rows of length 1 it is
+    one product plus ``0.0``, which turns a ``-0.0`` product into ``+0.0``."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_np_vecdot(self, m):
+        rng = np.random.default_rng(m)
+        for shape in [(m,), (7, m), (4, 9, m), (2, 5, 3, m), (0, m), (201, m), (50, 24, m)]:
+            a = TestEvalManyProducts.loads(rng, shape) * rng.choice([-1.0, 1.0], shape)
+            b = TestEvalManyProducts.loads(rng, shape)
+            w = rng.uniform(-2.0, 2.0, m)
+            assert same_bits(_vecdot(a, b), np.vecdot(a, b))
+            # Broadcast (m,) operands, on either side and against a new axis.
+            assert same_bits(_vecdot(w, a), np.vecdot(w, a))
+            assert same_bits(_vecdot(a, w), np.vecdot(a, w))
+        # The engine's scorer: each run's menu of k options against its dual.
+        for runs in (6, 2000):
+            options, Y = TestEvalManyProducts.loads(rng, (runs, 3, m)), rng.uniform(0, 2, (runs, m))
+            expected = np.vecdot(options, Y[..., None, :])
+            assert same_bits(_vecdot(options, Y[..., None, :]), expected)
+
+    @pytest.mark.parametrize("reps", [1, 100])
+    def test_negative_zero_products_become_positive(self, reps):
+        a = np.tile([[-0.0], [-1.0], [0.0], [-2.0]], (reps, 1))
+        b = np.tile([[1.0], [0.0], [-3.0], [-0.0]], (reps, 1))
+        assert same_bits(np.vecdot(a, b), np.zeros(4 * reps))
+        assert same_bits(_vecdot(a, b), np.zeros(4 * reps))
+        assert same_bits(_vecdot(np.array([-0.0]), b), np.zeros(4 * reps))
 
 
 class TestDecomposition:

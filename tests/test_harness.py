@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustpd import costs, harness
+from robustpd.costs import SumOfPowers
 from robustpd.harness import (
     evaluate_loadbalance_instance,
     evaluate_ocp_instance,
@@ -279,3 +281,38 @@ def test_traced_benchmark_names_resolve():
         pass
     for (module, attr), original in before.items():
         assert getattr(importlib.import_module(module), attr) is original, (module, attr)
+
+
+def _mean_se_reference(values):
+    # The form _mean_se replaced: numpy's mean() and std(ddof=1).
+    arr = np.asarray(values, dtype=np.float64)
+    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return float(arr.mean()), se
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 2000])
+@pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+def test_mean_se_matches_numpy_bit_for_bit(n, scale):
+    rng = np.random.default_rng(n)
+    cases = [
+        rng.standard_normal(n) * scale,
+        rng.uniform(0.0, 1.0, n) * scale + 3.0 * scale,
+        np.full(n, 0.1 * scale),
+        np.where(rng.uniform(size=n) < 0.5, -0.0, 0.0),
+        np.where(rng.uniform(size=n) < 0.5, -0.0, scale),
+    ]
+    for values in cases:
+        assert repr(harness._mean_se(values)) == repr(_mean_se_reference(values))
+
+
+def test_ocp_evaluation_validates_no_internal_point(monkeypatch):
+    # Points that are sums of checked menu rows go to the batch kernels: the
+    # single-point validation runs only at the public boundary.
+    calls = []
+    original = costs._as_point
+    monkeypatch.setattr(costs, "_as_point", lambda *a, **k: calls.append(a) or original(*a, **k))
+    for m, family in ((1, "sum_of_powers"), (2, "linear_plus_power")):
+        params = GeneratorParams(problem="ocp", n=16, m=m, p=2.0, family=family, n_adv=4)
+        assert evaluate_ocp_instance(generate(params, 74), 20).all_pass
+    assert calls == []
+    assert SumOfPowers([1.0, 2.0], 2.0).eval([1.0, 1.0]) == 3.0 and len(calls) == 1
