@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from robustpd.oco import Verdict, normalized_slack
+from robustpd.oco import Verdict, _plain, normalized_slack
 
 __all__ = [
     "CostFunction",
@@ -40,10 +40,10 @@ __all__ = [
 _NEG_TOL = 1e-12
 
 
-def _as_point(x, m, name="u"):
+def _as_point(x, m, name="u", batch=False):
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m,):
-        raise ValueError(f"{name} has shape {x.shape}, expected ({m},)")
+    if x.shape[-1:] != (m,) or not (batch or x.ndim == 1):
+        raise ValueError(f"{name} has shape {x.shape}, expected ({'..., ' * batch}{m},)")
     if np.any(x < -_NEG_TOL):
         raise ValueError(f"{name} has a negative coordinate: {x.min()}")
     return np.maximum(x, 0.0)
@@ -284,10 +284,10 @@ class SeparableGeneric(CostFunction):
     same duals again and again.  An infinite conjugate is not kept.
 
     The batch methods clamp the whole batch at 0 once and then call the
-    components one coordinate at a time, with numpy scalars in
-    :meth:`eval_rows` and :meth:`grad_many` and Python floats in the
-    search, never with arrays: numpy's array ``x**p`` can round
-    differently from the scalar one.
+    components one coordinate at a time, with Python floats in every
+    method, never with arrays: numpy's array ``x**p`` can round differently
+    from the scalar one, while Python's ``**`` and numpy's scalar ``**``
+    both call the C library's ``pow``.
     """
 
     family = "separable_generic"
@@ -297,22 +297,23 @@ class SeparableGeneric(CostFunction):
         super().__init__(len(self.components), p)
         self._conj_memo = {}
 
-    def eval_rows(self, U):
+    def _rows(self, U):
         U = np.maximum(np.asarray(U, dtype=np.float64), 0.0)
-        values = [
-            sum(fn(x) for (fn, _), x in zip(self.components, u)) for u in U.reshape(-1, self.m)
-        ]
-        return np.array(values, dtype=np.float64).reshape(U.shape[:-1])
+        return U.shape, U.reshape(-1, self.m).tolist()
+
+    def eval_rows(self, U):
+        shape, rows = self._rows(U)
+        values = [sum(fn(x) for (fn, _), x in zip(self.components, u)) for u in rows]
+        return np.array(values, dtype=np.float64).reshape(shape[:-1])
 
     def grad_many(self, U):
-        U = np.maximum(np.asarray(U, dtype=np.float64), 0.0)
-        rows = [[d(x) for (_, d), x in zip(self.components, u)] for u in U.reshape(-1, self.m)]
-        return np.array(rows, dtype=np.float64).reshape(U.shape)
+        shape, rows = self._rows(U)
+        grads = [[d(x) for (_, d), x in zip(self.components, u)] for u in rows]
+        return np.array(grads, dtype=np.float64).reshape(shape)
 
     def conj_many(self, Y):
-        Y = np.maximum(np.asarray(Y, dtype=np.float64), 0.0)
-        values = [self._conj_row(y) for y in Y.reshape(-1, self.m).tolist()]
-        return np.array(values, dtype=np.float64).reshape(Y.shape[:-1])
+        shape, rows = self._rows(Y)
+        return np.array([self._conj_row(y) for y in rows], dtype=np.float64).reshape(shape[:-1])
 
     def _conj_row(self, y):
         # The coordinate conjugates of one dual, summed in order from 0.0.
@@ -379,11 +380,11 @@ def cost_from_config(config) -> CostFunction:
 # -- cross-checks ----------------------------------------------------------
 
 
-def fenchel_gap(f, u, y) -> float:
-    """``cost(u) + conj(y) - <y, u>``; nonnegative, zero at ``y = grad(u)``."""
-    u = _as_point(u, f.m)
-    y = _as_point(y, f.m, "y")
-    return f.eval(u) + f.conjugate_value(y) - float(np.dot(y, u))
+def fenchel_gap(f, u, y):
+    """``cost(u) + conj(y) - <y, u>`` per ``(..., m)`` point: at least 0, 0 at ``y = grad(u)``."""
+    u = _as_point(u, f.m, batch=True)
+    y = _as_point(y, f.m, "y", batch=True)
+    return _plain(f.eval_rows(u) + f.conj_many(y) - _vecdot(y, u))
 
 
 def _sup_concave(h, tol=1e-12):
@@ -437,34 +438,39 @@ def check_growth(f, samples) -> Verdict:
         grad_inner         <grad(u), u> <= p * cost(u)
 
     and the slack is minus the largest of them; it passes at ``>= -1e-9``.
+    One batch of all samples, validated once; ``g**p`` and ``d**q`` stay Python powers.
     """
-    worst = [0.0, 0.0, 0.0, 0.0]
+    us, gammas, deltas = tuple(zip(*samples)) or ((), (), ())
+    u = _as_point(us, f.m, batch=True) if us else np.zeros((0, f.m))
     q = f.p / (f.p - 1.0)
-    for u, gamma, delta in samples:
-        u = _as_point(u, f.m)
-        psi_u = f.eval(u)
-        y = f.grad(u)
-        # The violation of lhs <= rhs is the slack of the reversed claim.
-        worst[0] = max(worst[0], normalized_slack(f.eval(gamma * u), gamma**f.p * psi_u))
-        conj_y = f.conjugate_value(y)
-        worst[1] = max(worst[1], normalized_slack(f.conjugate_value(delta * y), delta**q * conj_y))
-        worst[2] = max(worst[2], normalized_slack(conj_y, f.p * psi_u))
-        worst[3] = max(worst[3], normalized_slack(float(np.dot(y, u)), f.p * psi_u))
+    psi_u = f.eval_rows(u)
+    y = f.grad_many(u)
+    conj_y = f.conj_many(y)
+    grown, shrunk = np.array([g**f.p for g in gammas]), np.array([d**q for d in deltas])
+    # The violation of lhs <= rhs is the slack of the reversed claim.
+    violations = (
+        normalized_slack(f.eval_rows(np.array(gammas)[:, None] * u), grown * psi_u),
+        normalized_slack(f.conj_many(np.array(deltas)[:, None] * y), shrunk * conj_y),
+        normalized_slack(conj_y, f.p * psi_u),
+        normalized_slack(_vecdot(y, u), f.p * psi_u),
+    )
+    # Each claim's running max from 0.0: NaN never enters, and 0.0 wins a tie.
+    worst = [max(0.0, float(np.fmax.reduce(v, initial=0.0))) for v in violations]
     names = ("scale_growth", "conjugate_shrink", "conjugate_of_grad", "grad_inner")
     return Verdict.of("growth", -max(worst), dict(zip(names, worst)), tol=1e-9)
 
 
-def check_superadditivity(f, u, v, tol=1e-9) -> bool:
-    """Superadditivity plus the convexity-growth upper bound.
+def check_superadditivity(f, u, v, tol=1e-9):
+    """Superadditivity plus the convexity-growth upper bound, per ``(..., m)`` point.
 
     ``cost(u+v) >= cost(u) + cost(v)`` and
     ``cost(u+v) <= 2**(p-1) * (cost(u) + cost(v))``.
     """
-    u = _as_point(u, f.m)
-    v = _as_point(v, f.m, "v")
-    both = f.eval(u + v)
-    parts = f.eval(u) + f.eval(v)
-    lower_ok = both >= parts - tol * max(1.0, abs(parts))
+    u = _as_point(u, f.m, batch=True)
+    v = _as_point(v, f.m, "v", batch=True)
+    both = f.eval_rows(u + v)
+    parts = f.eval_rows(u) + f.eval_rows(v)
+    lower_ok = both >= parts - tol * np.maximum(1.0, np.abs(parts))
     upper = 2.0 ** (f.p - 1.0) * parts
-    upper_ok = both <= upper + tol * max(1.0, abs(upper))
-    return bool(lower_ok and upper_ok)
+    upper_ok = both <= upper + tol * np.maximum(1.0, np.abs(upper))
+    return _plain(lower_ok & upper_ok)

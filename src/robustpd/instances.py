@@ -114,6 +114,11 @@ class MixedInstance:
             raise SchemaError("cost", str(exc)) from exc
         if len(self.timeline) != self.n:
             raise SchemaError("timeline", f"length {len(self.timeline)} != n={self.n}")
+        # The timeline is fixed at construction: its stochastic steps are marked once, read only.
+        stoch = [e.kind == "stoch" for e in self.timeline]
+        self.n_stoch, self.stoch_mask = sum(stoch), np.array(stoch)
+        self.stoch_mask.flags.writeable = False
+        self.n_adv = self.n - self.n_stoch
         if self.n_stoch > 0:
             if not self.support:
                 raise SchemaError(
@@ -123,18 +128,6 @@ class MixedInstance:
                 self.probs = _check_probs(self.probs, len(self.support))
             except ValueError as exc:
                 raise SchemaError("distribution.probs", str(exc)) from exc
-
-    @property
-    def n_stoch(self):
-        return sum(1 for e in self.timeline if e.kind == "stoch")
-
-    @property
-    def n_adv(self):
-        return self.n - self.n_stoch
-
-    @property
-    def stoch_mask(self):
-        return np.array([e.kind == "stoch" for e in self.timeline])
 
     def cost_function(self):
         return cost_from_config(self.cost)

@@ -198,7 +198,7 @@ class OcoState:
         self.cum_gamma = 0.0
         # y, v, gamma, conj(y), with a step axis: -2 of y and v, -1 of the others.
         self._record = (np.zeros((0, f.m)), np.zeros((0, f.m)), np.zeros(0), np.zeros(0))
-        self._leader_cache = None
+        self._leader_cache = self._prefix_cache = None
 
     def _iterates(self, cum_v, cum_gamma):
         """The iterates posted after the loads ``cum_v`` and multipliers ``cum_gamma``.
@@ -254,7 +254,7 @@ class OcoState:
                 for pair, axis in zip(zip(self._record, block), (-2, -2, -1, -1))
             )
         self._record = block
-        self._leader_cache = None
+        self._leader_cache = self._prefix_cache = None
 
     def play(self, respond, n, gamma):
         """Play n steps in lockstep, each load answering the dual posted before it.
@@ -360,11 +360,16 @@ class OcoState:
         between callers: read only.
         """
         if self._leader_cache is None:
-            _, v, gamma, _ = self.record()
-            scale = 4.0 * (1.0 + _prefix_sums(gamma)[1:, None])
-            w = (self.shift + _prefix_sums(v)[1:]) / scale
+            cum_v, cum_gamma = self._prefix()
+            w = (self.shift + cum_v[1:]) / (4.0 * (1.0 + cum_gamma[1:, None]))
             self._leader_cache = (w, self.f.grad_many(w))
         return self._leader_cache
+
+    def _prefix(self):
+        """:func:`_prefix_sums` of the recorded loads and multipliers, computed once: read only."""
+        if self._prefix_cache is None:
+            self._prefix_cache = (_prefix_sums(self._record[1]), _prefix_sums(self._record[2]))
+        return self._prefix_cache
 
     @property
     def complete(self) -> bool:
@@ -401,8 +406,8 @@ def check_be_the_leader(state) -> Verdict:
     f = state.f
     _, v, gamma, _ = state.record()
     w, y_next = state.leaders()
-    y1 = f.grad(state.shift / 4.0)
-    time0 = float(np.dot(y1, state.shift) - 4.0 * f.conjugate_value(y1))
+    y1 = f.grad_many(state.shift / 4.0)
+    time0 = float(np.dot(y1, state.shift) - 4.0 * f.conj_many(y1))
     detail = {}
     floor = math.inf
     if np.array_equal(state.shift, np.full(f.m, 4.0 * f.p)):
@@ -412,7 +417,7 @@ def check_be_the_leader(state) -> Verdict:
     gains = np.vecdot(y_next, v) - 4.0 * gamma * f.conj_many(y_next)
     # The banked total after each step, added in step order from gain_0.
     lhs = np.cumsum(np.concatenate([[time0], gains]))[1:]
-    rhs = 4.0 * (1.0 + _prefix_sums(gamma)[1:]) * f.eval_rows(w)
+    rhs = 4.0 * (1.0 + state._prefix()[1][1:]) * f.eval_rows(w)
     return Verdict.of("be_the_leader", normalized_slack(lhs, rhs).min(initial=floor), detail)
 
 
@@ -425,10 +430,10 @@ def check_stability(state) -> Verdict:
     ``[1, 2**(1/p)]`` (slack -1 when it does not).
     """
     f = state.f
-    y, v, gamma, _ = state.record()
+    y = state.record()[0]
     w_tilde, y_next = state.leaders()
-    scale = 4.0 * (1.0 + _prefix_sums(gamma)[:-1, None] + state._regularizer)
-    w_bar = (state.shift + _prefix_sums(v)[:-1]) / scale
+    cum_v, cum_gamma = state._prefix()
+    w_bar = (state.shift + cum_v[:-1]) / (4.0 * (1.0 + cum_gamma[:-1, None] + state._regularizer))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(w_bar > 0, w_tilde / w_bar, np.inf)
     arg_lo, arg_hi = float(ratio.min(initial=math.inf)), float(ratio.max(initial=-math.inf))
@@ -461,13 +466,15 @@ def check_oco_guarantees(state) -> Verdict:
     inner = np.vecdot(y, v)
     fake_half = _prefix_sums(0.5 * inner - gamma * conj_y)[1:]
     inner_sum = _prefix_sums(inner)[-1]
-    leader = (4.0 * f.p + _prefix_sums(v)[1:]) / (4.0 * (1.0 + _prefix_sums(gamma)[1:, None]))
+    cum_v, cum_gamma = state._prefix()
+    leader = (4.0 * f.p + cum_v[1:]) / (4.0 * (1.0 + cum_gamma[1:, None]))
+    final = float(f.eval_rows(state.cum_v / 8.0))
     detail = {
         "regret_prefix": normalized_slack(fake_half, f.eval_rows(leader) - base).min(),
-        "regret_final": normalized_slack(fake_half[-1], f.eval(state.cum_v / 8.0) - base),
+        "regret_final": normalized_slack(fake_half[-1], final - base),
         "size_control": normalized_slack(inner_sum + base, float(conj_y.max(initial=0.0)) / f.p),
         "size_control_separable": normalized_slack(
-            inner_sum + base, f.conjugate_value(y.max(axis=0, initial=0.0)) / f.p
+            inner_sum + base, float(f.conj_many(y.max(axis=0, initial=0.0))) / f.p
         ),
     }
     return Verdict.of("oco_guarantees", min(detail.values()), detail)
@@ -493,9 +500,9 @@ def dominating_set(state):
     f = state.f
     if not state.complete:
         raise ValueError("dominating set requires a complete run")
-    y, _, gamma, _ = state.record()
-    n = len(gamma)
-    cum_gamma = _prefix_sums(gamma)[1:]
+    y = state.record()[0]
+    cum_gamma = state._prefix()[1][1:]
+    n = len(cum_gamma)
     lo = np.array([2.0 ** (i / f.p) - 1.0 for i in range(1, max(1, math.ceil(f.p)))])
     # The cumulative multiplier never decreases, so each interval's first
     # step is the first step at or past its lower end.
@@ -509,6 +516,6 @@ def dominating_set(state):
     indices = sorted(set((first + 1).tolist() + [n]))
     witness = np.array(indices)[np.searchsorted(indices, np.arange(1, n + 1))]
     yw = math.e * y[witness - 1]
-    i = np.argmin((yw - y) / np.maximum(1.0, np.abs(yw)), axis=1)[:, None]
-    slack = normalized_slack(np.take_along_axis(yw, i, 1), np.take_along_axis(y, i, 1)).min()
+    at = np.argmin((yw - y) / np.maximum(1.0, np.abs(yw)), axis=1) + np.arange(0, y.size, f.m)
+    slack = normalized_slack(yw.take(at), y.take(at)).min()
     return indices, witness, Verdict.of("dominating_set", slack, {"indices": indices})

@@ -1,0 +1,28 @@
+"""The benchmark's output gates at tiny scale, one workload per test.
+
+``perfbench/run.py --scale tiny`` reproduces the golden CSV, runs the tiny
+scale at both gate seeds against the recorded digests and requires every
+verdict to pass; its last line reports ``"correct": true`` and it exits 0
+exactly when no gate failed.  So a change that breaks a benchmark output
+fails here, before any timed run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["ocp_mixed", "welfare_mixed", "oracle_exact", "verify_suite"])
+def test_tiny_run_passes_every_gate(workload):
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--scale", "tiny", "--seconds", "0.01"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustpd import costs, harness
-from robustpd.costs import SumOfPowers
+from robustpd.costs import SeparableGeneric, SumOfPowers, conjugate_numeric
 from robustpd.harness import (
     evaluate_loadbalance_instance,
     evaluate_ocp_instance,
@@ -32,6 +33,7 @@ from robustpd.instances import (
 from robustpd.oco import ConfigError, Verdict
 from robustpd.ocp import check_adversarial_charging, check_cost_bound, run_ocp
 from robustpd.welfare import check_profit_chain_step, run_welfare
+from test_costs import loop_check_growth, loop_check_superadditivity, loop_fenchel_gap
 
 
 def test_pure_adversarial_instance_k1():
@@ -81,6 +83,88 @@ def test_load_streams_stay_in_unit_box():
         v = _load_stream(pattern, 24, 3, rng)
         assert v.shape == (24, 3)
         assert v.min() >= 0.0 and v.max() <= 1.0
+
+
+def loop_core_suite(samples=1000, seed=42):
+    """``run_core_suite`` one sample at a time: the reference of the batched suite."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for fam in ("sum_of_powers", "linear_plus_power", "separable_generic"):
+        for p in (2.0, 3.0):
+            m = int(rng.integers(1, 4))
+            f = harness._random_cost(rng, m, p, fam)
+            worst_gap = math.inf
+            for _ in range(samples // 10):
+                u = rng.uniform(0.0, 4.0, m)
+                y = f.grad(rng.uniform(0.0, 4.0, m))
+                worst_gap = min(worst_gap, loop_fenchel_gap(f, u, y))
+            verdicts = [Verdict.of("fenchel_gap", worst_gap, tol=1e-9)]
+            grow_samples = [
+                (rng.uniform(0.0, 3.0, m), rng.uniform(1.0, 4.0), rng.uniform(0.01, 1.0))
+                for _ in range(samples // 10)
+            ]
+            verdicts.append(loop_check_growth(f, grow_samples))
+            super_ok = all(
+                loop_check_superadditivity(f, rng.uniform(0, 3, m), rng.uniform(0, 3, m))
+                for _ in range(samples // 10)
+            )
+            verdicts.append(Verdict("superadditivity", 0.0, super_ok))
+            if fam != "separable_generic":
+                worst = math.inf
+                for _ in range(20):
+                    y = f.grad(rng.uniform(0.0, 4.0, m))
+                    closed = f.conjugate_value(y)
+                    numeric = conjugate_numeric(f, y)
+                    worst = min(worst, 1e-6 - abs(closed - numeric) / max(1.0, abs(numeric)))
+                verdicts.append(Verdict.of("conjugate_numeric", worst, tol=0.0))
+            config = f"{fam},m={m},p={p:g}"
+            results += [replace(v, config=config) for v in verdicts]
+    return results
+
+
+@pytest.mark.parametrize("samples", [0, 7, 100, 1000])
+@pytest.mark.parametrize("seed", [0, 3, 42, 7919])
+def test_core_suite_equals_per_sample_loop(seed, samples):
+    assert repr(run_core_suite(samples=samples, seed=seed)) == repr(loop_core_suite(samples, seed))
+
+
+def test_failed_superadditivity_leaves_the_generator_as_the_loop_does(monkeypatch):
+    # The first cost claims order 2 but grows as x**4, so cost(u+v) exceeds
+    # 2*(cost(u) + cost(v)) near u = v: the loop stops drawing there, and
+    # every later family must still see the loop's draws.
+    random_cost = harness._random_cost
+
+    def first_fails(rng, m, p, family):
+        f = random_cost(rng, m, p, family)
+        if (family, p) != ("sum_of_powers", 2.0):
+            return f
+        return SeparableGeneric([(lambda x: x**4, lambda x: 4.0 * x**3)] * m, p)
+
+    monkeypatch.setattr(harness, "_random_cost", first_fails)
+    for seed in (0, 42):
+        results = run_core_suite(samples=300, seed=seed)
+        assert [r.passed for r in results if r.check == "superadditivity"] == [False] + [True] * 5
+        assert repr(results) == repr(loop_core_suite(300, seed))
+
+
+@pytest.mark.parametrize(
+    "gaps", [[0.0, -0.0, 1.0], [-0.0, 0.0], [math.nan, 2.0, -0.0, 0.0], [math.nan], [math.inf], []]
+)
+def test_worst_gap_is_the_running_min(monkeypatch, gaps):
+    # The first gap at the least value, NaN never: the per-sample loop's min from inf.
+    monkeypatch.setattr(harness, "fenchel_gap", lambda f, u, y: np.array(gaps, dtype=np.float64))
+    worst = run_core_suite(samples=10 * len(gaps), seed=1)[0]
+    assert repr(worst.slack) == repr(functools.reduce(min, gaps, math.inf))
+
+
+def test_oco_suite_validates_no_internal_point(monkeypatch):
+    # The post-run checks pass the record's points to the batch methods.
+    calls = []
+    original = costs._as_point
+    monkeypatch.setattr(costs, "_as_point", lambda *a, **k: calls.append(a) or original(*a, **k))
+    for mutation in (None, "shift"):
+        harness.run_oco_suite(count=9, seed=5, mutation=mutation)
+    assert calls == []
 
 
 def test_core_suite_shapes():
