@@ -10,9 +10,10 @@ Subcommands::
 The run commands replay an instance file K >= 1 times, check every
 per-realization and in-expectation inequality, and write one CSV or JSON
 report into ``--out-dir``; an instance file that cannot be read, is not
-JSON or violates the schema, an invalid ``--seed``, a configuration
-outside the guarantee regime, such as K < 1, or an instance past an exact
-oracle's size guard is an error (exit status 2) and writes nothing.
+JSON or violates the schema, an invalid ``--seed`` or a ``ConfigError``
+(the wrong problem kind for the command, a run outside the guarantee
+regime, such as K < 1, or past an exact oracle's size guard) is an error
+(exit status 2) and writes nothing.
 ``verify`` runs the randomized property suite and prints a
 check-by-outcome matrix; a negative ``--count`` is an error (exit status
 2).  Exit status is 0 exactly when no check failed.
@@ -85,13 +86,6 @@ def _cmd_run(args):
         return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    if inst.problem != ("welfare" if kind == "welfare" else "ocp"):
-        print(
-            f"error: {args.instance} is a {inst.problem!r} instance, "
-            f"not usable with {args.command}",
-            file=sys.stderr,
-        )
         return 2
     stem = os.path.splitext(os.path.basename(args.instance))[0]
     try:

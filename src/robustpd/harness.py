@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from itertools import compress, repeat
+from itertools import compress
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from robustpd.oco import (
 # run in lockstep; they stay importable from this module, where
 # perfbench/tracer.py wraps them.
 from robustpd.ocp import (
+    _effective_norm,
     _fake_total,
     _loadbalance_cost,
     _p_norm,
@@ -205,49 +206,56 @@ def _in_float64(evaluate):
     return checked
 
 
-def _check_regime(inst, replications, f):
-    """Refuse, before any oracle runs, a run outside the guarantee regime.
+def _prologue(inst, replications, f, problem):
+    """Refuse, before any oracle runs, a run the evaluation ``problem`` cannot check.
 
-    The engines need ``n >= 4p`` for the run cost ``f``; the oracles would
-    otherwise enumerate a cost that can overflow far outside it.
+    The instance must be of its kind (load balancing runs OCP instances), with
+    K >= 1 and ``n >= 4p`` for the run cost ``f``, outside of which the oracles
+    can overflow.  An OCP-engine evaluation then gets the adversarial sets and optima.
     """
+    kind = "welfare" if problem == "welfare" else "ocp"
+    if inst.problem != kind:
+        raise ConfigError(
+            f"the instance is a {inst.problem!r} instance, not usable with the {problem} evaluation"
+        )
     if replications < 1:
         raise ConfigError(f"need at least 1 replication, got {replications}")
     if inst.n < 4.0 * f.p:
         raise ConfigError(f"need n >= 4p, got n={inst.n} with p={f.p}")
+    if kind == "ocp":
+        adv_sets = [e.data for e in inst.timeline if e.kind == "adv"]
+        adv_report = opt_adv_ocp(adv_sets, f)
+        n_stoch = inst.n_stoch
+        stoch_report = opt_stoch_ocp(inst.support, inst.probs, n_stoch, f) if n_stoch else None
+        return adv_sets, adv_report, stoch_report
 
 
-def _ocp_oracles(inst, f):
-    """The adversarial sets and the adversarial and stochastic offline optima."""
-    adv_sets = [e.data for e in inst.timeline if e.kind == "adv"]
-    adv_report = opt_adv_ocp(adv_sets, f)
-    n_stoch = inst.n_stoch
-    stoch_report = opt_stoch_ocp(inst.support, inst.probs, n_stoch, f) if n_stoch else None
-    return adv_sets, adv_report, stoch_report
+def _ocp_checks(runs, adv_report):
+    """The OCP per-replication verdicts of K runs under their cost ``runs.f``."""
+    alphas = (2.0 * runs.f.p, 2.0 * math.e * runs.f.p**2)
+    return [
+        check_cost_bound(runs),
+        *(check_adversarial_charging(runs, alpha, adv_report.choices) for alpha in alphas),
+        check_best_response(runs),
+    ]
 
 
 @_in_float64
 def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
     """Replicated run of one mixed instance with the full check battery."""
     f = inst.cost_function()
-    _check_regime(inst, replications, f)
+    adv_sets, adv_report, stoch_report = _prologue(inst, replications, f, "ocp")
     labels = inst.stoch_mask
     n_stoch = inst.n_stoch
     beta = inst.n / n_stoch if n_stoch else None
-    adv_sets, adv_report, stoch_report = _ocp_oracles(inst, f)
-    alphas = (2.0 * f.p, 2.0 * math.e * f.p**2)
 
     def replicate(runs, drawn):
-        rep_checks = [
-            check_cost_bound(runs),
-            *(check_adversarial_charging(runs, alpha, adv_report.choices) for alpha in alphas),
-            check_best_response(runs),
-        ]
         stoch_fake = np.zeros(replications)
         if stoch_report is not None:
             selector = np.array(stoch_report.selector, dtype=np.float64)
             stoch_fake = _fake_total(runs, labels, selector.take(drawn.compress(labels, 1), 0))
-        return {"cost": runs.cost}, rep_checks, (f.eval_rows(runs.load / 8.0), stoch_fake)
+        extras = (f.eval_rows(runs.load / 8.0), stoch_fake)
+        return {"cost": runs.cost}, _ocp_checks(runs, adv_report), extras
 
     def bound(mean, se, extras):
         scaled, stoch_fake = extras
@@ -289,7 +297,7 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
 @_in_float64
 def evaluate_welfare_instance(inst, replications, label="welfare") -> InstanceReport:
     f = inst.cost_function()
-    _check_regime(inst, replications, f)
+    _prologue(inst, replications, f, "welfare")
     n_stoch = inst.n_stoch
     beta = inst.n / n_stoch if n_stoch else None
     stoch_report = opt_stoch_welfare(inst.support, inst.probs, n_stoch, f) if n_stoch else None
@@ -318,25 +326,23 @@ def evaluate_welfare_instance(inst, replications, label="welfare") -> InstanceRe
 
 @_in_float64
 def evaluate_loadbalance_instance(inst, replications, label="loadbalance") -> InstanceReport:
-    """Norm-space bound on the machine loads.
+    """The OCP evaluation under the cost ``||x||_p ** p`` at the effective norm power p.
 
-    Checked with the explicit constants obtained by taking p-th roots of
-    the end-to-end cost bound::
+    Each replication gets the OCP checks (``_ocp_checks``) under that cost.
+    The report adds each run's effective norm, as ``run_loadbalance`` gives
+    it, and checks its mean by the p-th root of the end-to-end cost bound::
 
         mean ||load||_p <= e*(2e p^2)*||vOPT_adv||_p + e*beta*||E vOPT_stoch||_p
                            + e*p*m**(1/p) + 3*SE
     """
     m = inst.m
     f = _loadbalance_cost(inst.cost["p"], m)
-    _check_regime(inst, replications, f)
+    adv_sets, adv_report, stoch_report = _prologue(inst, replications, f, "loadbalance")
     p_eff = f.p
-    adv_sets, adv_report, stoch_report = _ocp_oracles(inst, f)
 
     def replicate(runs, drawn):
-        # The effective norm as run_loadbalance reports it: a Python power per
-        # run, since numpy's power of an array need not round the same way.
-        norm_eff = np.array([cost ** (1.0 / p_eff) for cost in runs.cost.tolist()])
-        return {"cost": runs.cost, "norm": norm_eff}, [], None
+        norm = np.array([_effective_norm(cost, p_eff) for cost in runs.cost.tolist()])
+        return {"cost": runs.cost, "norm": norm}, _ocp_checks(runs, adv_report), None
 
     def bound(mean, se, extras):
         rhs = math.e * p_eff * m ** (1.0 / p_eff) + 3.0 * se
@@ -589,14 +595,15 @@ def _failed_checks(report):
     return failed
 
 
-def _replication_lines(report):
+def _replication_lines(report, absent):
     """One tuple per replication: index, cost, profit, norm, failed checks.
 
-    A value the report does not hold is None.
+    The values are Python floats; a value the report does not hold is
+    ``absent``.
     """
     k = report.replications
     columns = [
-        report.values[name].tolist() if name in report.values else [None] * k
+        report.values[name].tolist() if name in report.values else [absent] * k
         for name in _REPORTED.values()
     ]
     return zip(range(k), *columns, _failed_checks(report))
@@ -605,22 +612,16 @@ def _replication_lines(report):
 def report_to_csv(report) -> str:
     """One line per replication, then the summary line; see ``CSV_HEADER``.
 
-    Each value column is rendered in one pass, as the ``repr`` of its
-    Python floats, which is the text ``_fmt`` gives each value.
+    The ``str`` of a Python float is its ``repr``, the text ``_fmt`` gives it.
     """
     instance = _fmt(report.instance)
     shape = ",".join(_fmt(x) for x in (report.seed, report.n, report.m, report.p, report.family))
     oracles = f"{_fmt(report.opt_adv)},{_fmt(report.opt_stoch)}"
-    k = report.replications
-    columns = [
-        map(repr, report.values[name].tolist()) if name in report.values else repeat("", k)
-        for name in _REPORTED.values()
-    ]
     lines = [CSV_HEADER]
     lines += [
-        f"{instance},{rep},{shape},{cost},{profit},{norm},{oracles},,"
+        f"{instance},{rep},{shape},{cost!s},{profit!s},{norm!s},{oracles},,"
         f"{';'.join(failed)},{not failed}"
-        for rep, cost, profit, norm, failed in zip(range(k), *columns, _failed_checks(report))
+        for rep, cost, profit, norm, failed in _replication_lines(report, "")
     ]
     means = [report.mean if report.problem == problem else None for problem in _REPORTED]
     lines.append(
@@ -651,7 +652,7 @@ def report_to_json(report) -> dict:
         ],
         "rows": [
             {"replication": rep, "cost": cost, "profit": profit, "norm": norm, "failed": failed}
-            for rep, cost, profit, norm, failed in _replication_lines(report)
+            for rep, cost, profit, norm, failed in _replication_lines(report, None)
         ],
         "all_pass": report.all_pass,
     }

@@ -340,6 +340,11 @@ def _loadbalance_cost(p, m):
     return SumOfPowers(np.ones(m), effective_norm_power(p, m))
 
 
+def _effective_norm(cost, q):
+    """``cost ** (1/q)`` as a Python power: numpy's power of an array need not round the same."""
+    return float(cost) ** (1.0 / q)
+
+
 def _p_norm(load, p):
     """``||load||_p`` of a nonnegative load vector."""
     return float(np.sum(np.asarray(load, dtype=np.float64) ** float(p)) ** (1.0 / p))
@@ -353,7 +358,7 @@ def run_loadbalance(sets, p, m, labels=None):
     """
     f = _loadbalance_cost(p, m)
     trace = run_ocp(sets, f, labels)
-    return trace, _p_norm(trace.load, p), float(trace.cost ** (1.0 / f.p))
+    return trace, _p_norm(trace.load, p), _effective_norm(trace.cost, f.p)
 
 
 def check_homogeneous_equivalence(trace) -> Verdict:

@@ -193,14 +193,8 @@ def test_criterion_5_homogeneous_equivalence():
     )
 
 
-def test_criterion_6_load_balancing():
-    started = time.time()
-    # the 8-job / 2-machine worked instance, exactly
-    trace, norm_req, norm_eff = run_loadbalance(
-        [FeasibleSet([[1.0, 0.0], [0.0, 1.0]])] * 8, 2, 2
-    )
-    exact_ok = np.array_equal(trace.load, [4.0, 4.0]) and norm_req == math.sqrt(32.0)
-    bad = []
+def loadbalance_instances():
+    """The 20 seeded OCP instances of criterion 6."""
     for i in range(20):
         params = GeneratorParams(
             problem="ocp",
@@ -211,7 +205,18 @@ def test_criterion_6_load_balancing():
             n_adv=(0, 3, 6)[i % 3],
             adv_placement="random",
         )
-        inst = generate(params, 6000 + i)
+        yield generate(params, 6000 + i)
+
+
+def test_criterion_6_load_balancing():
+    started = time.time()
+    # the 8-job / 2-machine worked instance, exactly
+    trace, norm_req, norm_eff = run_loadbalance(
+        [FeasibleSet([[1.0, 0.0], [0.0, 1.0]])] * 8, 2, 2
+    )
+    exact_ok = np.array_equal(trace.load, [4.0, 4.0]) and norm_req == math.sqrt(32.0)
+    bad = []
+    for i, inst in enumerate(loadbalance_instances()):
         report = evaluate_loadbalance_instance(inst, 200, label=f"lb-acc-{i}")
         if not report.all_pass:
             bad.append(report.instance)

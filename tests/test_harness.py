@@ -180,11 +180,11 @@ def test_verify_suite_scope_welfare():
     assert all(r.passed for r in results)
 
 
-def test_loadbalance_report_has_no_per_replication_check():
-    report = evaluate_loadbalance_instance(
-        load_instance("tests/data/ocp_small.json"), 3, label="ocp_small"
-    )
-    assert report.rep_checks == [] and report.rows.shape == (3, 0)
+def test_loadbalance_report_runs_the_ocp_battery():
+    inst = load_instance("tests/data/ocp_small.json")
+    report = evaluate_loadbalance_instance(inst, 3, label="ocp_small")
+    assert report.rep_checks == evaluate_ocp_instance(inst, 3).rep_checks
+    assert report.rows.shape == (3, len(report.rep_checks)) and not report.rows.any()
     assert sorted(report.values) == ["cost", "norm"]
     golden = Path(__file__).parent / "data" / "ocp_small_loadbalance_golden.csv"
     assert report_to_csv(report).encode() == golden.read_bytes()
@@ -222,6 +222,25 @@ def test_regime_is_checked_before_the_oracles(evaluate, path):
     obj["cost"]["p"] = 973472
     with pytest.raises(ConfigError, match="n >= 4p"):
         evaluate(instance_from_dict(obj), 2)
+
+
+@pytest.mark.parametrize(
+    "evaluate,path",
+    [
+        (evaluate_ocp_instance, "tests/data/welfare_small.json"),
+        (evaluate_loadbalance_instance, "tests/data/welfare_small.json"),
+        (evaluate_welfare_instance, "tests/data/ocp_small.json"),
+    ],
+    ids=["ocp", "loadbalance", "welfare"],
+)
+def test_wrong_problem_kind_is_refused_before_the_oracles(monkeypatch, evaluate, path):
+    def no_oracle(*args):
+        raise AssertionError("an oracle ran")
+
+    for name in ("opt_adv_ocp", "opt_stoch_ocp", "opt_stoch_welfare"):
+        monkeypatch.setattr(harness, name, no_oracle)
+    with pytest.raises(ConfigError, match="not usable"):
+        evaluate(load_instance(path), 2)
 
 
 @functools.cache

@@ -5,7 +5,13 @@ import pytest
 
 from robustpd import ocp
 from robustpd.costs import SumOfPowers
-from robustpd.harness import CSV_HEADER, evaluate_ocp_instance, report_to_csv, report_to_json
+from robustpd.harness import (
+    CSV_HEADER,
+    evaluate_loadbalance_instance,
+    evaluate_ocp_instance,
+    report_to_csv,
+    report_to_json,
+)
 from robustpd.instances import draw_matrix, load_instance
 from robustpd.oco import ConfigError, OcoState, Verdict
 from robustpd.oracles import opt_adv_ocp, opt_stoch_ocp
@@ -21,7 +27,7 @@ from robustpd.ocp import (
     run_ocp_batch,
 )
 
-from test_acceptance import homogeneous_instances
+from test_acceptance import homogeneous_instances, loadbalance_instances
 from test_costs import make_family
 
 
@@ -395,12 +401,24 @@ class TestBestResponseCertificate:
         report = evaluate_ocp_instance(load_instance("tests/data/ocp_small.json"), 20)
         assert report.all_pass
 
-    @pytest.mark.parametrize("mutation", sorted(WRONG_PRIMALS))
-    def test_wrong_primal_fails_on_golden_instance(self, monkeypatch, mutation):
+    @pytest.mark.parametrize(
+        "mutation,evaluate",
+        [(m, evaluate_ocp_instance) for m in sorted(WRONG_PRIMALS)]
+        + [(m, evaluate_loadbalance_instance) for m in sorted(WRONG_PRIMALS)],
+        ids=sorted(WRONG_PRIMALS) + [f"loadbalance-{m}" for m in sorted(WRONG_PRIMALS)],
+    )
+    def test_wrong_primal_fails_on_golden_instance(self, monkeypatch, mutation, evaluate):
         monkeypatch.setattr(ocp, "_best_rows", wrong_best_rows(WRONG_PRIMALS[mutation]))
-        report = evaluate_ocp_instance(load_instance("tests/data/ocp_small.json"), 3)
+        report = evaluate(load_instance("tests/data/ocp_small.json"), 3)
         assert not report.all_pass
         assert report.rows[:, report.rep_checks.index("best_response")].all()
+
+    @pytest.mark.parametrize("mutation", sorted(WRONG_PRIMALS))
+    def test_wrong_primal_fails_on_every_load_balancing_instance(self, monkeypatch, mutation):
+        monkeypatch.setattr(ocp, "_best_rows", wrong_best_rows(WRONG_PRIMALS[mutation]))
+        for inst in loadbalance_instances():
+            report = evaluate_loadbalance_instance(inst, 3)
+            assert report.rows[:, report.rep_checks.index("best_response")].all(), inst.seed
 
     def test_report_lines_name_each_replications_failures(self, monkeypatch):
         monkeypatch.setattr(ocp, "_best_rows", wrong_best_rows(WRONG_PRIMALS["argmax"]))
