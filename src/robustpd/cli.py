@@ -15,7 +15,8 @@ JSON or violates the schema, an invalid ``--seed`` or a ``ConfigError``
 regime, such as K < 1, or past an exact oracle's size guard) is an error
 (exit status 2) and writes nothing.
 ``verify`` runs the randomized property suite and prints a
-check-by-outcome matrix; a negative ``--count`` is an error (exit status
+check-by-outcome matrix; a negative ``--count`` or a ``--mutation`` with
+``--check core`` (which runs no dual learner) is an error (exit status
 2).  Exit status is 0 exactly when no check failed.
 """
 
@@ -29,6 +30,8 @@ import sys
 from collections import Counter
 
 from robustpd.harness import (
+    MUTATIONS,
+    VERIFY_SCOPES,
     evaluate_loadbalance_instance,
     evaluate_ocp_instance,
     evaluate_welfare_instance,
@@ -56,12 +59,10 @@ def build_parser():
     verify = subs.add_parser("verify")
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--count", type=int, default=200)
-    verify.add_argument(
-        "--check", choices=("all", "core", "oco", "ocp", "welfare"), default="all"
-    )
+    verify.add_argument("--check", choices=VERIFY_SCOPES, default="all")
     verify.add_argument(
         "--mutation",
-        choices=("shift", "regularizer"),
+        choices=MUTATIONS,
         default=None,
         help="test-only: inject a known bug; the suite must then fail",
     )

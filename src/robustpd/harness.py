@@ -77,6 +77,8 @@ __all__ = [
     "evaluate_welfare_instance",
     "evaluate_loadbalance_instance",
     "run_verify_suite",
+    "VERIFY_SCOPES",
+    "MUTATIONS",
     "report_to_csv",
     "report_to_json",
     "CSV_HEADER",
@@ -548,12 +550,26 @@ def run_engine_suite(count=10, seed=42, replications=20, mutation=None, problems
     return results
 
 
+VERIFY_SCOPES = ("all", "core", "oco", "ocp", "welfare")
+MUTATIONS = ("shift", "regularizer")
+
+
 def run_verify_suite(seed=42, count=200, mutation=None, scope="all"):
     """The complete randomized property suite; returns all results.
 
-    ``count`` scales the randomized configurations; 0 means an empty run
-    and a negative count is a :class:`ConfigError`.
+    ``scope`` is one of :data:`VERIFY_SCOPES` and ``mutation`` None or one
+    of :data:`MUTATIONS`; ``count`` scales the randomized configurations,
+    and 0 means an empty run.  A :class:`ConfigError` refuses an unknown
+    scope or mutation, a negative count, and a mutation of the ``core``
+    scope, which runs no dual learner, so the mutation could not make it
+    fail.
     """
+    if scope not in VERIFY_SCOPES:
+        raise ConfigError(f"unknown scope {scope!r}, expected one of {', '.join(VERIFY_SCOPES)}")
+    if mutation is not None and mutation not in MUTATIONS:
+        raise ConfigError(f"unknown mutation {mutation!r}, expected one of {', '.join(MUTATIONS)}")
+    if mutation is not None and scope == "core":
+        raise ConfigError(f"mutation {mutation!r} needs a dual learner, and scope 'core' runs none")
     if count < 0:
         raise ConfigError(f"count must be at least 0, got {count}")
     if not count:

@@ -198,7 +198,7 @@ class OcoState:
         self.cum_gamma = 0.0
         # y, v, gamma, conj(y), with a step axis: -2 of y and v, -1 of the others.
         self._record = (np.zeros((0, f.m)), np.zeros((0, f.m)), np.zeros(0), np.zeros(0))
-        self._leader_cache = self._prefix_cache = None
+        self._leader_cache = self._leader_cost_cache = self._prefix_cache = None
 
     def _iterates(self, cum_v, cum_gamma):
         """The iterates posted after the loads ``cum_v`` and multipliers ``cum_gamma``.
@@ -254,7 +254,7 @@ class OcoState:
                 for pair, axis in zip(zip(self._record, block), (-2, -2, -1, -1))
             )
         self._record = block
-        self._leader_cache = self._prefix_cache = None
+        self._leader_cache = self._leader_cost_cache = self._prefix_cache = None
 
     def play(self, respond, n, gamma):
         """Play n steps in lockstep, each load answering the dual posted before it.
@@ -365,6 +365,16 @@ class OcoState:
             self._leader_cache = (w, self.f.grad_many(w))
         return self._leader_cache
 
+    def _leader_costs(self):
+        """``cost(w_t)`` of each leader argument of :meth:`leaders`, shape ``(n,)``.
+
+        One ``eval_rows`` over the rows, computed once and shared between
+        callers (read only).
+        """
+        if self._leader_cost_cache is None:
+            self._leader_cost_cache = self.f.eval_rows(self.leaders()[0])
+        return self._leader_cost_cache
+
     def _prefix(self):
         """:func:`_prefix_sums` of the recorded loads and multipliers, computed once: read only."""
         if self._prefix_cache is None:
@@ -388,6 +398,11 @@ def _prefix_sums(a):
     return np.cumsum(np.concatenate([np.zeros((1,) + a.shape[1:]), a]), axis=0)
 
 
+def _nominal_shift(state):
+    """Whether the state shifts its leaders by the nominal ``4p`` in every coordinate."""
+    return np.array_equal(state.shift, np.full(state.f.m, 4.0 * state.f.p))
+
+
 def check_be_the_leader(state) -> Verdict:
     """Leader-gain dominance at every prefix.
 
@@ -402,22 +417,31 @@ def check_be_the_leader(state) -> Verdict:
     runs too (it is a property of leader optimality, not of the shift).
     With the nominal shift the time-0 gain must also equal
     ``4*cost(p*ones)``; a mismatch gives slack -1.
+
+    The conjugates are priced only at the steps with ``gamma_s > 0``: a
+    zero-multiplier step's term is ``4*0*0.0``, the same ``0.0`` that
+    ``4*0*c`` gives for any finite ``c``, so every gain keeps its bits.
+    The leader costs on the right come from the state, which computes them
+    once for this check and :func:`check_oco_guarantees`.
     """
     f = state.f
     _, v, gamma, _ = state.record()
-    w, y_next = state.leaders()
+    y_next = state.leaders()[1]
     y1 = f.grad_many(state.shift / 4.0)
     time0 = float(np.dot(y1, state.shift) - 4.0 * f.conj_many(y1))
     detail = {}
     floor = math.inf
-    if np.array_equal(state.shift, np.full(f.m, 4.0 * f.p)):
+    if _nominal_shift(state):
         base = 4.0 * f.cost_at_p_ones()
         detail["time0_gain_matches"] = abs(time0 - base) <= 1e-9 * max(1.0, base)
         floor = math.inf if detail["time0_gain_matches"] else -1.0
-    gains = np.vecdot(y_next, v) - 4.0 * gamma * f.conj_many(y_next)
+    active = np.flatnonzero(gamma)
+    conj_next = np.zeros(len(gamma))
+    conj_next[active] = f.conj_many(y_next.take(active, axis=0))
+    gains = np.vecdot(y_next, v) - 4.0 * gamma * conj_next
     # The banked total after each step, added in step order from gain_0.
     lhs = np.cumsum(np.concatenate([[time0], gains]))[1:]
-    rhs = 4.0 * (1.0 + state._prefix()[1][1:]) * f.eval_rows(w)
+    rhs = 4.0 * (1.0 + state._prefix()[1][1:]) * state._leader_costs()
     return Verdict.of("be_the_leader", normalized_slack(lhs, rhs).min(initial=floor), detail)
 
 
@@ -456,7 +480,10 @@ def check_oco_guarantees(state) -> Verdict:
 
     The right-hand sides use the nominal ``4p`` shift regardless of
     mutations: these are the guarantees being falsified, not internal
-    identities.
+    identities.  Under the nominal shift the prefix form's leader
+    arguments are the state's own, bit for bit, so their costs are the
+    ones :func:`check_be_the_leader` reads; otherwise they are evaluated
+    here.
     """
     f = state.f
     if not state.complete:
@@ -466,11 +493,14 @@ def check_oco_guarantees(state) -> Verdict:
     inner = np.vecdot(y, v)
     fake_half = _prefix_sums(0.5 * inner - gamma * conj_y)[1:]
     inner_sum = _prefix_sums(inner)[-1]
-    cum_v, cum_gamma = state._prefix()
-    leader = (4.0 * f.p + cum_v[1:]) / (4.0 * (1.0 + cum_gamma[1:, None]))
+    if _nominal_shift(state):
+        leader_costs = state._leader_costs()
+    else:
+        cum_v, cum_gamma = state._prefix()
+        leader_costs = f.eval_rows((4.0 * f.p + cum_v[1:]) / (4.0 * (1.0 + cum_gamma[1:, None])))
     final = float(f.eval_rows(state.cum_v / 8.0))
     detail = {
-        "regret_prefix": normalized_slack(fake_half, f.eval_rows(leader) - base).min(),
+        "regret_prefix": normalized_slack(fake_half, leader_costs - base).min(),
         "regret_final": normalized_slack(fake_half[-1], final - base),
         "size_control": normalized_slack(inner_sum + base, float(conj_y.max(initial=0.0)) / f.p),
         "size_control_separable": normalized_slack(

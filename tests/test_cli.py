@@ -184,6 +184,14 @@ class TestVerifyCommand:
         assert captured.err.startswith("error: count must be at least 0")
         assert "checks passed" not in captured.out
 
+    @pytest.mark.parametrize("mutation", ["shift", "regularizer"])
+    def test_mutation_of_the_core_scope_is_a_usage_error(self, mutation, capsys):
+        # The core suite runs no dual learner: a mutation there would pass vacuously.
+        assert run_cli("verify", "--check", "core", "--mutation", mutation) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: mutation '{mutation}' needs a dual learner")
+        assert "checks passed" not in captured.out
+
     def test_small_suite_passes(self, capsys):
         assert run_cli("verify", "--count", "12") == 0
         out = capsys.readouterr().out

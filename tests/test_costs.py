@@ -508,7 +508,8 @@ class TestSeparableConjugate:
             mixed[:, 0] = [0.0, -0.0, -1e-13]
             duals = np.concatenate([y, state.leaders()[1], y.max(axis=0)[None], special, mixed])
             expected = [reference_conjugate(f, dual) for dual in duals]
-            # The run filled f's memo: these are its stored searches.
+            # The run's searches fill most of f's memo (be-the-leader prices no
+            # zero-multiplier leader dual); the rest are searched here.
             assert repr(f.conj_many(duals).tolist()) == repr(expected)
             assert repr([f.conjugate_value(dual) for dual in duals]) == repr(expected)
 

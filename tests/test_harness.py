@@ -338,6 +338,24 @@ def test_verify_output_matches_golden():
     assert "".join(lines).encode() == VERIFY_GOLDEN.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(scope="bogus"), "unknown scope 'bogus'"),
+        (dict(scope="bogus", count=0), "unknown scope 'bogus'"),
+        (dict(mutation="shfit"), "unknown mutation 'shfit'"),
+        (dict(scope="oco", mutation="shfit", count=0), "unknown mutation 'shfit'"),
+        (dict(scope="core", mutation="shift"), "scope 'core' runs none"),
+        (dict(scope="core", mutation="regularizer"), "scope 'core' runs none"),
+    ],
+    ids=["scope", "scope_count_0", "mutation", "mutation_count_0", "core_shift", "core_regularizer"],
+)
+def test_verify_suite_refuses_what_it_cannot_run(kwargs, message):
+    # A typo must not turn a must-fail run into an empty or unmutated PASS.
+    with pytest.raises(ConfigError, match=message):
+        run_verify_suite(**{"seed": 1, "count": 6, **kwargs})
+
+
 def test_every_check_returns_a_verdict():
     results = run_verify_suite(seed=3, count=40)
     report = evaluate_ocp_instance(load_instance("tests/data/ocp_small.json"), 3)

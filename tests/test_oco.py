@@ -475,6 +475,49 @@ class TestBeTheLeader:
             assert check_be_the_leader(st).passed
 
 
+class TestPricedWork:
+    """The checks price only the separable conjugates and leader costs that they read."""
+
+    @staticmethod
+    def alternating_state(disable_shift=False):
+        rng = np.random.default_rng(5)
+        st = OcoState(make_family("separable_generic", 2, 2.0, rng), 1 / 8, disable_shift=disable_shift)
+        st.observe_steps(rng.uniform(0.0, 1.0, (16, 2)), [1 / 8, 0.0] * 8)
+        return st
+
+    def test_be_the_leader_searches_no_zero_multiplier_dual(self):
+        st = self.alternating_state()
+        f, searched = st.f, []
+        search = f._conj_1d
+        f._conj_1d = lambda i, y: searched.append((i, y)) or search(i, y)
+        y_next = st.leaders()[1]
+
+        def keys(rows):
+            return {(i, y) for row in rows.tolist() for i, y in enumerate(row)}
+
+        priced = keys(y_next[0::2]) | keys(f.grad_many(st.shift / 4.0)[None])
+        idle = keys(y_next[1::2]) - priced
+        assert check_be_the_leader(st).passed
+        assert searched and len(idle) == 16
+        assert set(searched) <= priced
+
+    @pytest.mark.parametrize("disable_shift, own_evals", [(False, 0), (True, 1)])
+    def test_guarantees_reuse_the_leader_costs_under_the_nominal_shift(
+        self, disable_shift, own_evals
+    ):
+        st = self.alternating_state(disable_shift)
+        f, shapes = st.f, []
+        eval_rows = f.eval_rows
+        f.eval_rows = lambda U: shapes.append(np.shape(U)) or eval_rows(U)
+        check_be_the_leader(st)
+        assert shapes.count((16, 2)) == 1
+        check_oco_guarantees(st)
+        assert shapes.count((16, 2)) == 1 + own_evals
+        st.observe(np.array([0.5, 0.5]), 0.0)  # drops the cached costs
+        check_oco_guarantees(st)
+        assert shapes.count((17, 2)) == 1
+
+
 class TestGuarantees:
     def test_all_zero_loads(self):
         st = square_state()
