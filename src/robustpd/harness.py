@@ -256,7 +256,7 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
         if stoch_report is not None:
             selector = np.array(stoch_report.selector, dtype=np.float64)
             stoch_fake = _fake_total(runs, labels, selector.take(drawn.compress(labels, 1), 0))
-        extras = (f.eval_rows(runs.load / 8.0), stoch_fake)
+        extras = (runs._scaled_cost, stoch_fake)
         return {"cost": runs.cost}, _ocp_checks(runs, adv_report), extras
 
     def bound(mean, se, extras):

@@ -93,34 +93,31 @@ def _menus(sets, m):
 
 
 def _menu_table(sets, m):
-    """The menus of ``sets`` padded with zero rows into one ``(S, kmax, m)`` table.
+    """The menus of ``sets``, padded with copies of their option 0, as one ``(S, kmax, m)`` table.
 
     Also returns the ``(S, kmax)`` mask ``scored`` of the real options.
     """
     menus = _menus(sets, m)
-    table = np.zeros((len(menus), max([1, *map(len, menus)]), m))
-    scored = np.zeros(table.shape[:2], dtype=bool)
+    sizes = np.array([len(options) for options in menus], dtype=np.int64)
+    table = np.empty((len(menus), max([1, *sizes]), m))
     for j, options in enumerate(menus):
+        table[j] = options[0]
         table[j, : len(options)] = options
-        scored[j, : len(options)] = True
-    return table, scored
+    return table, np.arange(table.shape[1]) < sizes[:, None]
 
 
-def _best_rows(options, Y, padded, rows):
+def _best_rows(options, Y, rows, out=None):
     """Minimizers of ``<y, .>`` over each menu of the ``(R, k, m)`` stack ``options``.
 
     Menu r faces row r of the ``(R, m)`` duals ``Y``, or the one ``(m,)``
     dual ``Y``; each option scores ``_vecdot(option, y)`` wherever it sits,
-    so equal options tie exactly.  The slots that the ``(R, k)`` mask
-    ``padded`` marks are set to ``+inf`` in place, and ties break at the
-    lowest real index.  ``rows`` is ``np.arange(R)``: fancy indexing by it
-    beats ``np.take`` at this size.  Returns the indices ``(R,)`` and the
-    points ``(R, m)``.
+    so equal options tie exactly, and ``argmin`` picks the first least
+    score (or NaN), never a :func:`_menu_table` pad: it scores as the
+    option 0 it copies, which comes first.  ``rows`` is ``k * np.arange(R)``.
+    Returns the indices ``(R,)``, into ``out`` when given, and the points.
     """
-    scores = _vecdot(options, Y[..., None, :])
-    np.putmask(scores, padded, np.inf)
-    idx = scores.argmin(axis=1)
-    return idx, options[rows, idx]
+    idx = _vecdot(options, Y[..., None, :]).argmin(axis=1, out=out)
+    return idx, options.reshape(-1, options.shape[-1]).take(idx + rows, 0)
 
 
 @dataclass
@@ -130,8 +127,8 @@ class OcpRunTrace(_LockstepTrace):
     A trace holds one run, or all K runs of a lockstep batch: the fields
     named in ``_PER_RUN`` then gain a leading axis of length K and each
     batch check computes one result per run.  ``table[at[t]]`` holds the
-    menu faced at step t, padded with zero rows that ``scored[at[t]]``
-    leaves unmarked.
+    menu faced at step t, padded with copies of its option 0 that
+    ``scored[at[t]]`` leaves unmarked.
     """
 
     _PER_RUN = ("y", "v", "conj_y", "choice", "fake", "load", "cost", "at")
@@ -153,6 +150,11 @@ class OcpRunTrace(_LockstepTrace):
         # Along a contiguous step axis: over the middle axis numpy makes one pass per dual.
         y_max = np.ascontiguousarray(self.y.mT).max(axis=-1, initial=0.0)
         return self.conj_y.max(axis=-1, initial=0.0), self.f.conj_many(y_max)
+
+    @functools.cached_property
+    def _scaled_cost(self):
+        """``cost(load / 8)`` per run, computed once per trace."""
+        return self.f.eval_rows(self.load / 8.0)
 
     def _adv_fake(self, opt_choices):
         """:func:`_fake_total` of offline choices on the adversarial steps, once per choices."""
@@ -182,9 +184,9 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
     equal bit for bit to a separate run: the runs share one dual state,
     which plays the n steps with :meth:`OcoState.play` and whose iterates
     and record carry one row per run.  One gather from the padded menu
-    table stacks the menus of every step and run, with their padded-slot
-    masks, and each step makes one call of the scorer for all runs.  Each
-    set is a :class:`FeasibleSet` or a raw option array, checked as one.
+    table stacks the menus of every step and run, and each step makes one
+    call of the scorer for all runs, into the choice table.  Each set is a
+    :class:`FeasibleSet` or a raw option array, checked as one.
     """
     at, labels, gamma = _lockstep_schedule(at, f, labels)
     runs, n = at.shape
@@ -195,12 +197,11 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
     table, scored = _menu_table(sets, f.m)
     # One gather per block, by take (advanced indexing costs far more per call): menus[t]
     # is contiguous.
-    menus, padded, rows = table.take(at.T, 0), (~scored).take(at.T, 0), np.arange(runs)
+    menus, rows = table.take(at.T, 0), table.shape[1] * np.arange(runs)
 
     def respond(t, y):
         # _best_rows is looked up at each call, where a test may patch it.
-        choice[t], v = _best_rows(menus[t], y, padded[t], rows)
-        return v
+        return _best_rows(menus[t], y, rows, choice[t])[1]
 
     state.play(respond, n, gamma)
     y, v, _, conj_y = state.record()
@@ -240,8 +241,7 @@ def check_cost_bound(trace) -> Verdict:
     and the same with the conjugate of the coordinate-wise max dual in
     place of ``conj_max``, the tighter form for separable costs.
     """
-    f = trace.f
-    lhs = f.eval_rows(trace.load / 8.0)
+    f, lhs = trace.f, trace._scaled_cost
     fake_sum = trace.fake.sum(axis=-1)
     base = 1.5 * f.cost_at_p_ones()
     conj_max, conj_of_max = trace._conj_terms
@@ -394,8 +394,8 @@ def check_homogeneous_equivalence(trace) -> Verdict:
     # The ratios are nonnegative, so spread lies in [0, 1] and -1 is the least slack.
     spread = (hi - lo) / np.maximum(1.0, hi)
     worst = np.where(some, 1e-9 - spread, np.inf).min()
-    padded = ~trace.scored[trace.at]
-    idx_mod, _ = _best_rows(trace.table[trace.at], y_mod, padded, np.arange(trace.n))
+    rows = trace.table.shape[1] * np.arange(trace.n)
+    idx_mod, _ = _best_rows(trace.table.take(trace.at, 0), y_mod, rows)
     mismatches = int((idx_mod != trace.choice).sum())
     if mismatches or (some & (hi <= 0.0)).any() or (~pos & (y_mod > 1e-12)).any():
         worst = -1.0

@@ -188,8 +188,8 @@ def _multiset_table(n_draws, probs):
     """All draw-count vectors with their multinomial probabilities.
 
     The rows are :func:`_compositions` of ``n_draws`` into ``len(probs)``
-    parts, in lexicographic order.  Each row's log-factorials are summed
-    column by column, left to right.
+    parts, in lexicographic order, cast once to float64 (exact: small
+    integers); each row's log-factorials are summed left to right.
     """
     s = len(probs)
     counts = _compositions(n_draws, s)
@@ -198,6 +198,7 @@ def _multiset_table(n_draws, probs):
     # element are zeroed outright afterwards.
     log_probs = np.log(np.maximum(probs, 1e-300))
     log_fact = np.array([math.lgamma(k + 1) for k in range(n_draws + 1)])[counts]
+    counts = counts.astype(np.float64)
     row_sum = log_fact[:, 0]
     for col in range(1, s):
         row_sum = row_sum + log_fact[:, col]
@@ -252,7 +253,6 @@ def _best_selector(menus, counts, f, score, mean_counts):
     sizes = [len(o) for o in menus]
     table = np.concatenate(menus)
     offsets = np.cumsum([0, *sizes[:-1]])
-    counts = counts.astype(np.float64)  # exact: the counts are small integers
     mean_loads = mean_counts[0] * menus[0]
     for mean, options in zip(mean_counts[1:], menus[1:]):
         mean_loads = (mean_loads[:, None, :] + mean * options).reshape(-1, f.m)
@@ -330,7 +330,7 @@ def _opt_stoch_ocp_mc(menus, probs, n_stoch, f, mc_samples, seed):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     s = len(menus)
     draws = rng.choice(s, size=(mc_samples, n_stoch), p=probs)
-    counts = np.stack([(draws == j).sum(axis=1) for j in range(s)], axis=1)
+    counts = np.stack([(draws == j).sum(axis=1) for j in range(s)], axis=1).astype(np.float64)
     value, indices, costs, scored = _best_selector(
         menus, counts, f, lambda costs: costs.mean(axis=1), counts.mean(axis=0)
     )

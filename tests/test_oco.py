@@ -269,12 +269,12 @@ def per_step_ocp(sets, at, f):
     gamma = 1.0 / n
     state = OcoState(f, gamma)
     choice = np.empty((runs, n), dtype=np.int64)
-    table, scored = ocp._menu_table(sets, f.m)
+    table, _ = ocp._menu_table(sets, f.m)
     for t in range(n):
         y = state.next_iterate()
         y = y if y.ndim == 2 else np.broadcast_to(y, (runs, f.m))
         j = at[:, t]
-        choice[:, t], v = ocp._best_rows(table[j], y, ~scored[j], np.arange(runs))
+        choice[:, t], v = ocp._best_rows(table[j], y, table.shape[1] * np.arange(runs))
         state.observe(v, gamma)
     return state, choice
 

@@ -74,7 +74,7 @@ class TestFeasibleSet:
 def best_of(options, y):
     """``_best_rows`` over one menu for one dual: ``(index, point)``."""
     options = np.asarray(options, dtype=np.float64)
-    idx, v = ocp._best_rows(options[None], y[None], np.zeros((1, len(options)), bool), np.arange(1))
+    idx, v = ocp._best_rows(options[None], y[None], np.arange(1))
     return int(idx[0]), v[0]
 
 
@@ -106,31 +106,72 @@ class TestBestResponse:
             for lam in (0.01, 0.5, 7.0, 1234.0):
                 assert best_of(options, lam * y)[0] == base
 
+    @staticmethod
+    def assert_picks_like_the_mask(sets, m, duals):
+        # The scorer on the first-option pads must pick the index and point
+        # that np.where(scored, scores, inf) picks, never a padded slot.
+        table, scored = ocp._menu_table(sets, m)
+        rows = table.shape[1] * np.arange(len(table))
+        for Y in duals:
+            out = np.empty(len(table), dtype=np.int64)
+            with np.errstate(invalid="ignore"):
+                idx, v = ocp._best_rows(table, Y, rows)
+                scores = np.vecdot(table, np.broadcast_to(Y, table[:, 0].shape)[:, None, :])
+                assert ocp._best_rows(table, Y, rows, out)[0] is out
+            old = np.where(scored, scores, np.inf).argmin(axis=1)
+            assert idx.tolist() == old.tolist() == out.tolist()
+            assert scored[np.arange(len(table)), idx].all()
+            point = table[np.arange(len(table)), old]
+            assert np.array_equal(v, point) and np.array_equal(np.signbit(v), np.signbit(point))
+
+    def test_pads_copy_option_0_bit_for_bit(self):
+        sets = [[[-0.0, 0.5], [0.25, 0.0]], [[0.0, -0.0]], [[1.0, 0.5], [0.5, 1.0], [0.0, 0.0]]]
+        table, scored = ocp._menu_table(sets, 2)
+        assert table.shape == (3, 3, 2) and table.flags.c_contiguous
+        assert scored.tolist() == [[1, 1, 0], [1, 0, 0], [1, 1, 1]]
+        for j, options in enumerate(sets):
+            want = np.array(options + [options[0]] * (3 - len(options)))
+            assert table[j].tobytes() == want.tobytes()  # sign bits included
+
     def test_padded_slots_never_win_even_at_an_infinite_dual(self):
-        # Signed-zero ties, padded slots whose raw score ties the least real
-        # one, and an infinite dual coordinate, under which a padded zero row
-        # scores 0 * inf = nan: the scorer must pick the index and point that
-        # np.where(scored, scores, inf) picks, never a padded slot.
-        options = np.zeros((4, 4, 2))
-        options[0, :3] = [[0.0, 0.0], [-0.0, -0.0], [0.5, 0.5]]
-        options[1, :2] = [[-0.0, -0.0], [0.0, 0.0]]
-        options[2, :2] = [[1.0, -0.0], [0.0, 0.0]]
-        options[3, :2] = [[1.0, 0.5], [0.5, 1.0]]
-        scored = np.array([[1, 1, 1, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 1, 0, 0]], dtype=bool)
+        # Signed-zero ties, pads whose score ties the least real one, and an
+        # infinite dual coordinate, under which a zero coordinate scores
+        # 0 * inf = nan.
+        sets = [
+            [[0.0, 0.0], [-0.0, -0.0], [0.5, 0.5]],
+            [[-0.0, -0.0], [0.0, 0.0]],
+            [[1.0, -0.0], [0.0, 0.0]],
+            [[1.0, 0.5], [0.5, 1.0]],
+            [[0.5, 0.25]],
+        ]
         duals = [
-            np.array([[1.0, 1.0], [1.0, 1.0], [-0.0, 2.0], [1.0, 1.0]]),
+            np.array([[1.0, 1.0], [1.0, 1.0], [-0.0, 2.0], [1.0, 1.0], [0.0, -0.0]]),
             np.array([-0.0, 0.0]),
             np.array([np.inf, 1.0]),
+            np.array([np.inf, np.inf]),
         ]
-        for Y in duals:
-            with np.errstate(invalid="ignore"):
-                idx, v = ocp._best_rows(options, Y, ~scored, np.arange(4))
-                rows = np.broadcast_to(Y, (4, 2))
-                scores = np.vecdot(options, rows[:, None, :])
-            old = np.where(scored, scores, np.inf).argmin(axis=1)
-            assert idx.tolist() == old.tolist() and scored[np.arange(4), idx].all()
-            point = options[np.arange(4), old]
-            assert np.array_equal(v, point) and np.array_equal(np.signbit(v), np.signbit(point))
+        self.assert_picks_like_the_mask(sets, 2, duals)
+
+    def test_padded_slots_never_win_at_a_nan_score(self):
+        # Under the dual (inf, 1) a zero first coordinate scores nan: at
+        # option 0 (whose pads are nan too), only at a later option, or
+        # nowhere, where a zero pad would score nan.
+        sets = [
+            [[0.0, 0.5], [0.5, 0.0]],
+            [[1.0, 0.0], [0.0, 1.0]],
+            [[1.0, 0.25], [1.0, 0.0], [0.0, 0.0], [0.5, 0.5]],
+            [[0.0, 1.0]],
+            [[1.0, 0.5], [0.5, 1.0]],
+        ]
+        self.assert_picks_like_the_mask(sets, 2, [np.array([np.inf, 1.0])])
+
+    def test_padded_slots_never_win_on_the_product_path(self):
+        # K = 2000 menus of length-1 options take _vecdot's product path,
+        # which turns -0.0 into +0.0; zero rows meet infinite duals.
+        rng = np.random.default_rng(64)
+        sets = [rng.choice([-0.0, 0.0, 0.5, 1.0], (rng.integers(1, 5), 1)) for _ in range(2000)]
+        Y = rng.choice([-0.0, 0.0, 0.5, 2.0, np.inf], (2000, 1))
+        self.assert_picks_like_the_mask(sets, 1, [Y, np.array([0.5]), np.array([np.inf])])
 
 
 class TestRunOcp:
@@ -352,21 +393,22 @@ class TestAdversarialCharging:
 def wrong_best_rows(pick):
     """A menu scorer that picks ``pick(scores)`` instead of the lowest-index minimizer.
 
-    It takes the engine's stacked menus, duals, padded-slot mask and row
-    index; padded slots score ``+inf``.
+    It takes the engine's stacked menus, whose pads copy their option 0,
+    duals, flat row offsets and index buffer.
     """
 
-    def best_rows(options, Y, padded, rows):
+    def best_rows(options, Y, rows, out=None):
         Y = np.broadcast_to(Y, (len(options), options.shape[-1]))
-        scores = np.where(padded, np.inf, np.einsum("rkm,rm->rk", options, Y))
-        idx = pick(scores)
-        return idx, options[rows, idx]
+        idx = pick(np.einsum("rkm,rm->rk", options, Y))
+        if out is not None:
+            out[...] = idx
+        return idx, options.reshape(-1, options.shape[-1])[rows + idx]
 
     return best_rows
 
 
 WRONG_PRIMALS = {
-    "argmax": lambda scores: np.where(np.isinf(scores), -np.inf, scores).argmax(axis=1),
+    "argmax": lambda scores: scores.argmax(axis=1),
     "option_0": lambda scores: np.zeros(len(scores), dtype=np.int64),
 }
 
@@ -446,8 +488,12 @@ class TestBestResponseCertificate:
         assert report.rows[:, report.rep_checks.index("best_response")].all()
         sets, at = inst.point_table(draw_matrix(inst, range(3)))
         trace = run_ocp_batch(sets, at, inst.cost_function())
-        sizes = np.array([len(s) for s in sets])[at]
-        assert np.any(trace.choice == 2) and np.all(trace.choice < sizes)
+        # At the 3-option support steps the late ties are real repeats; at
+        # the 2-option adversarial steps a late tie may be a pad.
+        stoch = inst.stoch_mask
+        sizes = np.array([len(s) for s in sets])[at[:, stoch]]
+        assert np.all(sizes == 3)
+        assert np.any(trace.choice[:, stoch] == 2) and np.all(trace.choice[:, stoch] < sizes)
 
     def test_late_tie_fails_where_a_menu_repeats_an_option(self, monkeypatch):
         # Options 0 and 2 are equal and beat option 1 for every positive dual.
@@ -525,8 +571,8 @@ def loop_homogeneous_equivalence(trace, stoch_mask, sets):
                 worst = -1.0
         if np.any(y_mod[~pos] > 1e-12):
             worst = -1.0
-        table, scored = ocp._menu_table([sets[t]], f.m)
-        idx_mod, _ = ocp._best_rows(table, y_mod[None], ~scored, np.arange(1))
+        table, _ = ocp._menu_table([sets[t]], f.m)
+        idx_mod, _ = ocp._best_rows(table, y_mod[None], np.arange(1))
         if int(idx_mod[0]) != int(trace.choice[t]):
             mismatches += 1
     if mismatches:

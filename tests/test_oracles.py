@@ -718,7 +718,8 @@ class TestBatchedEqualsLoops:
         # rows of log-factorials differently from a left-to-right sum.
         counts, pmf = oracles._multiset_table(n, probs)
         ref_counts, ref_pmf = loop_multiset_table(n, probs)
-        assert counts.dtype == ref_counts.dtype == np.int64
+        # The table is cast to float64 once, exactly: its counts are small integers.
+        assert counts.dtype == np.float64 and ref_counts.dtype == np.int64
         assert counts.shape == (count_multisets(n, len(probs)), len(probs))
         assert np.array_equal(counts, ref_counts) and np.array_equal(pmf, ref_pmf)
 
