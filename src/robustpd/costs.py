@@ -153,9 +153,11 @@ class CostFunction:
         return None
 
     def cost_at_p_ones(self) -> float:
-        """Evaluation at ``p * (1,...,1)``, the additive loss unit, by :meth:`eval_rows`:
-        the bits of :meth:`eval`, without validating a point that is valid by construction."""
-        return float(self.eval_rows(np.full(self.m, self.p)))
+        """Evaluation at ``p * (1,...,1)``, the additive loss unit, by :meth:`eval_rows`, once per
+        cost: the bits of :meth:`eval`, without validating a point that is valid by construction."""
+        if "_at_p_ones" not in self.__dict__:
+            self._at_p_ones = float(self.eval_rows(np.full(self.m, self.p)))
+        return self._at_p_ones
 
     def __repr__(self):
         return f"{type(self).__name__}(m={self.m}, p={self.p})"
@@ -268,7 +270,9 @@ class LinearPlusPower(CostFunction):
         return self.slopes
 
     def power_part(self):
-        return SumOfPowers(self._weights, self.p)
+        if "_power" not in self.__dict__:  # one per cost, built at the first call
+            self._power = SumOfPowers(self._weights, self.p)
+        return self._power
 
 
 class SeparableGeneric(CostFunction):

@@ -46,9 +46,7 @@ from robustpd.oco import (
     check_stability,
     dominating_set,
 )
-# run_loadbalance and run_welfare are not called here since the replications
-# run in lockstep; they stay importable from this module, where
-# perfbench/tracer.py wraps them.
+# run_loadbalance and run_welfare are imported only for perfbench/tracer.py, which wraps them here.
 from robustpd.ocp import (
     _effective_norm,
     _fake_total,
@@ -247,8 +245,7 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
     """Replicated run of one mixed instance with the full check battery."""
     f = inst.cost_function()
     adv_sets, adv_report, stoch_report = _prologue(inst, replications, f, "ocp")
-    labels = inst.stoch_mask
-    n_stoch = inst.n_stoch
+    labels, n_stoch = inst.stoch_mask, inst.n_stoch
     beta = inst.n / n_stoch if n_stoch else None
 
     def replicate(runs, drawn):
@@ -266,9 +263,10 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
         # The mean-form bounds anchor to the *optimal* selector; when the
         # oracle fell back to Monte Carlo they are not certified, so skip.
         stoch_exact = stoch_report.exact if stoch_report is not None else True
+        # The oracles' loads are sums of checked menu rows: no point to validate.
+        cost_stoch = float(f.eval_rows(stoch_report.load)) if n_stoch else None
         if n_stoch and stoch_exact:
             mean_fake, se_fake = _mean_se(stoch_fake)
-            # The oracles' loads are sums of checked menu rows: no point to validate.
             rhs = float(f.eval_rows(beta * stoch_report.load)) / beta + 3.0 * se_fake
             checks.append(_at_most("stoch_mean", mean_fake, rhs))
         if stoch_exact:
@@ -278,14 +276,14 @@ def evaluate_ocp_instance(inst, replications, label="ocp") -> InstanceReport:
             if adv_sets:
                 rhs += c_adv * float(f.eval_rows(adv_report.load))
             if n_stoch:
-                rhs += c_stoch * float(f.eval_rows(stoch_report.load))
+                rhs += c_stoch * cost_stoch
             checks.append(_at_most("end_to_end", mean_scaled, rhs))
         # Both stochastic-optimum forms: the selector value E cost(sum v*) and
         # the cost of the mean offline load, which is what the bound charges.
         details = {"mean_scaled_cost": mean_scaled}
         if n_stoch:
             details["opt_stoch_selector_value"] = stoch_report.value
-            details["cost_of_mean_stoch_load"] = float(f.eval_rows(stoch_report.load))
+            details["cost_of_mean_stoch_load"] = cost_stoch
             details["beta"] = beta
             details["stoch_oracle_method"] = stoch_report.method
         return rhs, checks, details
@@ -305,12 +303,8 @@ def evaluate_welfare_instance(inst, replications, label="welfare") -> InstanceRe
     stoch_report = opt_stoch_welfare(inst.support, inst.probs, n_stoch, f) if n_stoch else None
 
     def replicate(runs, drawn):
-        chain = check_profit_chain_step(
-            runs,
-            beta=beta,
-            opt_selector=stoch_report.selector if stoch_report else None,
-            drawn=drawn,
-        )
+        selector = stoch_report.selector if stoch_report else None
+        chain = check_profit_chain_step(runs, beta=beta, opt_selector=selector, drawn=drawn)
         return {"profit": runs.profit}, [chain, check_accept_rule(runs)], None
 
     def bound(mean, se, extras):
@@ -384,9 +378,7 @@ def _gamma_schedule(pattern, n, p, rng):
         active[rng.choice(n, size=k, replace=False)] = True
     else:
         active = np.ones(n, dtype=bool)
-    k = int(active.sum())
-    gamma_bar = 1.0 / k
-    return active, gamma_bar
+    return active, 1.0 / int(active.sum())
 
 
 def _load_stream(pattern, n, m, rng):
@@ -596,48 +588,38 @@ CSV_HEADER = (
 
 
 def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return "" if x is None else repr(x) if isinstance(x, float) else str(x)
 
 
-def _failed_checks(report):
-    """The names of the checks each replication failed, in verdict order."""
-    failed = [[] for _ in range(report.replications)]
-    for rep in np.flatnonzero(report.rows.any(axis=1)).tolist():
-        failed[rep] = list(compress(report.rep_checks, report.rows[rep]))
-    return failed
+def _failures(report):
+    """The names of the checks each failing replication failed, in verdict order, by replication."""
+    fails = np.flatnonzero(report.rows.any(axis=1)).tolist()
+    return {rep: list(compress(report.rep_checks, report.rows[rep])) for rep in fails}
 
 
-def _replication_lines(report, absent):
-    """One tuple per replication: index, cost, profit, norm, failed checks.
-
-    The values are Python floats; a value the report does not hold is
-    ``absent``.
-    """
-    k = report.replications
-    columns = [
-        report.values[name].tolist() if name in report.values else [absent] * k
-        for name in _REPORTED.values()
-    ]
-    return zip(range(k), *columns, _failed_checks(report))
+def _columns(report, blank):
+    """The cost, profit and norm columns as lists of Python floats; ``blank`` where not held."""
+    values = report.values
+    return [values[name].tolist() if name in values else blank for name in _REPORTED.values()]
 
 
 def report_to_csv(report) -> str:
     """One line per replication, then the summary line; see ``CSV_HEADER``.
 
-    The ``str`` of a Python float is its ``repr``, the text ``_fmt`` gives it.
+    Each value column is formatted once, by ``repr`` as ``_fmt`` formats a float; what the
+    lines share is built once per report, with its own suffix for each failing line.
     """
     instance = _fmt(report.instance)
     shape = ",".join(_fmt(x) for x in (report.seed, report.n, report.m, report.p, report.family))
     oracles = f"{_fmt(report.opt_adv)},{_fmt(report.opt_stoch)}"
+    between, passed = f",{shape},", f",{oracles},,,True"
+    ends = {rep: f",{oracles},,{';'.join(names)},False" for rep, names in _failures(report).items()}
+    blank = [""] * report.replications
+    columns = [col if col is blank else map(repr, col) for col in _columns(report, blank)]
     lines = [CSV_HEADER]
     lines += [
-        f"{instance},{rep},{shape},{cost!s},{profit!s},{norm!s},{oracles},,"
-        f"{';'.join(failed)},{not failed}"
-        for rep, cost, profit, norm, failed in _replication_lines(report, "")
+        f"{instance},{rep}{between}{cost},{profit},{norm}{ends.get(rep, passed)}"
+        for rep, cost, profit, norm in zip(range(report.replications), *columns)
     ]
     means = [report.mean if report.problem == problem else None for problem in _REPORTED]
     lines.append(
@@ -648,6 +630,7 @@ def report_to_csv(report) -> str:
 
 
 def report_to_json(report) -> dict:
+    failures, columns = _failures(report), _columns(report, [None] * report.replications)
     return {
         "instance": report.instance,
         "problem": report.problem,
@@ -667,8 +650,9 @@ def report_to_json(report) -> dict:
             {"name": c.check, "passed": c.passed, "slack": c.slack} for c in report.checks
         ],
         "rows": [
-            {"replication": rep, "cost": cost, "profit": profit, "norm": norm, "failed": failed}
-            for rep, cost, profit, norm, failed in _replication_lines(report, None)
+            {"replication": rep, "cost": cost, "profit": profit, "norm": norm,
+             "failed": failures.get(rep, [])}
+            for rep, cost, profit, norm in zip(range(report.replications), *columns)
         ],
         "all_pass": report.all_pass,
     }

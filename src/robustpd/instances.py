@@ -90,6 +90,8 @@ class Realization:
 
 @dataclass
 class MixedInstance:
+    """A mixed instance whose cost config, like its timeline, is read once, at construction."""
+
     problem: str  # "ocp" | "welfare"
     n: int
     m: int
@@ -109,7 +111,7 @@ class MixedInstance:
             )
         try:
             with np.errstate(over="raise"):
-                cost_from_config(self.cost)
+                self._cost = cost_from_config(self.cost)
         except (ValueError, TypeError, FloatingPointError) as exc:
             raise SchemaError("cost", str(exc)) from exc
         if len(self.timeline) != self.n:
@@ -130,7 +132,7 @@ class MixedInstance:
                 raise SchemaError("distribution.probs", str(exc)) from exc
 
     def cost_function(self):
-        return cost_from_config(self.cost)
+        return self._cost
 
     def point_table(self, drawn):
         """The data the steps can hold, and which entry each step holds.

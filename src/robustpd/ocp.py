@@ -131,11 +131,10 @@ class OcpRunTrace(_LockstepTrace):
     ``scored[at[t]]`` leaves unmarked.
     """
 
-    _PER_RUN = ("y", "v", "conj_y", "choice", "fake", "load", "cost", "at")
+    _PER_RUN = ("y", "v", "conj_y", "choice", "load", "cost", "at")
 
     v: np.ndarray  # (n, m) chosen loads
     choice: np.ndarray  # (n,) option indices
-    fake: np.ndarray  # (n,) fake costs <y,v> - gamma*conj(y)
     load: np.ndarray  # final cumulative load
     cost: float  # cost(load)
     gamma: float  # the per-step multiplier, 1/n
@@ -143,6 +142,16 @@ class OcpRunTrace(_LockstepTrace):
     table: np.ndarray  # (S, kmax, m) the menus that ``at`` indexes, padded
     scored: np.ndarray  # (S, kmax) True at the real options of each menu
     at: np.ndarray  # (n,) index into ``table`` of the menu faced at each step
+
+    @functools.cached_property
+    def _inner(self):
+        """``<y_t, v_t>`` per step, once per trace; a ``rows`` or ``replace`` copy has its own."""
+        return _vecdot(self.y, self.v)
+
+    @functools.cached_property
+    def fake(self):
+        """The ``(n,)`` fake costs ``<y_t, v_t> - gamma * conj(y_t)``."""
+        return self._inner - self.gamma * self.conj_y
 
     @functools.cached_property
     def _conj_terms(self):
@@ -209,7 +218,6 @@ def run_ocp_batch(sets, at, f, labels=None, *, disable_shift=False, disable_regu
         f=f,
         y=y, v=v, conj_y=conj_y,
         choice=np.ascontiguousarray(choice.T),
-        fake=_vecdot(y, v) - gamma * conj_y,
         load=state.cum_v,
         cost=f.eval_rows(state.cum_v),
         gamma=gamma,
@@ -295,22 +303,22 @@ def check_best_response(trace) -> Verdict:
         <y_t, v_t> <= min_o <y_t, o> + 1e-12 * max(1, |min_o <y_t, o>|)
 
     and where the menu repeats the chosen option row exactly, the choice
-    must be its first occurrence (the lowest-index tie-break).  Computed
-    from the record and the trace's menus, without the engine's scorer.
+    must be its first occurrence (the lowest-index tie-break).  Computed from the
+    record (its ``<y_t, v_t>`` shared with the fake costs) and the menus, not the scorer.
     The slack is the worst normalized margin over the steps, or -1 where a
     tie went to a later index.  Gathers are by ``take``, the choices' flags
     from the flat ``(S * kmax,)`` first-occurrence flags.
     """
     padded, scored, at = trace.table, trace.scored, trace.at
     same = (padded[:, :, None, :] == padded[:, None, :, :]).all(axis=-1)
-    first = scored & ~np.tril(same, -1).any(axis=-1)
-    y = trace.y
+    slot = np.arange(padded.shape[1])  # an option equal to an earlier one is no first occurrence
+    first = scored & ~(same & (slot[:, None] > slot)).any(axis=-1)
     # Scored with the engine's kernel, so equal options tie exactly here too.
-    scores = _vecdot(padded.take(at, 0), y[..., None, :])
+    scores = _vecdot(padded.take(at, 0), trace.y[..., None, :])
     np.putmask(scores, (~scored).take(at, 0), np.inf)
     # One option slot at a time: numpy's min over a short last axis is slow.
     best = functools.reduce(np.minimum, (scores[..., j] for j in range(scores.shape[-1])))
-    margin = (best - _vecdot(y, trace.v)) / np.maximum(1.0, np.abs(best))
+    margin = (best - trace._inner) / np.maximum(1.0, np.abs(best))
     worst = margin.min(axis=-1)
     ties_first = first.take(at * first.shape[1] + trace.choice).all(axis=-1)
     return Verdict.of(

@@ -433,6 +433,28 @@ class TestDecomposition:
         u = np.array([1.5])
         assert high.eval(u) + np.dot(f.linear_slopes, u) == pytest.approx(f.eval(u))
 
+    def test_power_part_is_one_object_per_cost(self):
+        f = LinearPlusPower([2.0, 0.5], [3.0, 0.0], 3)
+        high = f.power_part()
+        assert f.power_part() is high and isinstance(high, SumOfPowers)
+        assert same_bits(high.coeffs, np.array([2.0, 0.5]) ** 3.0)
+        assert LinearPlusPower([2.0, 0.5], [3.0, 0.0], 3).power_part() is not high
+        plain = SumOfPowers([1.0, 2.0], 2)
+        assert plain.power_part() is plain
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cost_at_p_ones_is_evaluated_once_per_cost(family, monkeypatch):
+    f = make_family(family, 3, 3.0, np.random.default_rng(5))
+    expected = f.eval(np.full(3, 3.0))
+    calls = []
+    eval_rows = f.eval_rows
+    monkeypatch.setattr(f, "eval_rows", lambda U: (calls.append(U), eval_rows(U))[1])
+    values = [f.cost_at_p_ones() for _ in range(3)]
+    assert len(calls) == 1
+    assert all(same_bits(value, expected) for value in values)
+    assert make_family(family, 3, 3.0, np.random.default_rng(5)).cost_at_p_ones() == expected
+
 
 def reference_conj_1d(component, y):
     """The unmemoized per-coordinate search of ``SeparableGeneric``."""

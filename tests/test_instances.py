@@ -6,10 +6,12 @@ import pytest
 
 from robustpd.costs import cost_from_config
 from robustpd.oco import ConfigError
+from robustpd.ocp import FeasibleSet
 from robustpd.instances import (
     GeneratorParams,
     MixedInstance,
     SchemaError,
+    TimelineEntry,
     _uniforms,
     draw_matrix,
     generate,
@@ -267,6 +269,47 @@ BAD_VALUES = [
     ("ocp", ("problem",), "x", "problem"),
     ("welfare", ("cost", "coeffs", 1, 0), 1e189, "cost"),  # scale**p overflows
 ]
+
+
+class TestCostFunction:
+    """The cost config is read once, at construction, into one cost object."""
+
+    @pytest.mark.parametrize("problem", ["ocp", "welfare"])
+    @pytest.mark.parametrize("family", ["sum_of_powers", "linear_plus_power"])
+    def test_one_object_with_the_bits_of_a_fresh_cost(self, problem, family):
+        params = GeneratorParams(problem=problem, n=12, m=3, p=3.0, family=family, n_adv=2)
+        inst = generate(params, 11)
+        f = inst.cost_function()
+        assert inst.cost_function() is f
+        assert generate(params, 11).cost_function() is not f
+        fresh = cost_from_config(inst.cost)
+        rng = np.random.default_rng(3)
+        for shape in ((3,), (7, 3), (4, 5, 3)):
+            U = rng.uniform(0.0, 4.0, shape)
+            for method in ("eval_rows", "grad_many", "conj_many"):
+                got, want = getattr(f, method)(U), getattr(fresh, method)(U)
+                assert got.shape == want.shape
+                assert np.array_equal(np.asarray(got).view(np.uint64),
+                                      np.asarray(want).view(np.uint64))
+        assert f.cost_at_p_ones() == fresh.cost_at_p_ones()
+
+    def test_round_trip_builds_its_own_cost(self):
+        inst = generate(GeneratorParams(n=8, n_adv=2), 4)
+        again = instance_from_dict(instance_to_dict(inst))
+        assert again.cost_function() is not inst.cost_function()
+        assert again.cost == inst.cost
+
+    @pytest.mark.parametrize("cost", [
+        {"family": "nope", "m": 2, "p": 2.0, "coeffs": [1.0, 1.0]},
+        {"family": "sum_of_powers", "m": 3, "p": 2.0, "coeffs": [1.0, 1.0]},
+        {"family": "sum_of_powers", "m": 2, "p": 2.0, "coeffs": [1.0, -1.0]},
+        {"family": "linear_plus_power", "m": 1, "p": 3.0, "coeffs": [[1e189, 0.0]]},
+    ], ids=["family", "dimension", "negative", "overflow"])
+    def test_bad_cost_is_refused_at_construction(self, cost):
+        timeline = [TimelineEntry("adv", FeasibleSet([[0.0] * cost["m"]]))] * 8
+        with pytest.raises(SchemaError) as err:
+            MixedInstance("ocp", 8, cost["m"], cost, timeline)
+        assert err.value.path == "cost"
 
 
 class TestSchemaErrors:

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from robustpd import ocp
-from robustpd.costs import SumOfPowers
+from robustpd.costs import SumOfPowers, _vecdot
 from robustpd.harness import (
     CSV_HEADER,
     evaluate_loadbalance_instance,
@@ -479,6 +480,35 @@ class TestBestResponseCertificate:
         assert summary[1] == "mean"
         assert summary[column] == ";".join(report.failed_names())
         assert "best_response" in report.failed_names()
+
+    def test_tampered_loads_fail_with_the_shared_inner_products(self):
+        # The inner products <y_t, v_t> are one cached pass per trace, which the
+        # fake costs share: a replace() with tampered loads must compute its own.
+        menu = FeasibleSet([[0.0, 0.0], [1.0, 0.5], [0.3, 1.0]])
+        trace = run_ocp_batch([menu], np.zeros((5, 10), dtype=np.int64), square2())
+        assert check_best_response(trace).passed.all() and "_inner" in trace.__dict__
+        v = trace.v.copy()
+        v[2, 6] = [1.0, 0.5]  # a real option, but not the best one
+        tampered = replace(trace, v=v)
+        assert "_inner" not in tampered.__dict__
+        rep = check_best_response(tampered)
+        assert rep.passed.tolist() == [True, True, False, True, True]
+        assert not np.array_equal(tampered.fake, trace.fake)
+        assert np.array_equal(tampered._inner, _vecdot(trace.y, v))
+
+    def test_rows_recompute_the_inner_products(self):
+        rng = np.random.default_rng(9)
+        f = make_family("linear_plus_power", 3, 2.0, rng)
+        sets = random_sets(rng, 6, 3, k_range=(1, 4))
+        trace = run_ocp_batch(sets, rng.integers(0, len(sets), (4, 12)), f)
+        inner = trace._inner
+        trace.__dict__["_inner"] = np.zeros_like(inner)  # a stale copy a row must not inherit
+        trace.__dict__["fake"] = np.zeros_like(inner)
+        for k, one in enumerate(trace.rows()):
+            assert "_inner" not in one.__dict__ and "fake" not in one.__dict__
+            assert np.array_equal(one._inner, inner[k])
+            assert np.array_equal(one.fake, inner[k] - one.gamma * one.conj_y)
+            assert check_best_response(one).passed is True
 
     def test_late_tie_fails_on_golden_instance_with_repeats(self, monkeypatch):
         inst = golden_with_repeats()
