@@ -233,9 +233,10 @@ def _prologue(inst, replications, f, problem):
 def _ocp_checks(runs, adv_report):
     """The OCP per-replication verdicts of K runs under their cost ``runs.f``."""
     alphas = (2.0 * runs.f.p, 2.0 * math.e * runs.f.p**2)
+    choices = np.asarray(adv_report.choices, dtype=np.float64).reshape(-1, runs.f.m)
     return [
         check_cost_bound(runs),
-        *(check_adversarial_charging(runs, alpha, adv_report.choices) for alpha in alphas),
+        *(check_adversarial_charging(runs, alpha, choices) for alpha in alphas),
         check_best_response(runs),
     ]
 

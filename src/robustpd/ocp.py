@@ -166,10 +166,13 @@ class OcpRunTrace(_LockstepTrace):
         return self.f.eval_rows(self.load / 8.0)
 
     def _adv_fake(self, opt_choices):
-        """:func:`_fake_total` of offline choices on the adversarial steps, once per choices."""
+        """:func:`_fake_total` of ``(k, m)`` offline adversarial choices, and their sum."""
         memo, key = self.__dict__.setdefault("_adv_fakes", {}), opt_choices.tobytes()
         if key not in memo:
-            memo[key] = _fake_total(self, ~self.labels, opt_choices)
+            adv = ~self.labels
+            if opt_choices.shape[0] != int(adv.sum()):
+                raise ValueError("one offline choice per adversarial step required")
+            memo[key] = _fake_total(self, adv, opt_choices), opt_choices.sum(axis=0)
         return memo[key]
 
 
@@ -278,12 +281,8 @@ def check_adversarial_charging(trace, alpha, opt_choices) -> Verdict:
     f = trace.f
     if trace.labels is None:
         raise ValueError("adversarial charging needs origin labels")
-    opt_choices = np.asarray(opt_choices, dtype=np.float64).reshape(-1, f.m)
-    if opt_choices.shape[0] != int((~trace.labels).sum()):
-        raise ValueError("one offline choice per adversarial step required")
-    v_opt = opt_choices.sum(axis=0) if opt_choices.size else np.zeros(f.m)
+    lhs, v_opt = trace._adv_fake(np.asarray(opt_choices, dtype=np.float64).reshape(-1, f.m))
     cost_opt = float(f.eval_rows(alpha * v_opt))  # a sum of checked menu rows
-    lhs = trace._adv_fake(opt_choices)
     conj_max, conj_of_max = trace._conj_terms
     rhs1 = math.e * cost_opt + (math.e * f.p / alpha) * conj_max
     rhs2 = cost_opt + conj_of_max / alpha
@@ -339,11 +338,12 @@ def effective_norm_power(p, m):
     return min(float(p), max(2.0, float(math.ceil(math.log(m))))) if m > 1 else 2.0
 
 
+@functools.cache
 def _loadbalance_cost(p, m):
-    """The unit-weight cost ``||x||_q ** q`` that load balancing runs.
+    """The unit-weight cost ``||x||_q ** q`` that load balancing runs, one object per ``(p, m)``.
 
     ``q = effective_norm_power(p, m)``, so the ``1/q``-th power of a run's
-    cost is the effective norm of its final load.
+    cost is the effective norm of its final load.  Runs share it: it holds only once-only caches.
     """
     return SumOfPowers(np.ones(m), effective_norm_power(p, m))
 

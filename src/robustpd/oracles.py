@@ -10,10 +10,10 @@ is a fractional selector ``support -> [0,1]``, found by coordinate ascent
 on a grid with a ternary refinement of the concave expected profit.
 
 The enumerations run as array passes.  The multiset table is built by
-stars and bars, one part at a time with ``np.repeat`` and a ragged
-``arange``; the selectors of ``opt_stoch_ocp`` and the candidate
-levels of one coordinate of ``opt_stoch_welfare`` are scored in blocks of
-at most ``ADV_BLOCK_ROWS`` load rows, one ``eval_many`` and one
+stars and bars in one level-wise pass, each level's draw counts with
+their log-factorial sums; the selectors of ``opt_stoch_ocp`` and the
+levels of one coordinate of ``opt_stoch_welfare`` are scored in blocks
+of at most ``ADV_BLOCK_ROWS`` load rows, one ``eval_many`` and one
 ``np.vecdot`` expectation per block.  Each block stacks the per-selector
 (per-candidate) load matrices on a leading axis, so every value, tie-break
 and answer equals that of scoring them one at a time, bit for bit.  At
@@ -164,46 +164,45 @@ def count_multisets(n, s):
     return math.comb(n + s - 1, s - 1)
 
 
-def _compositions(n, s):
-    """The compositions of ``n`` into ``s`` parts, in lexicographic order.
-
-    An ``(count_multisets(n, s), s)`` int64 array, built by stars and bars
-    one part at a time: a row with ``r`` left expands into ``r + 1`` rows
-    whose next part is ``0, 1, ..., r``, by ``np.repeat`` and a ragged
-    ``arange``, and the last part takes what is left.
-    """
-    parts = []  # the parts fixed so far, one entry per row so far
-    left = np.array([n], dtype=np.int64)
-    for _ in range(s - 1):
-        fan = left + 1
-        part = np.arange(int(fan.sum()), dtype=np.int64)
-        part -= np.repeat(np.cumsum(fan) - fan, fan)  # minus each row's first sibling
-        parts = [np.repeat(earlier, fan) for earlier in parts] + [part]
-        left = np.repeat(left, fan)
-        left -= part
-    return np.stack([*parts, left], axis=1)
-
-
 def _multiset_table(n_draws, probs):
     """All draw-count vectors with their multinomial probabilities.
 
-    The rows are :func:`_compositions` of ``n_draws`` into ``len(probs)``
-    parts, in lexicographic order, cast once to float64 (exact: small
-    integers); each row's log-factorials are summed left to right.
+    The rows are the compositions of ``n_draws`` into ``s = len(probs)``
+    parts in lexicographic order, built by stars and bars one level (part)
+    at a time.  Each level keeps its parts and parent rows and adds its
+    log-factorials to the running sums at its own size, so each row's
+    ``lgamma(c_0 + 1) + lgamma(c_1 + 1) + ...`` is summed left to right.
+    Each column is gathered once, through the parent links, into one
+    C-contiguous ``(rows, s)`` float64 array (exact: small integers), the
+    layout that fixes the bits of ``counts @ ...``.
     """
     s = len(probs)
-    counts = _compositions(n_draws, s)
     probs = np.asarray(probs, dtype=np.float64)
     # The 1e-300 floor avoids 0 * -inf; rows drawing a zero-probability
     # element are zeroed outright afterwards.
     log_probs = np.log(np.maximum(probs, 1e-300))
-    log_fact = np.array([math.lgamma(k + 1) for k in range(n_draws + 1)])[counts]
-    counts = counts.astype(np.float64)
-    row_sum = log_fact[:, 0]
-    for col in range(1, s):
-        row_sum = row_sum + log_fact[:, col]
-    logpmf = math.lgamma(n_draws + 1) - row_sum + counts @ log_probs
-    pmf = np.exp(logpmf)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n_draws + 1)])
+    levels = []  # (parts, parent rows) per level
+    left = np.array([n_draws])
+    row_sum = np.zeros(1)  # 0.0 + x is x: the sums start at the first part
+    for _ in range(s - 1):
+        fan = left + 1
+        parent = np.repeat(np.arange(left.size), fan)
+        # A row with r draws left has r + 1 children, with parts 0, ..., r.
+        part = np.arange(parent.size) - (np.cumsum(fan) - fan).take(parent)
+        left = left.take(parent) - part
+        row_sum = row_sum.take(parent) + log_fact.take(part)
+        levels.append((part, parent))
+    row_sum = row_sum + log_fact.take(left)
+    counts = np.empty((left.size, s))
+    counts[:, s - 1] = left
+    up = None  # each row's index at the level being written; None at the last
+    for j in range(s - 2, -1, -1):
+        part, parent = levels.pop()
+        counts[:, j] = part if up is None else part.take(up)
+        if j:
+            up = parent if up is None else parent.take(up)
+    pmf = np.exp(math.lgamma(n_draws + 1) - row_sum + counts @ log_probs)
     dead = probs <= 0.0
     if np.any(dead):
         pmf[(counts[:, dead] > 0).any(axis=1)] = 0.0

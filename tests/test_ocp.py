@@ -390,6 +390,14 @@ class TestAdversarialCharging:
         with pytest.raises(ValueError):
             check_adversarial_charging(trace, 0.5, trace.v)
 
+    def test_wrong_choice_count_rejected(self):
+        rng = np.random.default_rng(29)
+        trace = run_ocp(random_sets(rng, 8, 2), square2(), labels=np.zeros(8, dtype=bool))
+        for _ in range(2):  # a refused choice table is not memoized
+            with pytest.raises(ValueError, match="^one offline choice per adversarial step"):
+                check_adversarial_charging(trace, 4.0, trace.v[:7])
+        assert check_adversarial_charging(trace, 4.0, trace.v).passed
+
 
 def wrong_best_rows(pick):
     """A menu scorer that picks ``pick(scores)`` instead of the lowest-index minimizer.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -711,17 +712,32 @@ class TestBatchedEqualsLoops:
     @pytest.mark.parametrize(
         "n,probs",
         [(5, [1.0]), (0, [0.5, 0.5]), (6, [0.2, 0.0, 0.5, 0.3]), (3, [0.1] * 10), (9, [0.25] * 4),
-         (12, [0.125] * 8), (16, [0.2] * 5), (14, [1 / 6] * 6), (0, [1.0]), (0, [0.1, 0.2, 0.3, 0.4])],
+         (12, [0.125] * 8), (16, [0.2] * 5), (14, [1 / 6] * 6), (0, [1.0]), (0, [0.1, 0.2, 0.3, 0.4]),
+         (0, [1 / 6] * 6), (20, [1 / 6] * 6), (9, [0.3, 0.0, 0.2, 0.0, 0.5]),
+         (7, [0.2, 0.3, 0.1, 0.4, 0.0]), (5, [0.1, 0.2, 0.0, 0.3, 0.4, 0.0])],
     )
     def test_multiset_table(self, n, probs):
         # At 8 parts and more, numpy's pairwise row sum would round some
         # rows of log-factorials differently from a left-to-right sum.
         counts, pmf = oracles._multiset_table(n, probs)
         ref_counts, ref_pmf = loop_multiset_table(n, probs)
-        # The table is cast to float64 once, exactly: its counts are small integers.
+        # The counts are float64 (exact: small integers) in one C-contiguous
+        # (rows, s) array, the layout that fixes the bits of counts @ ...
         assert counts.dtype == np.float64 and ref_counts.dtype == np.int64
+        assert counts.flags.c_contiguous
         assert counts.shape == (count_multisets(n, len(probs)), len(probs))
         assert np.array_equal(counts, ref_counts) and np.array_equal(pmf, ref_pmf)
+
+    def test_multiset_table_memory_budget(self):
+        # The selector guard's table: 6 parts, 37 draws, 850,668 rows; the
+        # counts alone are 38.9 MiB and the probabilities 6.5 MiB.
+        tracemalloc.start()
+        try:
+            oracles._multiset_table(37, [1 / 6] * 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2**20
 
     @pytest.mark.parametrize("block_rows", [7, oracles.ADV_BLOCK_ROWS])
     def test_stoch_ocp(self, monkeypatch, block_rows):
